@@ -152,7 +152,7 @@ def _cmd_classify(ns):
             "indecisive classification: "
             f"upper ranks {[r for _, r, _ in report.samples_upper]}, "
             f"lower ranks {[r for _, r, _ in report.samples_lower]}")
-    cls = spectral.classify(j, n_max=ns.n_max, sample_points=samples)
+    cls = report.determinacy(j.p)
     doc = {"class": cls.kind.value,
            "nu_plus": int(cls.nu_plus),
            "nu_minus": int(cls.nu_minus),

@@ -45,12 +45,17 @@ class BlockJacobiMatrix:
     generator : callable, optional
         Rule ``k -> (A_{k,k}, A_{k,k+1})`` extending the prefix on demand.
         Must be pure and reentrant.
+    memo : dict
+        Data derived from the blocks by other modules (the series recurrence
+        plan); it lives as long as this instance and is not compared.
     """
 
     p: int
     diag: tuple
     offdiag: tuple
     generator: BlockRule | None = field(default=None, compare=False)
+    memo: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)
 
     def __post_init__(self):
         if self.p < 1:

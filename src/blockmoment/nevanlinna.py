@@ -24,6 +24,14 @@ truncated by a declared increment rule and the truncation state
 (``n_used``, ``tail_norm``, ``converged``) is reported, never hidden. When a
 caller supplies V as a per-point sampler, holomorphy of the sampler is the
 caller's responsibility: it cannot be verified pointwise.
+
+For p >= 2 every series runs on one engine.  A recurrence plan (the stacked
+B_k^{-1}, B_k^{-1} A_kk, B_k^{-1} A_{k,k-1}, B_k = A_{k,k+1}) is built once
+per matrix and kept on it, so its lifetime is the matrix's; a call then
+needs no ``prefix()`` and no inverse per step.  The states D_k, E_k of all
+points advance together as the columns of one (p, W) matrix, one small
+GEMM per step, and the series terms are formed per chunk of steps by one
+batched matmul.  The p = 1 series keep plain complex recurrences.
 """
 
 from dataclasses import dataclass
@@ -35,7 +43,7 @@ from .errors import (HalfPlaneError, InvalidInputError,
                      NumericalFailureError, OutOfRangeError, PoleError,
                      RefusedError)
 from .jacobi import BlockJacobiMatrix
-from .polys import MatrixPoly, OrthoBasis, form
+from .polys import MatrixPoly, OrthoBasis, _require_nonsingular, form
 from .spectral import (KERNEL_N_MAX, Determinacy, DeterminacyClass, classify,
                        kernel_partial)
 
@@ -101,38 +109,103 @@ def second_kind(basis: OrthoBasis, n: int) -> SecondKindBasis:
 # pointwise series machinery
 # ---------------------------------------------------------------------------
 
-def _dk_ek_values(j: BlockJacobiMatrix, zs, n: int, d0=None):
-    """Yield (D_k(zs), E_k(zs)) for k = 0..n, batched over points.
+_CHUNK = 16  # recurrence steps whose series terms are formed in one matmul
 
-    Same three-term recurrence for both families; E_0 = 0 and
-    E_1 = A_{0,1}^{-1} D_0^{-H} seed the second kind.
+
+def _recurrence_plan(j: BlockJacobiMatrix, n: int) -> np.ndarray:
+    """Step matrices of the first n recurrence steps, cached on ``j``.
+
+    Row k is [-B_k^{-1} A_{k,k-1} | B_k^{-1} | -B_k^{-1} A_{k,k}] with
+    B_k = A_{k,k+1} and A_{0,-1} = 0, so that
+
+        X_{k+1} = row_k @ [X_{k-1}; z X_k; X_k].
+
+    The longest plan built so far is kept in ``j.memo`` and serves every
+    shorter request; it is built from one ``prefix`` and one batched
+    inverse, so it dies with the matrix.
     """
+    plan = j.memo.get("recurrence_plan")
+    if plan is not None and len(plan) >= n:
+        return plan
     p = j.p
-    z = np.asarray(zs, dtype=complex).reshape(-1)
-    jp = j.prefix(n + 1) if n >= 1 else j
-    d0m = np.eye(p, dtype=complex) if d0 is None else \
-        mk.as_complex_matrix(d0, p)
-    d_cur = np.broadcast_to(d0m, (z.size, p, p)).copy()
-    d_prev = np.zeros_like(d_cur)
-    e_cur = np.zeros_like(d_cur)
-    e_prev = np.zeros_like(d_cur)
-    yield d_cur, e_cur
-    zc = z[:, None, None]
-    for k in range(n):
-        b_inv = np.linalg.inv(jp.offdiag[k])
-        a_kk = jp.diag[k]
-        d_nxt = b_inv[None] @ (zc * d_cur - a_kk[None] @ d_cur)
-        if k == 0:
-            e_nxt = np.broadcast_to(b_inv @ np.linalg.inv(d0m).conj().T,
-                                    (z.size, p, p)).copy()
-        else:
-            sub = jp.offdiag[k - 1].conj().T
-            d_nxt -= b_inv[None] @ (sub[None] @ d_prev)
-            e_nxt = b_inv[None] @ (zc * e_cur - a_kk[None] @ e_cur
-                                   - sub[None] @ e_prev)
-        d_prev, d_cur = d_cur, d_nxt
-        e_prev, e_cur = e_cur, e_nxt
-        yield d_cur, e_cur
+    jp = j.prefix(n + 1)
+    off = np.array(jp.offdiag, dtype=complex).reshape(n, p, p)
+    diag = np.array(jp.diag[:n], dtype=complex).reshape(n, p, p)
+    b_inv = np.linalg.inv(off)
+    sub = np.zeros_like(off)
+    sub[1:] = np.conj(np.swapaxes(off[:-1], 1, 2))         # A_{k,k-1}
+    plan = np.concatenate([-(b_inv @ sub), b_inv, -(b_inv @ diag)], axis=2)
+    plan.setflags(write=False)
+    j.memo["recurrence_plan"] = plan
+    return plan
+
+
+def _d0_seeds(d0, p: int):
+    """Validated D_0 and D_0^{-H}, the seeds of the two polynomial kinds."""
+    if d0 is None:
+        eye = np.eye(p, dtype=complex)
+        return eye, eye
+    d0m = _require_nonsingular(mk.as_complex_matrix(d0, p), "D_0")
+    return d0m, np.linalg.inv(d0m).conj().T
+
+
+def _state_chunks(j: BlockJacobiMatrix, zs, second, n: int, seeds):
+    """Yield stacks of X_k, k = 0..n, in chunks of at most _CHUNK steps.
+
+    X_k is a (p, W) matrix of p-wide column blocks, one per entry of
+    ``zs``: D_k at that point, or E_k where ``second`` is set.  Both kinds
+    share the recurrence and differ only in their seeds: D_{-1} = 0 with
+    D_0, and E_0 = 0 with E_1 = B_0^{-1} D_0^{-H}, which the first step
+    produces when the z X_0 slot of E columns holds D_0^{-H}.
+    """
+    d0m, e1 = seeds
+    p = d0m.shape[0]
+    zs = np.asarray(zs, dtype=complex).reshape(-1)
+    is_e = np.repeat(np.asarray(second, dtype=bool).reshape(-1), p)
+    zrow = np.repeat(zs, p)
+    w = zrow.size
+    plan = _recurrence_plan(j, n)
+    # h[i] = (z X, X) of one state; a chunk starts from X_{k0-1}, X_{k0}
+    h = np.zeros((min(_CHUNK, n + 1) + 2, 2, p, w), dtype=complex)
+    h[1, 1] = np.where(is_e, 0.0, np.tile(d0m, len(zs)))
+    h[1, 0] = np.where(is_e, np.tile(e1, len(zs)), h[1, 1] * zrow)
+    flat = h.reshape(-1, w)
+    # step i reads [X, zX, X] of states i-1, i and writes state i+1
+    steps = [(flat[(2 * i - 1) * p:(2 * i + 2) * p], h[i + 1, 1], h[i + 1, 0])
+             for i in range(1, len(h) - 1)]
+    k0 = 0
+    while k0 <= n:
+        m = min(_CHUNK, n + 1 - k0)
+        for row, (src, x, zx) in zip(plan[k0:n], steps[:m]):
+            np.matmul(row, src, out=x)
+            np.multiply(x, zrow, out=zx)
+        yield h[1:m + 1, 1]
+        h[:2] = h[m:m + 2]
+        k0 += m
+
+
+def _series(j, zs, second, n_left: int, weight, n_terms: int,
+            series_tol: float, seeds):
+    """sum_{k=0}^{n} weight * L_k^H R_k over the shared recurrence.
+
+    L_k are the first ``n_left`` column blocks of X_k and R_k the rest
+    (see ``_state_chunks``); ``weight`` broadcasts against each term.  The
+    stop rule sees the largest entry of each weighted term.  Returns
+    (sum, n_used, tail_norm, converged), with n_used the last k summed.
+    """
+    cols = n_left * seeds[0].shape[0]
+    total = 0.0
+    acc = _SeriesAccumulator(series_tol)
+    k0 = 0
+    for xs in _state_chunks(j, zs, second, n_terms, seeds):
+        terms = weight * (np.conj(np.swapaxes(xs[..., :cols], 1, 2))
+                          @ xs[..., cols:])
+        stop = acc.push_chunk(np.abs(terms).max(axis=(1, 2), initial=0.0))
+        total = total + terms[:stop].sum(axis=0)
+        if stop is not None:
+            return total, k0 + stop - 1, acc.tail, True
+        k0 += len(xs)
+    return total, n_terms, acc.tail, False
 
 
 def _scalar_data(j: BlockJacobiMatrix, n: int):
@@ -183,6 +256,17 @@ class _SeriesAccumulator:
         return (self.steps >= 3
                 and max(self.inc_prev, self.inc_last) < self.tol)
 
+    def push_chunk(self, increments) -> int | None:
+        """Push increments in order until the rule fires.
+
+        Returns how many were consumed when it fired, or None when it did
+        not; the state then matches pushing them one at a time.
+        """
+        for i, inc in enumerate(increments.tolist()):
+            if self.push(inc):
+                return i + 1
+        return None
+
     @property
     def tail(self) -> float:
         if not np.isfinite(self.inc_prev):
@@ -204,12 +288,12 @@ class QuartetValue:
     converged: bool
 
 
-def _quartet_sums_scalar(j, z, n_terms, series_tol, d0s):
+def _quartet_sums_scalar(j, z, n_terms, series_tol, seeds):
     z = complex(z)
     zb = z.conjugate()
     b, a = _scalar_data(j, n_terms)
     ac = [x.conjugate() for x in a]
-    d0c = complex(d0s)
+    d0c = complex(seeds[0][0, 0])
     e1 = 1.0 / (a[0] * d0c.conjugate()) if n_terms >= 1 else 0j
     dzb_p, dzb = 0j, d0c
     ezb_p, ezb = 0j, 0j
@@ -255,35 +339,15 @@ def _quartet_sums_scalar(j, z, n_terms, series_tol, d0s):
             converged)
 
 
-def _quartet_sums_block(j, z, n_terms, series_tol, d0):
+def _quartet_sums_block(j, z, n_terms, series_tol, seeds):
     p = j.p
+    zb = z.conjugate()
+    t, n_used, tail, converged = _series(
+        j, [zb, zb, 0.0, 0.0], [False, True, False, True], 2, z, n_terms,
+        series_tol, seeds)
     eye = np.eye(p, dtype=complex)
-    it = _dk_ek_values(j, [np.conj(z), 0.0], n_terms, d0)
-    dk, _ = next(it)
-    f1 = eye.copy()
-    f2 = np.zeros((p, p), dtype=complex)
-    g1 = -z * (dk[0].conj().T @ dk[1])
-    g2 = eye.copy()
-    acc = _SeriesAccumulator(series_tol)
-    acc.push(float(np.abs(g1).max()))
-    n_used, converged = 0, False
-    for k, (dk, ek) in enumerate(it, start=1):
-        ds = dk[0].conj().T
-        es = ek[0].conj().T
-        t_f1 = z * (es @ dk[1])
-        t_f2 = z * (es @ ek[1])
-        t_g1 = -z * (ds @ dk[1])
-        t_g2 = -z * (ds @ ek[1])
-        f1 += t_f1
-        f2 += t_f2
-        g1 += t_g1
-        g2 += t_g2
-        n_used = k
-        inc = max(float(np.abs(t).max()) for t in (t_f1, t_f2, t_g1, t_g2))
-        if acc.push(inc):
-            converged = True
-            break
-    return f1, f2, g1, g2, n_used, acc.tail, converged
+    return (eye + t[p:, :p], t[p:, p:], -t[:p, :p], eye - t[:p, p:], n_used,
+            tail, converged)
 
 
 def _ensure_completely_indeterminate(j, determinacy, n_max_classify):
@@ -310,16 +374,13 @@ def quartet(j: BlockJacobiMatrix, z: complex, n_max: int = SERIES_N_MAX,
     Values are returned either way, with the last increment size in
     ``tail_norm``.
     """
+    seeds = _d0_seeds(d0, j.p)
     _ensure_completely_indeterminate(j, determinacy, n_max_classify)
     z = complex(z)
     n_terms = _available_terms(j, n_max)
-    if j.p == 1:
-        d0s = 1.0 if d0 is None else complex(np.asarray(d0).reshape(-1)[0])
-        f1, f2, g1, g2, n_used, tail, conv = _quartet_sums_scalar(
-            j, z, n_terms, series_tol, d0s)
-    else:
-        f1, f2, g1, g2, n_used, tail, conv = _quartet_sums_block(
-            j, z, n_terms, series_tol, d0)
+    sums = _quartet_sums_scalar if j.p == 1 else _quartet_sums_block
+    f1, f2, g1, g2, n_used, tail, conv = sums(j, z, n_terms, series_tol,
+                                              seeds)
     return QuartetValue(z=z, f1=f1, f2=f2, g1=g1, g2=g2, n_used=n_used,
                         tail_norm=tail, converged=conv)
 
@@ -328,7 +389,7 @@ def quartet(j: BlockJacobiMatrix, z: complex, n_max: int = SERIES_N_MAX,
 # solution transforms
 # ---------------------------------------------------------------------------
 
-def _pair_sums(j, z, xi, n_terms, series_tol, d0):
+def _pair_sums(j, z, xi, n_terms, series_tol, seeds):
     """N(z, xi) = sum_{k>=1} E_k*(z) D_k(xi), Den = sum_{k>=0} D_k*(z) D_k(xi)."""
     p = j.p
     if p == 1:
@@ -337,7 +398,7 @@ def _pair_sums(j, z, xi, n_terms, series_tol, d0):
         xi = complex(xi)
         b, a = _scalar_data(j, n_terms)
         ac = [x.conjugate() for x in a]
-        d0s = 1.0 + 0j if d0 is None else complex(np.asarray(d0).reshape(-1)[0])
+        d0s = complex(seeds[0][0, 0])
         e1 = 1.0 / (a[0] * d0s.conjugate()) if n_terms >= 1 else 0j
         dzb_p, dzb = 0j, d0s
         ezb_p, ezb = 0j, 0j
@@ -368,23 +429,10 @@ def _pair_sums(j, z, xi, n_terms, series_tol, d0):
                 break
         one = np.ones((1, 1), dtype=complex)
         return num * one, den * one, converged
-    it = _dk_ek_values(j, [np.conj(z), complex(xi)], n_terms, d0)
-    dk, _ = next(it)
-    num = np.zeros((p, p), dtype=complex)
-    den = dk[0].conj().T @ dk[1]
-    acc = _SeriesAccumulator(series_tol)
-    acc.push(float(np.abs(den).max()))
-    converged = False
-    for dk, ek in it:
-        t_num = ek[0].conj().T @ dk[1]
-        t_den = dk[0].conj().T @ dk[1]
-        num += t_num
-        den += t_den
-        if acc.push(max(float(np.abs(t_num).max()),
-                        float(np.abs(t_den).max()))):
-            converged = True
-            break
-    return num, den, converged
+    zb = np.conj(z)
+    t, _, _, converged = _series(j, [zb, zb, xi], [False, True, False], 2,
+                                 1.0, n_terms, series_tol, seeds)
+    return t[p:], t[:p], converged
 
 
 def transform_extremal(j: BlockJacobiMatrix, xi: float, z: complex,
@@ -408,9 +456,10 @@ def transform_extremal(j: BlockJacobiMatrix, xi: float, z: complex,
     if z.imag >= 0:
         raise HalfPlaneError(
             f"extremal transform is defined for Im z < 0, got z={z}")
+    seeds = _d0_seeds(d0, j.p)
     _ensure_completely_indeterminate(j, determinacy, n_max_classify)
     n_terms = _available_terms(j, n_max)
-    num, den, _ = _pair_sums(j, z, xi, n_terms, series_tol, d0)
+    num, den, _ = _pair_sums(j, z, xi, n_terms, series_tol, seeds)
     p = num.shape[0]
     svals = np.linalg.svd(den, compute_uv=False)
     if svals[-1] <= 1e-14 * max(1.0, svals[0]):
@@ -428,7 +477,7 @@ def jump_bound(j: BlockJacobiMatrix, xi: float, n: int, d0=None) -> np.ndarray:
     is an internal invariant violation, not an input problem.
     """
     xi = float(xi)
-    k = kernel_partial(j, xi, n, d0)
+    k = kernel_partial(j, xi, n, _d0_seeds(d0, j.p)[0])
     w, v = np.linalg.eigh(k)
     if w[0] <= 0:
         raise NumericalFailureError(
@@ -536,8 +585,8 @@ def _g_point_scalar(x, b, a, ac, d0s, e1, n_terms, series_tol):
     return g1, g2
 
 
-def _g_values_scalar(j, lam, n_terms, series_tol, d0):
-    d0s = 1.0 + 0j if d0 is None else complex(np.asarray(d0).reshape(-1)[0])
+def _g_values_scalar(j, lam, n_terms, series_tol, seeds):
+    d0s = complex(seeds[0][0, 0])
     b, a = _scalar_data(j, n_terms)
     ac = [x.conjugate() for x in a]
     e1 = 1.0 / (a[0] * d0s.conjugate()) if n_terms >= 1 else 0j
@@ -582,31 +631,18 @@ def _g_values_scalar(j, lam, n_terms, series_tol, d0):
     return g1.reshape(-1, 1, 1), g2.reshape(-1, 1, 1)
 
 
-def _g_values(j, lams, n_terms, series_tol, d0):
-    """G1, G2 batched over real points; the 0-point rides along in the batch."""
+def _g_values(j, lam, n_terms, series_tol, seeds):
+    """G1, G2 batched over real points; D_k(0), E_k(0) ride along."""
     p = j.p
-    lam = np.asarray(lams, dtype=float).reshape(-1)
     if p == 1 and lam.size:
-        return _g_values_scalar(j, lam, n_terms, series_tol, d0)
-    zs = np.concatenate([lam.astype(complex), [0.0 + 0j]])
-    it = _dk_ek_values(j, zs, n_terms, d0)
-    dk, _ = next(it)
-    lamc = lam.astype(complex)[:, None, None]
-    star = np.conj(np.swapaxes(dk[:-1], 1, 2))
-    g1 = -lamc * (star @ dk[-1])
-    g2 = np.broadcast_to(np.eye(p, dtype=complex), (lam.size, p, p)).copy()
-    acc = _SeriesAccumulator(series_tol)
-    acc.push(float(np.abs(g1).max()) if lam.size else 0.0)
-    for dk, ek in it:
-        star = np.conj(np.swapaxes(dk[:-1], 1, 2))
-        t_g1 = -lamc * (star @ dk[-1])
-        t_g2 = -lamc * (star @ ek[-1])
-        g1 += t_g1
-        g2 += t_g2
-        inc = max(float(np.abs(t_g1).max()), float(np.abs(t_g2).max())) \
-            if lam.size else 0.0
-        if acc.push(inc):
-            break
+        return _g_values_scalar(j, lam, n_terms, series_tol, seeds)
+    zs = np.concatenate([lam, [0.0, 0.0]])
+    second = np.arange(zs.size) == zs.size - 1
+    weight = np.repeat(-lam, p)[:, None]
+    t, _, _, _ = _series(j, zs, second, lam.size, weight, n_terms,
+                         series_tol, seeds)
+    g1 = t[:, :p].reshape(lam.size, p, p)
+    g2 = np.eye(p, dtype=complex) + t[:, p:].reshape(lam.size, p, p)
     return g1, g2
 
 
@@ -619,9 +655,10 @@ def extension_bracket(j: BlockJacobiMatrix, u, lams,
     so this is also usable as the residual probe for accepted roots.
     """
     u = _require_unitary(u, j.p)
+    seeds = _d0_seeds(d0, j.p)
     lam = np.asarray(lams, dtype=float).reshape(-1)
     n_terms = _available_terms(j, n_max)
-    g1, g2 = _g_values(j, lam, n_terms, series_tol, d0)
+    g1, g2 = _g_values(j, lam, n_terms, series_tol, seeds)
     eye = np.eye(j.p, dtype=complex)
     return g1 @ (eye + u) + 1j * (g2 @ (eye - u))
 

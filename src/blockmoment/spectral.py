@@ -71,6 +71,17 @@ class DeficiencyReport:
     samples_lower: tuple
     decisive: bool
 
+    def determinacy(self, p: int) -> "DeterminacyClass":
+        """Class of a decisive report for block dimension ``p``."""
+        nu_p, nu_m = self.nu_plus, self.nu_minus
+        if nu_p == 0 or nu_m == 0:
+            kind = Determinacy.DETERMINATE
+        elif nu_p == p and nu_m == p:
+            kind = Determinacy.COMPLETELY_INDETERMINATE
+        else:
+            kind = Determinacy.INDETERMINATE
+        return DeterminacyClass(kind=kind, nu_plus=nu_p, nu_minus=nu_m)
+
 
 class Determinacy(str, Enum):
     DETERMINATE = "Determinate"
@@ -223,14 +234,7 @@ def classify(j: BlockJacobiMatrix, n_max: int = KERNEL_N_MAX,
             "deficiency sampling was indecisive: "
             f"upper={[(str(z), r, d) for z, r, d in report.samples_upper]} "
             f"lower={[(str(z), r, d) for z, r, d in report.samples_lower]}")
-    nu_p, nu_m = report.nu_plus, report.nu_minus
-    if nu_p == 0 or nu_m == 0:
-        kind = Determinacy.DETERMINATE
-    elif nu_p == j.p and nu_m == j.p:
-        kind = Determinacy.COMPLETELY_INDETERMINATE
-    else:
-        kind = Determinacy.INDETERMINATE
-    return DeterminacyClass(kind=kind, nu_plus=nu_p, nu_minus=nu_m)
+    return report.determinacy(j.p)
 
 
 def _converged_kernel(j, z, n_max, series_tol, d0=None):

@@ -134,6 +134,24 @@ def test_classify_with_samples_file(tmp_path, capsys):
     assert len(doc["samples_upper"]) == 5
 
 
+def test_classify_samples_deficiency_indices_once(monkeypatch, capsys):
+    from blockmoment import spectral
+    calls = []
+    sample = spectral.deficiency_indices
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "deficiency_indices", counted)
+    for name in ("ch.json", "ind.json", "ds.json"):
+        calls.clear()
+        code, _, _ = run_capture(["classify", "--jacobi", name, "--json"],
+                                 capsys)
+        assert code == 0
+        assert len(calls) == 1
+
+
 def test_spectrum_rejects_nonunitary(tmp_path, capsys):
     ufile = tmp_path / "u.json"
     ufile.write_text('[[[0.5,0.0]]]')

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from blockmoment import (BlockJacobiMatrix, MatrixPoly, StepMeasure, classify,
+from blockmoment import (BlockJacobiMatrix, Determinacy, DeterminacyClass,
+                         MatrixPoly, StepMeasure, classify,
                          extension_bracket, extension_spectrum, form,
                          generate_first_kind, jump_bound, kernel_partial,
                          quartet, second_kind, stieltjes_invert,
@@ -10,9 +13,12 @@ from blockmoment import (BlockJacobiMatrix, MatrixPoly, StepMeasure, classify,
 from blockmoment import matkernel as mk
 from blockmoment.errors import (HalfPlaneError, InvalidInputError,
                                 RefusedError)
-from blockmoment.nevanlinna import _dk_ek_values
+from blockmoment.nevanlinna import (_d0_seeds, _quartet_sums_block,
+                                    _quartet_sums_scalar, _SeriesAccumulator,
+                                    _state_chunks)
 
-from conftest import random_unitary, rel_err
+from conftest import random_nonsingular, random_regular_growing, \
+    random_unitary, rel_err
 
 
 @pytest.fixture(scope="module")
@@ -99,15 +105,28 @@ def test_second_kind_recurrence(ch, ind, ds):
             assert np.abs(diff.coeffs).max() < 1e-10 * scale
 
 
-def test_pointwise_matches_symbolic(ind):
-    basis = generate_first_kind(ind, 10)
-    sk = second_kind(basis, 10)
+def engine_values(j, zs, n, d0=None):
+    """D_k(zs) and E_k(zs), k = 0..n, from the series engine's states."""
+    p = j.p
+    chunks = _state_chunks(j, np.repeat(zs, 2), [False, True] * len(zs), n,
+                           _d0_seeds(d0, p))
+    xs = np.concatenate([c.copy() for c in chunks])
+    blocks = xs.reshape(n + 1, p, 2 * len(zs), p).transpose(0, 2, 1, 3)
+    return blocks[:, 0::2], blocks[:, 1::2]
+
+
+def test_pointwise_matches_symbolic(ind, rng):
     zs = [0.3 - 0.7j, 2.0 + 1.0j]
-    it = _dk_ek_values(ind, zs, 10)
-    for k, (dk, ek) in enumerate(it):
-        for i, z in enumerate(zs):
-            assert rel_err(dk[i], basis.polys[k](z)) < 1e-12
-            assert rel_err(ek[i], sk.epolys[k](z)) < 1e-12
+    d0 = random_nonsingular(2, rng)
+    for j, d0j in ((ind, None), (double_ind_fixture(), None),
+                   (random_regular_growing(2, 12, rng), d0)):
+        basis = generate_first_kind(j, 10, d0j)
+        sk = second_kind(basis, 10)
+        dks, eks = engine_values(j, zs, 10, d0j)
+        for k in range(11):
+            for i, z in enumerate(zs):
+                assert rel_err(dks[k, i], basis.polys[k](z)) < 1e-12
+                assert rel_err(eks[k, i], sk.epolys[k](z)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +169,147 @@ def test_quartet_reports_nonconvergence_at_default_depth(ind, ind_cls):
 
 
 def test_quartet_scalar_path_matches_block_path(ind, ind_cls):
-    from blockmoment.nevanlinna import (_quartet_sums_block,
-                                        _quartet_sums_scalar)
     z = 0.7 + 1.3j
-    a = _quartet_sums_scalar(ind, z, 300, 0.0, 1.0)
-    b = _quartet_sums_block(ind, z, 300, 0.0, None)
-    for x, y in zip(a[:4], b[:4]):
-        assert rel_err(x, y) < 1e-12
+    seeds = _d0_seeds(None, 1)
+    for tol in (0.0, 1e-5):
+        a = _quartet_sums_scalar(ind, z, 300, tol, seeds)
+        b = _quartet_sums_block(ind, z, 300, tol, seeds)
+        for x, y in zip(a[:4], b[:4]):
+            assert rel_err(x, y) < 1e-12
+        assert a[4] == b[4] and a[6] == b[6]
+
+
+def test_series_stop_rule_is_the_same_one_at_a_time_and_in_chunks():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        incs = 10.0 ** rng.uniform(-9, -5, rng.integers(1, 40))
+        incs[rng.random(incs.size) < 0.3] = 0.0     # parity zeros
+        single = _SeriesAccumulator(1e-7)
+        stop = next((i + 1 for i, x in enumerate(incs) if single.push(x)),
+                    None)
+        chunked = _SeriesAccumulator(1e-7)
+        got, seen = None, 0
+        for part in np.array_split(incs, rng.integers(1, 5)):
+            got = chunked.push_chunk(part)
+            if got is not None:
+                got += seen
+                break
+            seen += part.size
+        assert got == stop
+        assert (chunked.steps, chunked.tail) == (single.steps, single.tail)
+
+
+def ci_matrix(rng, p, n_blocks, rule):
+    """A_kk = a, A_{k,k+1} = (k+1)^2 (I + 0.3 G), ||G|| = 1: always CI."""
+    g = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
+    a = 0.5 * (g + g.conj().T)
+    g = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
+    x = np.eye(p) + 0.3 * g / np.linalg.svd(g, compute_uv=False)[0]
+
+    def blocks(k):
+        return a, (k + 1) ** 2 * x
+
+    return BlockJacobiMatrix(p, tuple(a for _ in range(n_blocks)),
+                             tuple(blocks(k)[1] for k in range(n_blocks - 1)),
+                             blocks if rule else None)
+
+
+def plain_quartet(j, z, n_terms, series_tol, d0):
+    """Quartet sums by one solve per step and per family, and the stop rule
+    (two consecutive increments below tol, not before the third term)."""
+    p = j.p
+    jp = j.prefix(n_terms + 1)
+    zero = np.zeros((p, p), dtype=complex)
+    e1 = np.linalg.solve(jp.offdiag[0], np.linalg.inv(d0).conj().T)
+    # (previous, current) for D(conj z), D(0), E(conj z), E(0)
+    states = [(zero, d0), (zero, d0), (zero, zero), (zero, zero)]
+    points = (np.conj(z), 0.0, np.conj(z), 0.0)
+    sums = [np.eye(p, dtype=complex), zero, -z * (d0.conj().T @ d0),
+            np.eye(p, dtype=complex)]
+    incs = [np.abs(sums[2]).max()]
+    for k in range(n_terms):
+        nxt = []
+        for i, ((prev, cur), w) in enumerate(zip(states, points)):
+            rhs = w * cur - jp.diag[k] @ cur
+            if k > 0:
+                rhs -= jp.offdiag[k - 1].conj().T @ prev
+            new = np.linalg.solve(jp.offdiag[k], rhs)
+            nxt.append((cur, e1 if (k == 0 and i >= 2) else new))
+        states = nxt
+        dz, d0k, ez, e0k = (cur.conj().T if i in (0, 2) else cur
+                            for i, (_, cur) in enumerate(states))
+        terms = [z * (ez @ d0k), z * (ez @ e0k), -z * (dz @ d0k),
+                 -z * (dz @ e0k)]
+        sums = [s + t for s, t in zip(sums, terms)]
+        incs.append(max(np.abs(t).max() for t in terms))
+        if len(incs) >= 3 and max(incs[-2:]) < series_tol:
+            return sums, k + 1, True
+    return sums, n_terms, False
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.sampled_from([2, 3]), seed=st.integers(0, 2 ** 32 - 1),
+       extended=st.booleans(), with_d0=st.booleans(),
+       log_tol=st.floats(-6.0, -1.0))
+def test_engine_matches_plain_recurrence(p, seed, extended, with_d0,
+                                         log_tol):
+    rng = np.random.default_rng(seed)
+    j = ci_matrix(rng, p, 20 if extended else 150, rule=extended)
+    d0 = random_nonsingular(p, rng) if with_d0 else np.eye(p)
+    z = complex(*rng.uniform(-4.0, 4.0, 2))
+    cls = DeterminacyClass(Determinacy.COMPLETELY_INDETERMINATE, p, p)
+    q = quartet(j, z, n_max=200, series_tol=10.0 ** log_tol,
+                d0=d0 if with_d0 else None, determinacy=cls)
+    sums, n_used, converged = plain_quartet(j, z, 200 if extended else 149,
+                                            10.0 ** log_tol, d0)
+    assert (q.n_used, q.converged) == (n_used, converged)
+    for got, want in zip((q.f1, q.f2, q.g1, q.g2), sums):
+        assert rel_err(got, want) < 1e-12
+
+
+def test_second_call_reuses_the_recurrence_plan(monkeypatch):
+    j = double_ind_fixture()
+    cls = DeterminacyClass(Determinacy.COMPLETELY_INDETERMINATE, 2, 2)
+    counts = {"prefix": 0, "inv": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(BlockJacobiMatrix, "prefix",
+                        counted("prefix", BlockJacobiMatrix.prefix))
+    monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
+    quartet(j, 1j, determinacy=cls)
+    assert counts == {"prefix": 1, "inv": 1}      # one batched inverse
+    counts.update(prefix=0, inv=0)
+    quartet(j, 0.5 + 2j, determinacy=cls)
+    quartet(j, 1j, n_max=100, determinacy=cls)    # shorter: same plan
+    extension_bracket(j, np.eye(2), np.linspace(-1.0, 1.0, 5))
+    assert counts == {"prefix": 0, "inv": 0}
+    transform_extremal(j, 0.3, 1.0 - 1j, determinacy=cls)
+    assert counts == {"prefix": 0, "inv": 1}      # the bracket inverse only
+    counts.update(prefix=0, inv=0)
+    quartet(j, 1j, n_max=500, determinacy=cls)   # longer: one rebuild
+    assert counts == {"prefix": 1, "inv": 1}
+
+
+def test_singular_d0_is_invalid_input(ind, ind_cls):
+    with pytest.raises(InvalidInputError):
+        quartet(ind, 1j, d0=[[0]], determinacy=ind_cls)
+    j = double_ind_fixture()
+    cls = DeterminacyClass(Determinacy.COMPLETELY_INDETERMINATE, 2, 2)
+    d0 = [[1.0, 2.0], [2.0, 4.0]]
+    for call in (lambda: quartet(j, 1j, d0=d0, determinacy=cls),
+                 lambda: transform_extremal(j, 0.0, -1j, d0=d0,
+                                            determinacy=cls),
+                 lambda: transform_from_V(j, 1j, np.eye(2), d0=d0,
+                                          determinacy=cls),
+                 lambda: extension_bracket(j, np.eye(2), [0.5], d0=d0),
+                 lambda: jump_bound(j, 0.0, 5, d0=d0)):
+        with pytest.raises(InvalidInputError):
+            call()
 
 
 # ---------------------------------------------------------------------------

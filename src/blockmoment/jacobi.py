@@ -46,8 +46,9 @@ class BlockJacobiMatrix:
         Rule ``k -> (A_{k,k}, A_{k,k+1})`` extending the prefix on demand.
         Must be pure and reentrant.
     memo : dict
-        Data derived from the blocks by other modules (the series recurrence
-        plan); it lives as long as this instance and is not compared.
+        Data derived from the blocks by other modules (the recurrence plan
+        of the pointwise evaluations); it lives as long as this instance and
+        is not compared.
     """
 
     p: int
@@ -135,7 +136,7 @@ def validate_regular(j: BlockJacobiMatrix,
 
 def truncate(j: BlockJacobiMatrix, n: int) -> np.ndarray:
     """Dense Hermitian n*p x n*p section with blocks A_{i,k}, i,k < n."""
-    jp = j.prefix(n)
+    jp = j if 1 <= n <= j.n_blocks else j.prefix(n)
     p = jp.p
     out = np.zeros((n * p, n * p), dtype=complex)
     for k in range(n):

@@ -25,13 +25,11 @@ truncated by a declared increment rule and the truncation state
 caller supplies V as a per-point sampler, holomorphy of the sampler is the
 caller's responsibility: it cannot be verified pointwise.
 
-For p >= 2 every series runs on one engine.  A recurrence plan (the stacked
-B_k^{-1}, B_k^{-1} A_kk, B_k^{-1} A_{k,k-1}, B_k = A_{k,k+1}) is built once
-per matrix and kept on it, so its lifetime is the matrix's; a call then
-needs no ``prefix()`` and no inverse per step.  The states D_k, E_k of all
-points advance together as the columns of one (p, W) matrix, one small
-GEMM per step, and the series terms are formed per chunk of steps by one
-batched matmul.  The p = 1 series keep plain complex recurrences.
+The series run on the recurrence engine of :mod:`polys`, under its one
+stop rule.  A p = 1 series between one left and one right point (the
+quartet, the extremal transform, a single bracket point) takes the
+engine's scalar path; every other series, p = 1 grids included, advances
+all points together as the columns of one state matrix.
 """
 
 from dataclasses import dataclass
@@ -43,7 +41,8 @@ from .errors import (HalfPlaneError, InvalidInputError,
                      NumericalFailureError, OutOfRangeError, PoleError,
                      RefusedError)
 from .jacobi import BlockJacobiMatrix
-from .polys import MatrixPoly, OrthoBasis, _require_nonsingular, form
+from .polys import (MatrixPoly, OrthoBasis, _available_terms, _d0_seeds,
+                    _scalar_series, _series, form)
 from .spectral import (KERNEL_N_MAX, Determinacy, DeterminacyClass, classify,
                        kernel_partial)
 
@@ -105,175 +104,6 @@ def second_kind(basis: OrthoBasis, n: int) -> SecondKindBasis:
     return SecondKindBasis(basis=basis, epolys=tuple(epolys))
 
 
-# ---------------------------------------------------------------------------
-# pointwise series machinery
-# ---------------------------------------------------------------------------
-
-_CHUNK = 16  # recurrence steps whose series terms are formed in one matmul
-
-
-def _recurrence_plan(j: BlockJacobiMatrix, n: int) -> np.ndarray:
-    """Step matrices of the first n recurrence steps, cached on ``j``.
-
-    Row k is [-B_k^{-1} A_{k,k-1} | B_k^{-1} | -B_k^{-1} A_{k,k}] with
-    B_k = A_{k,k+1} and A_{0,-1} = 0, so that
-
-        X_{k+1} = row_k @ [X_{k-1}; z X_k; X_k].
-
-    The longest plan built so far is kept in ``j.memo`` and serves every
-    shorter request; it is built from one ``prefix`` and one batched
-    inverse, so it dies with the matrix.
-    """
-    plan = j.memo.get("recurrence_plan")
-    if plan is not None and len(plan) >= n:
-        return plan
-    p = j.p
-    jp = j.prefix(n + 1)
-    off = np.array(jp.offdiag, dtype=complex).reshape(n, p, p)
-    diag = np.array(jp.diag[:n], dtype=complex).reshape(n, p, p)
-    b_inv = np.linalg.inv(off)
-    sub = np.zeros_like(off)
-    sub[1:] = np.conj(np.swapaxes(off[:-1], 1, 2))         # A_{k,k-1}
-    plan = np.concatenate([-(b_inv @ sub), b_inv, -(b_inv @ diag)], axis=2)
-    plan.setflags(write=False)
-    j.memo["recurrence_plan"] = plan
-    return plan
-
-
-def _d0_seeds(d0, p: int):
-    """Validated D_0 and D_0^{-H}, the seeds of the two polynomial kinds."""
-    if d0 is None:
-        eye = np.eye(p, dtype=complex)
-        return eye, eye
-    d0m = _require_nonsingular(mk.as_complex_matrix(d0, p), "D_0")
-    return d0m, np.linalg.inv(d0m).conj().T
-
-
-def _state_chunks(j: BlockJacobiMatrix, zs, second, n: int, seeds):
-    """Yield stacks of X_k, k = 0..n, in chunks of at most _CHUNK steps.
-
-    X_k is a (p, W) matrix of p-wide column blocks, one per entry of
-    ``zs``: D_k at that point, or E_k where ``second`` is set.  Both kinds
-    share the recurrence and differ only in their seeds: D_{-1} = 0 with
-    D_0, and E_0 = 0 with E_1 = B_0^{-1} D_0^{-H}, which the first step
-    produces when the z X_0 slot of E columns holds D_0^{-H}.
-    """
-    d0m, e1 = seeds
-    p = d0m.shape[0]
-    zs = np.asarray(zs, dtype=complex).reshape(-1)
-    is_e = np.repeat(np.asarray(second, dtype=bool).reshape(-1), p)
-    zrow = np.repeat(zs, p)
-    w = zrow.size
-    plan = _recurrence_plan(j, n)
-    # h[i] = (z X, X) of one state; a chunk starts from X_{k0-1}, X_{k0}
-    h = np.zeros((min(_CHUNK, n + 1) + 2, 2, p, w), dtype=complex)
-    h[1, 1] = np.where(is_e, 0.0, np.tile(d0m, len(zs)))
-    h[1, 0] = np.where(is_e, np.tile(e1, len(zs)), h[1, 1] * zrow)
-    flat = h.reshape(-1, w)
-    # step i reads [X, zX, X] of states i-1, i and writes state i+1
-    steps = [(flat[(2 * i - 1) * p:(2 * i + 2) * p], h[i + 1, 1], h[i + 1, 0])
-             for i in range(1, len(h) - 1)]
-    k0 = 0
-    while k0 <= n:
-        m = min(_CHUNK, n + 1 - k0)
-        for row, (src, x, zx) in zip(plan[k0:n], steps[:m]):
-            np.matmul(row, src, out=x)
-            np.multiply(x, zrow, out=zx)
-        yield h[1:m + 1, 1]
-        h[:2] = h[m:m + 2]
-        k0 += m
-
-
-def _series(j, zs, second, n_left: int, weight, n_terms: int,
-            series_tol: float, seeds):
-    """sum_{k=0}^{n} weight * L_k^H R_k over the shared recurrence.
-
-    L_k are the first ``n_left`` column blocks of X_k and R_k the rest
-    (see ``_state_chunks``); ``weight`` broadcasts against each term.  The
-    stop rule sees the largest entry of each weighted term.  Returns
-    (sum, n_used, tail_norm, converged), with n_used the last k summed.
-    """
-    cols = n_left * seeds[0].shape[0]
-    total = 0.0
-    acc = _SeriesAccumulator(series_tol)
-    k0 = 0
-    for xs in _state_chunks(j, zs, second, n_terms, seeds):
-        terms = weight * (np.conj(np.swapaxes(xs[..., :cols], 1, 2))
-                          @ xs[..., cols:])
-        stop = acc.push_chunk(np.abs(terms).max(axis=(1, 2), initial=0.0))
-        total = total + terms[:stop].sum(axis=0)
-        if stop is not None:
-            return total, k0 + stop - 1, acc.tail, True
-        k0 += len(xs)
-    return total, n_terms, acc.tail, False
-
-
-def _scalar_data(j: BlockJacobiMatrix, n: int):
-    """First n diagonal/off-diagonal entries as plain complex lists (p=1).
-
-    Python complex arithmetic keeps the long scalar recurrences an order
-    of magnitude faster than numpy scalars; generator output is consumed
-    directly instead of materializing a validated prefix.
-    """
-    b = [complex(blk[0, 0]) for blk in j.diag[:n]]
-    a = [complex(blk[0, 0]) for blk in j.offdiag[:n]]
-    if len(b) < n or len(a) < n:
-        if j.generator is None:
-            raise OutOfRangeError(
-                f"need {n} blocks but only {j.n_blocks} are stored and no "
-                "generator rule is attached")
-        for k in range(min(len(b), len(a)), n):
-            dblk, oblk = j.generator(k)
-            if k >= len(b):
-                b.append(complex(np.asarray(dblk)[0, 0]))
-            if k >= len(a):
-                a.append(complex(np.asarray(oblk)[0, 0]))
-    return b, a
-
-
-def _available_terms(j: BlockJacobiMatrix, n_max: int) -> int:
-    if j.generator is not None:
-        return n_max
-    return min(n_max, j.n_blocks - 1)
-
-
-class _SeriesAccumulator:
-    """Stop rule shared by all series: two consecutive quiet increments.
-
-    Term parity can zero out every other increment, so one quiet step is
-    not evidence of convergence.
-    """
-
-    def __init__(self, series_tol: float):
-        self.tol = series_tol
-        self.inc_prev = np.inf
-        self.inc_last = np.inf
-        self.steps = 0
-
-    def push(self, increment: float) -> bool:
-        self.inc_prev, self.inc_last = self.inc_last, increment
-        self.steps += 1
-        return (self.steps >= 3
-                and max(self.inc_prev, self.inc_last) < self.tol)
-
-    def push_chunk(self, increments) -> int | None:
-        """Push increments in order until the rule fires.
-
-        Returns how many were consumed when it fired, or None when it did
-        not; the state then matches pushing them one at a time.
-        """
-        for i, inc in enumerate(increments.tolist()):
-            if self.push(inc):
-                return i + 1
-        return None
-
-    @property
-    def tail(self) -> float:
-        if not np.isfinite(self.inc_prev):
-            return self.inc_last if np.isfinite(self.inc_last) else 0.0
-        return max(self.inc_prev, self.inc_last)
-
-
 @dataclass(frozen=True)
 class QuartetValue:
     """F1, F2, G1, G2 at one point, with truncation diagnostics."""
@@ -288,60 +118,16 @@ class QuartetValue:
     converged: bool
 
 
-def _quartet_sums_scalar(j, z, n_terms, series_tol, seeds):
-    z = complex(z)
-    zb = z.conjugate()
-    b, a = _scalar_data(j, n_terms)
-    ac = [x.conjugate() for x in a]
-    d0c = complex(seeds[0][0, 0])
-    e1 = 1.0 / (a[0] * d0c.conjugate()) if n_terms >= 1 else 0j
-    dzb_p, dzb = 0j, d0c
-    ezb_p, ezb = 0j, 0j
-    d0_p, d0v = 0j, d0c
-    e0_p, e0v = 0j, 0j
-    f1 = 1.0 + 0j
-    f2 = 0j
-    g1 = -z * (dzb.conjugate() * d0v)
-    g2 = 1.0 + 0j
-    acc = _SeriesAccumulator(series_tol)
-    acc.push(abs(g1))
-    n_used, converged = 0, False
-    for k in range(n_terms):
-        if k == 0:
-            dzb_n = (zb * dzb - b[0] * dzb) / a[0]
-            d0_n = (-b[0] * d0v) / a[0]
-            ezb_n = e1
-            e0_n = e1
-        else:
-            dzb_n = (zb * dzb - b[k] * dzb - ac[k - 1] * dzb_p) / a[k]
-            d0_n = (-b[k] * d0v - ac[k - 1] * d0_p) / a[k]
-            ezb_n = (zb * ezb - b[k] * ezb - ac[k - 1] * ezb_p) / a[k]
-            e0_n = (-b[k] * e0v - ac[k - 1] * e0_p) / a[k]
-        dzb_p, dzb = dzb, dzb_n
-        d0_p, d0v = d0v, d0_n
-        ezb_p, ezb = ezb, ezb_n
-        e0_p, e0v = e0v, e0_n
-        ds, es = dzb.conjugate(), ezb.conjugate()
-        t_f1 = z * (es * d0v)
-        t_f2 = z * (es * e0v)
-        t_g1 = -z * (ds * d0v)
-        t_g2 = -z * (ds * e0v)
-        f1 += t_f1
-        f2 += t_f2
-        g1 += t_g1
-        g2 += t_g2
-        n_used = k + 1
-        if acc.push(max(abs(t_f1), abs(t_f2), abs(t_g1), abs(t_g2))):
-            converged = True
-            break
-    one = np.ones((1, 1), dtype=complex)
-    return (f1 * one, f2 * one, g1 * one, g2 * one, n_used, acc.tail,
-            converged)
-
-
-def _quartet_sums_block(j, z, n_terms, series_tol, seeds):
+def _quartet_sums(j, z, n_terms, series_tol, seeds):
     p = j.p
     zb = z.conjugate()
+    if p == 1:
+        (g1, g2, f1, f2), n_used, tail, converged = _scalar_series(
+            j, zb, 0j, (-z, z), (1.0 + 0j, 1.0 + 0j, 0j), (True,) * 4,
+            n_terms, series_tol, seeds)
+        one = np.ones((1, 1), dtype=complex)
+        return (f1 * one, f2 * one, g1 * one, g2 * one, n_used, tail,
+                converged)
     t, n_used, tail, converged = _series(
         j, [zb, zb, 0.0, 0.0], [False, True, False, True], 2, z, n_terms,
         series_tol, seeds)
@@ -378,9 +164,8 @@ def quartet(j: BlockJacobiMatrix, z: complex, n_max: int = SERIES_N_MAX,
     _ensure_completely_indeterminate(j, determinacy, n_max_classify)
     z = complex(z)
     n_terms = _available_terms(j, n_max)
-    sums = _quartet_sums_scalar if j.p == 1 else _quartet_sums_block
-    f1, f2, g1, g2, n_used, tail, conv = sums(j, z, n_terms, series_tol,
-                                              seeds)
+    f1, f2, g1, g2, n_used, tail, conv = _quartet_sums(j, z, n_terms,
+                                                       series_tol, seeds)
     return QuartetValue(z=z, f1=f1, f2=f2, g1=g1, g2=g2, n_used=n_used,
                         tail_norm=tail, converged=conv)
 
@@ -392,44 +177,13 @@ def quartet(j: BlockJacobiMatrix, z: complex, n_max: int = SERIES_N_MAX,
 def _pair_sums(j, z, xi, n_terms, series_tol, seeds):
     """N(z, xi) = sum_{k>=1} E_k*(z) D_k(xi), Den = sum_{k>=0} D_k*(z) D_k(xi)."""
     p = j.p
+    zb = z.conjugate()
     if p == 1:
-        z = complex(z)
-        zb = z.conjugate()
-        xi = complex(xi)
-        b, a = _scalar_data(j, n_terms)
-        ac = [x.conjugate() for x in a]
-        d0s = complex(seeds[0][0, 0])
-        e1 = 1.0 / (a[0] * d0s.conjugate()) if n_terms >= 1 else 0j
-        dzb_p, dzb = 0j, d0s
-        ezb_p, ezb = 0j, 0j
-        dxi_p, dxi = 0j, d0s
-        num = 0j
-        den = dzb.conjugate() * dxi
-        acc = _SeriesAccumulator(series_tol)
-        acc.push(abs(den))
-        converged = False
-        for k in range(n_terms):
-            if k == 0:
-                dzb_n = (zb * dzb - b[0] * dzb) / a[0]
-                dxi_n = (xi * dxi - b[0] * dxi) / a[0]
-                ezb_n = e1
-            else:
-                dzb_n = (zb * dzb - b[k] * dzb - ac[k - 1] * dzb_p) / a[k]
-                dxi_n = (xi * dxi - b[k] * dxi - ac[k - 1] * dxi_p) / a[k]
-                ezb_n = (zb * ezb - b[k] * ezb - ac[k - 1] * ezb_p) / a[k]
-            dzb_p, dzb = dzb, dzb_n
-            dxi_p, dxi = dxi, dxi_n
-            ezb_p, ezb = ezb, ezb_n
-            t_num = ezb.conjugate() * dxi
-            t_den = dzb.conjugate() * dxi
-            num += t_num
-            den += t_den
-            if acc.push(max(abs(t_num), abs(t_den))):
-                converged = True
-                break
+        (den, _, num, _), _, _, converged = _scalar_series(
+            j, zb, complex(xi), None, (0j, 0j, 0j),
+            (True, False, True, False), n_terms, series_tol, seeds)
         one = np.ones((1, 1), dtype=complex)
         return num * one, den * one, converged
-    zb = np.conj(z)
     t, _, _, converged = _series(j, [zb, zb, xi], [False, True, False], 2,
                                  1.0, n_terms, series_tol, seeds)
     return t[p:], t[:p], converged
@@ -477,7 +231,7 @@ def jump_bound(j: BlockJacobiMatrix, xi: float, n: int, d0=None) -> np.ndarray:
     is an internal invariant violation, not an input problem.
     """
     xi = float(xi)
-    k = kernel_partial(j, xi, n, _d0_seeds(d0, j.p)[0])
+    k = kernel_partial(j, xi, n, d0)
     w, v = np.linalg.eigh(k)
     if w[0] <= 0:
         raise NumericalFailureError(
@@ -554,96 +308,29 @@ def _require_unitary(u, p) -> np.ndarray:
     return m
 
 
-def _g_point_scalar(x, b, a, ac, d0s, e1, n_terms, series_tol):
-    """G1(x), G2(x) at one real point by plain complex recurrences."""
-    dl_p, dl = 0j, d0s
-    d0_p, d0v = 0j, d0s
-    e0_p, e0v = 0j, 0j
-    g1 = -x * (dl.conjugate() * d0v)
-    g2 = 1.0 + 0j
-    acc = _SeriesAccumulator(series_tol)
-    acc.push(abs(g1))
-    for k in range(n_terms):
-        if k == 0:
-            dl_n = (x * dl - b[0] * dl) / a[0]
-            d0_n = (-b[0] * d0v) / a[0]
-            e0_n = e1
-        else:
-            dl_n = (x * dl - b[k] * dl - ac[k - 1] * dl_p) / a[k]
-            d0_n = (-b[k] * d0v - ac[k - 1] * d0_p) / a[k]
-            e0_n = (-b[k] * e0v - ac[k - 1] * e0_p) / a[k]
-        dl_p, dl = dl, dl_n
-        d0_p, d0v = d0v, d0_n
-        e0_p, e0v = e0v, e0_n
-        ds = dl.conjugate()
-        t_g1 = -x * (ds * d0v)
-        t_g2 = -x * (ds * e0v)
-        g1 += t_g1
-        g2 += t_g2
-        if acc.push(max(abs(t_g1), abs(t_g2))):
-            break
-    return g1, g2
+def _bracket_values(j, u, lam, n_terms, series_tol, seeds):
+    """G1(I+U) + i G2(I-U) batched over real points, U validated.
 
-
-def _g_values_scalar(j, lam, n_terms, series_tol, seeds):
-    d0s = complex(seeds[0][0, 0])
-    b, a = _scalar_data(j, n_terms)
-    ac = [x.conjugate() for x in a]
-    e1 = 1.0 / (a[0] * d0s.conjugate()) if n_terms >= 1 else 0j
-    if lam.size <= 4:
-        vals = [_g_point_scalar(complex(x), b, a, ac, d0s, e1, n_terms,
-                                series_tol) for x in lam]
-        g1 = np.array([v[0] for v in vals], dtype=complex)
-        g2 = np.array([v[1] for v in vals], dtype=complex)
-        return g1.reshape(lam.size, 1, 1), g2.reshape(lam.size, 1, 1)
-    lamc = lam.astype(complex)
-    ba = np.asarray(b, dtype=complex)
-    aa = np.asarray(a, dtype=complex)
-    aca = np.asarray(ac, dtype=complex)
-    dl_p = np.zeros_like(lamc)
-    dl = np.full_like(lamc, d0s)
-    d0_p, d0v = 0j, d0s
-    e0_p, e0v = 0j, 0j
-    g1 = -lamc * (np.conj(dl) * d0v)
-    g2 = np.ones_like(lamc)
-    acc = _SeriesAccumulator(series_tol)
-    acc.push(float(np.abs(g1).max()) if lam.size else 0.0)
-    for k in range(n_terms):
-        if k == 0:
-            dl_n = (lamc * dl - ba[0] * dl) / aa[0]
-            d0_n = (-ba[0] * d0v) / aa[0]
-            e0_n = e1
-        else:
-            dl_n = (lamc * dl - ba[k] * dl - aca[k - 1] * dl_p) / aa[k]
-            d0_n = (-ba[k] * d0v - aca[k - 1] * d0_p) / aa[k]
-            e0_n = (-ba[k] * e0v - aca[k - 1] * e0_p) / aa[k]
-        dl_p, dl = dl, dl_n
-        d0_p, d0v = d0v, d0_n
-        e0_p, e0v = e0v, e0_n
-        ds = np.conj(dl)
-        t_g1 = -lamc * (ds * d0v)
-        t_g2 = -lamc * (ds * e0v)
-        g1 += t_g1
-        g2 += t_g2
-        inc = max(float(np.abs(t_g1).max()), float(np.abs(t_g2).max()))
-        if acc.push(inc):
-            break
-    return g1.reshape(-1, 1, 1), g2.reshape(-1, 1, 1)
-
-
-def _g_values(j, lam, n_terms, series_tol, seeds):
-    """G1, G2 batched over real points; D_k(0), E_k(0) ride along."""
+    D_k(0) and E_k(0) ride along with the states at the points.
+    """
     p = j.p
-    if p == 1 and lam.size:
-        return _g_values_scalar(j, lam, n_terms, series_tol, seeds)
-    zs = np.concatenate([lam, [0.0, 0.0]])
-    second = np.arange(zs.size) == zs.size - 1
-    weight = np.repeat(-lam, p)[:, None]
-    t, _, _, _ = _series(j, zs, second, lam.size, weight, n_terms,
-                         series_tol, seeds)
-    g1 = t[:, :p].reshape(lam.size, p, p)
-    g2 = np.eye(p, dtype=complex) + t[:, p:].reshape(lam.size, p, p)
-    return g1, g2
+    if p == 1 and lam.size == 1:
+        x = complex(lam[0])
+        (g1, g2, _, _), _, _, _ = _scalar_series(
+            j, x, 0j, (-x, x), (1.0 + 0j, 0j, 0j), (True, True, False, False),
+            n_terms, series_tol, seeds)
+        g1 = np.full((1, 1, 1), g1, dtype=complex)
+        g2 = np.full((1, 1, 1), g2, dtype=complex)
+    else:
+        zs = np.concatenate([lam, [0.0, 0.0]])
+        second = np.arange(zs.size) == zs.size - 1
+        weight = np.repeat(-lam, p)[:, None]
+        t, _, _, _ = _series(j, zs, second, lam.size, weight, n_terms,
+                             series_tol, seeds)
+        g1 = t[:, :p].reshape(lam.size, p, p)
+        g2 = np.eye(p, dtype=complex) + t[:, p:].reshape(lam.size, p, p)
+    eye = np.eye(p, dtype=complex)
+    return g1 @ (eye + u) + 1j * (g2 @ (eye - u))
 
 
 def extension_bracket(j: BlockJacobiMatrix, u, lams,
@@ -657,10 +344,8 @@ def extension_bracket(j: BlockJacobiMatrix, u, lams,
     u = _require_unitary(u, j.p)
     seeds = _d0_seeds(d0, j.p)
     lam = np.asarray(lams, dtype=float).reshape(-1)
-    n_terms = _available_terms(j, n_max)
-    g1, g2 = _g_values(j, lam, n_terms, series_tol, seeds)
-    eye = np.eye(j.p, dtype=complex)
-    return g1 @ (eye + u) + 1j * (g2 @ (eye - u))
+    return _bracket_values(j, u, lam, _available_terms(j, n_max), series_tol,
+                           seeds)
 
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -702,17 +387,21 @@ def extension_spectrum(j: BlockJacobiMatrix, u, interval, grid: int = DEFAULT_GR
     if grid < 8:
         raise InvalidInputError("grid must be >= 8")
     u = _require_unitary(u, j.p)
+    seeds = _d0_seeds(d0, j.p)
     _ensure_completely_indeterminate(j, determinacy, n_max_classify)
+    n_terms = _available_terms(j, n_max)
+
+    def bracket(points):
+        return _bracket_values(j, u, np.asarray(points, dtype=float),
+                               n_terms, series_tol, seeds)
+
     lams = np.linspace(a, b, grid + 1)
-    bmat = extension_bracket(j, u, lams, n_max=n_max, series_tol=series_tol,
-                             d0=d0)
+    bmat = bracket(lams)
     svals = np.linalg.svd(bmat, compute_uv=False)
     absdet = np.abs(np.linalg.det(bmat))
 
     def g_single(lam: float) -> float:
-        bb = extension_bracket(j, u, [lam], n_max=n_max,
-                               series_tol=series_tol, d0=d0)[0]
-        return float(abs(np.linalg.det(bb)))
+        return float(abs(np.linalg.det(bracket([lam])[0])))
 
     minima = []
     for i in range(len(lams)):
@@ -725,9 +414,7 @@ def extension_spectrum(j: BlockJacobiMatrix, u, interval, grid: int = DEFAULT_GR
         lo = lams[max(i - 1, 0)]
         hi = lams[min(i + 1, len(lams) - 1)]
         lam_star = _golden_min(g_single, lo, hi)
-        bb = extension_bracket(j, u, [lam_star], n_max=n_max,
-                               series_tol=series_tol, d0=d0)[0]
-        s = np.linalg.svd(bb, compute_uv=False)
+        s = np.linalg.svd(bracket([lam_star])[0], compute_uv=False)
         scale = max(float(s[0]),
                     float(svals[max(i - 1, 0)][0]),
                     float(svals[min(i + 1, len(lams) - 1)][0]),

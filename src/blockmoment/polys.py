@@ -13,6 +13,18 @@ with D_{-1} = 0 and D_0 a caller-supplied constant nonsingular matrix
 nondegenerate leading coefficients.  ``expand`` writes any polynomial as
 sum_k U_k D_k by degree peeling, and ``form`` is the sesquilinear pairing
 {P, Q} = sum_k U_k V_k^H defined by orthonormality of the D_k.
+
+Every pointwise evaluation (first-kind values, kernel sums, quadrature
+weights, the quartet, transform and bracket series) runs on one engine.
+A recurrence plan (the stacked B_k^{-1}, B_k^{-1} A_kk, B_k^{-1} A_{k,k-1},
+B_k = A_{k,k+1}) is built from one ``prefix()`` and kept on the matrix, so
+a call needs no ``prefix()`` and no inverse per step.  The states D_k, E_k
+of all points advance together as the columns of one (p, W) matrix, one
+small GEMM per step, and series terms are formed per chunk of steps by one
+batched matmul; ``_SeriesAccumulator`` is the one series stop rule.  For
+p = 1 and at most two points (a left point w and a right point v) the
+scalar path ``_scalar_series`` runs the same recurrence in plain complex
+arithmetic on coefficient lists kept with the plan.
 """
 
 from dataclasses import dataclass
@@ -228,26 +240,225 @@ def form(pp: MatrixPoly, qq: MatrixPoly, basis: OrthoBasis) -> np.ndarray:
     return out
 
 
+# ---------------------------------------------------------------------------
+# the pointwise recurrence engine
+# ---------------------------------------------------------------------------
+
+_CHUNK = 16  # recurrence steps whose series terms are formed in one matmul
+
+
+def _recurrence(j: BlockJacobiMatrix, n: int):
+    """Step data of the first n recurrence steps, cached on ``j``.
+
+    Returns (plan, b, a, ac).  Row k of the plan is
+    [-B_k^{-1} A_{k,k-1} | B_k^{-1} | -B_k^{-1} A_{k,k}] with B_k = A_{k,k+1}
+    and A_{0,-1} = 0, so that
+
+        X_{k+1} = row_k @ [X_{k-1}; z X_k; X_k].
+
+    For p = 1, b, a and ac list A_kk, A_{k,k+1} and its conjugate as plain
+    complex numbers for the scalar path (None otherwise).  The longest data
+    built so far is kept in ``j.memo`` and serves every shorter request; it
+    comes from one ``prefix`` and one batched inverse, and dies with the
+    matrix.
+    """
+    rec = j.memo.get("recurrence")
+    if rec is not None and len(rec[0]) >= n:
+        return rec
+    p = j.p
+    jp = j.prefix(n + 1)
+    off = np.array(jp.offdiag, dtype=complex).reshape(n, p, p)
+    diag = np.array(jp.diag[:n], dtype=complex).reshape(n, p, p)
+    b_inv = np.linalg.inv(off)
+    sub = np.zeros_like(off)
+    sub[1:] = np.conj(np.swapaxes(off[:-1], 1, 2))         # A_{k,k-1}
+    plan = np.concatenate([-(b_inv @ sub), b_inv, -(b_inv @ diag)], axis=2)
+    plan.setflags(write=False)
+    b = a = ac = None
+    if p == 1:
+        b, a, ac = (diag.ravel().tolist(), off.ravel().tolist(),
+                    off.ravel().conj().tolist())
+    rec = (plan, b, a, ac)
+    j.memo["recurrence"] = rec
+    return rec
+
+
+def _available_terms(j: BlockJacobiMatrix, n_max: int) -> int:
+    if j.generator is not None:
+        return n_max
+    return min(n_max, j.n_blocks - 1)
+
+
+def _d0_seeds(d0, p: int):
+    """Validated D_0 and D_0^{-H}, the seeds of the two polynomial kinds."""
+    if d0 is None:
+        eye = np.eye(p, dtype=complex)
+        return eye, eye
+    d0m = _require_nonsingular(mk.as_complex_matrix(d0, p), "D_0")
+    return d0m, np.linalg.inv(d0m).conj().T
+
+
+def _state_chunks(j: BlockJacobiMatrix, zs, second, n: int, seeds):
+    """Yield stacks of X_k, k = 0..n, in chunks of at most _CHUNK steps.
+
+    X_k is a (p, W) matrix of p-wide column blocks, one per entry of
+    ``zs``: D_k at that point, or E_k where ``second`` is set.  Both kinds
+    share the recurrence and differ only in their seeds: D_{-1} = 0 with
+    D_0, and E_0 = 0 with E_1 = B_0^{-1} D_0^{-H}, which the first step
+    produces when the z X_0 slot of E columns holds D_0^{-H}.  A yielded
+    stack is overwritten when the generator resumes.
+    """
+    d0m, e1 = seeds
+    p = d0m.shape[0]
+    zs = np.asarray(zs, dtype=complex).reshape(-1)
+    is_e = np.repeat(np.asarray(second, dtype=bool).reshape(-1), p)
+    zrow = np.repeat(zs, p)
+    w = zrow.size
+    plan = _recurrence(j, n)[0]
+    # h[i] = (z X, X) of one state; a chunk starts from X_{k0-1}, X_{k0}
+    h = np.zeros((min(_CHUNK, n + 1) + 2, 2, p, w), dtype=complex)
+    h[1, 1] = np.where(is_e, 0.0, np.tile(d0m, len(zs)))
+    h[1, 0] = np.where(is_e, np.tile(e1, len(zs)), h[1, 1] * zrow)
+    flat = h.reshape(2 * p * len(h), w)
+    # step i reads [X, zX, X] of states i-1, i and writes state i+1
+    steps = [(flat[(2 * i - 1) * p:(2 * i + 2) * p], h[i + 1, 1], h[i + 1, 0])
+             for i in range(1, len(h) - 1)]
+    k0 = 0
+    while k0 <= n:
+        m = min(_CHUNK, n + 1 - k0)
+        for row, (src, x, zx) in zip(plan[k0:n], steps[:m]):
+            np.matmul(row, src, out=x)
+            np.multiply(x, zrow, out=zx)
+        yield h[1:m + 1, 1]
+        h[:2] = h[m:m + 2]
+        k0 += m
+
+
 def first_kind_values(j: BlockJacobiMatrix, zs, n: int, d0=None):
     """Yield D_k(z) for k = 0..n, batched over the points ``zs``.
 
-    Pointwise form of the recurrence; yields arrays of shape (B, p, p).
-    Inputs are assumed validated by the caller.
+    Pointwise form of the recurrence, read off the engine's states; yields
+    arrays of shape (B, p, p).  The matrix is assumed validated by the
+    caller; a numerically singular ``d0`` raises InvalidInputError.
     """
     p = j.p
     z = np.asarray(zs, dtype=complex).reshape(-1)
-    jp = j.prefix(n + 1) if n >= 1 else j
-    d0m = np.eye(p, dtype=complex) if d0 is None else \
-        mk.as_complex_matrix(d0, p)
-    cur = np.broadcast_to(d0m, (z.size, p, p)).copy()
-    prev = np.zeros_like(cur)
-    yield cur
-    zc = z[:, None, None]
-    for k in range(n):
-        b_inv = np.linalg.inv(jp.offdiag[k])
-        nxt = zc * cur - jp.diag[k][None] @ cur
-        if k > 0:
-            nxt -= (jp.offdiag[k - 1].conj().T)[None] @ prev
-        nxt = b_inv[None] @ nxt
-        prev, cur = cur, nxt
-        yield cur
+    for xs in _state_chunks(j, z, np.zeros(z.size, dtype=bool), n,
+                            _d0_seeds(d0, p)):
+        yield from xs.reshape(len(xs), p, z.size, p).transpose(0, 2, 1, 3)\
+            .copy()
+
+
+class _SeriesAccumulator:
+    """Stop rule shared by all series: two consecutive quiet increments.
+
+    Term parity can zero out every other increment, so one quiet step is
+    not evidence of convergence.
+    """
+
+    def __init__(self, series_tol: float):
+        self.tol = series_tol
+        self.inc_prev = np.inf
+        self.inc_last = np.inf
+        self.steps = 0
+
+    def push(self, increment: float) -> bool:
+        self.inc_prev, self.inc_last = self.inc_last, increment
+        self.steps += 1
+        return (self.steps >= 3
+                and max(self.inc_prev, self.inc_last) < self.tol)
+
+    def push_chunk(self, increments) -> int | None:
+        """Push increments in order until the rule fires.
+
+        Returns how many were consumed when it fired, or None when it did
+        not; the state then matches pushing them one at a time.
+        """
+        for i, inc in enumerate(increments.tolist()):
+            if self.push(inc):
+                return i + 1
+        return None
+
+    @property
+    def tail(self) -> float:
+        if not np.isfinite(self.inc_prev):
+            return self.inc_last if np.isfinite(self.inc_last) else 0.0
+        return max(self.inc_prev, self.inc_last)
+
+
+def _series(j, zs, second, n_left: int, weight, n_terms: int,
+            series_tol: float, seeds):
+    """sum_{k=0}^{n} weight * L_k^H R_k over the shared recurrence.
+
+    L_k are the first ``n_left`` column blocks of X_k and R_k the rest
+    (see ``_state_chunks``); ``weight`` broadcasts against each term.  The
+    stop rule sees the largest entry of each weighted term.  Returns
+    (sum, n_used, tail_norm, converged), with n_used the last k summed.
+    """
+    cols = n_left * seeds[0].shape[0]
+    total = 0.0
+    acc = _SeriesAccumulator(series_tol)
+    k0 = 0
+    for xs in _state_chunks(j, zs, second, n_terms, seeds):
+        terms = weight * (np.conj(np.swapaxes(xs[..., :cols], 1, 2))
+                          @ xs[..., cols:])
+        stop = acc.push_chunk(np.abs(terms).max(axis=(1, 2), initial=0.0))
+        total = total + terms[:stop].sum(axis=0)
+        if stop is not None:
+            return total, k0 + stop - 1, acc.tail, True
+        k0 += len(xs)
+    return total, n_terms, acc.tail, False
+
+
+def _scalar_series(j, w: complex, v: complex, weight, start, watch,
+                   n_terms: int, series_tol: float, seeds):
+    """The p = 1 form of ``_series`` for one left point w, one right v.
+
+    Advances D and E at w and at v with plain complex arithmetic, an order
+    of magnitude faster than numpy scalars, and sums
+    weight_L * conj(L_k(w)) R_k(v) for (L, R) = DD, DE, ED, EE, in that
+    order.  ``weight`` is (weight_D, weight_E), or None for no factor (a
+    complex factor 1 can flip the sign of a zero part).  The DD sum starts
+    from its k = 0 term; E_0 = 0, so the other three start from the
+    constants in ``start``.  The stop rule sees the largest absolute term
+    among those ``watch`` flags.  Returns (sums, n_used, tail_norm,
+    converged).
+    """
+    _, b, a, ac = _recurrence(j, n_terms)
+    d0 = complex(seeds[0][0, 0])
+    e1 = 1.0 / (a[0] * d0.conjugate()) if n_terms >= 1 else 0j
+    wd, we = weight or (None, None)
+    w_dd, w_de, w_ed, w_ee = watch
+    dw_p, dw, ew_p, ew = 0j, d0, 0j, 0j
+    dv_p, dv, ev_p, ev = 0j, d0, 0j, 0j
+    dd = dw.conjugate() * dv if wd is None else wd * (dw.conjugate() * dv)
+    de, ed, ee = start
+    acc = _SeriesAccumulator(series_tol)
+    acc.push(abs(dd) if w_dd else 0.0)
+    for k in range(n_terms):
+        if k == 0:
+            dw_n = (w * dw - b[0] * dw) / a[0]
+            dv_n = (v * dv - b[0] * dv) / a[0]
+            ew_n = ev_n = e1
+        else:
+            dw_n = (w * dw - b[k] * dw - ac[k - 1] * dw_p) / a[k]
+            dv_n = (v * dv - b[k] * dv - ac[k - 1] * dv_p) / a[k]
+            ew_n = (w * ew - b[k] * ew - ac[k - 1] * ew_p) / a[k]
+            ev_n = (v * ev - b[k] * ev - ac[k - 1] * ev_p) / a[k]
+        dw_p, dw, ew_p, ew = dw, dw_n, ew, ew_n
+        dv_p, dv, ev_p, ev = dv, dv_n, ev, ev_n
+        cd, ce = dw.conjugate(), ew.conjugate()
+        t_dd, t_de, t_ed, t_ee = cd * dv, cd * ev, ce * dv, ce * ev
+        if wd is not None:
+            t_dd, t_de, t_ed, t_ee = (wd * t_dd, wd * t_de, we * t_ed,
+                                      we * t_ee)
+        dd += t_dd
+        de += t_de
+        ed += t_ed
+        ee += t_ee
+        if acc.push(max(abs(t_dd) if w_dd else 0.0,
+                        abs(t_de) if w_de else 0.0,
+                        abs(t_ed) if w_ed else 0.0,
+                        abs(t_ee) if w_ee else 0.0)):
+            return (dd, de, ed, ee), k + 1, acc.tail, True
+    return (dd, de, ed, ee), n_terms, acc.tail, False

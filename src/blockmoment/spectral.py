@@ -21,10 +21,10 @@ import numpy as np
 
 from . import matkernel as mk
 from .errors import (ClassificationUnavailableError, HalfPlaneError,
-                     InvalidInputError, OutOfRangeError, RefusedError)
+                     InvalidInputError, RefusedError)
 from .jacobi import BlockJacobiMatrix, truncate
 from .measures import StepMeasure, normalize
-from .polys import first_kind_values
+from .polys import _available_terms, _d0_seeds, _series, first_kind_values
 
 KERNEL_N_MAX = 200
 GROWTH_FACTOR = 1.5
@@ -110,26 +110,29 @@ def kernel_partial(j: BlockJacobiMatrix, z: complex, n: int,
     """
     if n < 0:
         raise InvalidInputError("n must be >= 0")
-    p = j.p
-    out = np.zeros((p, p), dtype=complex)
-    for dk in first_kind_values(j, [complex(z)], n, d0):
-        v = dk[0]
-        out += v.conj().T @ v
-    return mk.hermitian_part(out)
+    return _kernel_sum(j, z, n, 0.0, d0)
+
+
+def _kernel_sum(j, z, n_max, series_tol, d0=None):
+    """K_n(z) summed until the shared series stop rule fires or n = n_max.
+
+    Both sides of each term are D_k(z); a ``series_tol`` of 0 never fires,
+    since increments are nonnegative.
+    """
+    k, _, _, _ = _series(j, [z, z], [False, False], 1, 1.0, n_max,
+                         series_tol, _d0_seeds(d0, j.p))
+    return mk.hermitian_part(k)
 
 
 def _kernel_history(j, z, n_max, d0):
     """Partial sums K_0..K_m at a point, stopping early near overflow."""
-    history = []
-    acc = None
+    values = []
     for dk in first_kind_values(j, [complex(z)], n_max, d0):
-        v = dk[0]
-        term = v.conj().T @ v
-        acc = term if acc is None else acc + term
-        history.append(acc)
-        if np.abs(v).max() > OVERFLOW_GUARD:
+        values.append(dk[0])
+        if np.abs(dk).max() > OVERFLOW_GUARD:
             break
-    return history
+    d = np.array(values)
+    return np.cumsum(np.conj(np.swapaxes(d, 1, 2)) @ d, axis=0)
 
 
 def estimate_H(j: BlockJacobiMatrix, z: complex, n_max: int = KERNEL_N_MAX,
@@ -237,24 +240,6 @@ def classify(j: BlockJacobiMatrix, n_max: int = KERNEL_N_MAX,
     return report.determinacy(j.p)
 
 
-def _converged_kernel(j, z, n_max, series_tol, d0=None):
-    """Kernel sum with a two-step increment stopping rule.
-
-    Consecutive-term parity can make every other increment vanish, so the
-    rule requires two quiet steps in a row.
-    """
-    acc = None
-    inc_prev = inc_last = np.inf
-    for k, dk in enumerate(first_kind_values(j, [complex(z)], n_max, d0)):
-        v = dk[0]
-        term = v.conj().T @ v
-        acc = term if acc is None else acc + term
-        inc_prev, inc_last = inc_last, float(np.abs(term).max())
-        if k >= 2 and max(inc_prev, inc_last) < series_tol:
-            break
-    return mk.hermitian_part(acc)
-
-
 DEFAULT_GROWTH_DIRECTIONS = (1.0 + 0j,
                              np.exp(1j * np.pi / 4),
                              1j,
@@ -289,7 +274,7 @@ def growth_diagnostic(j: BlockJacobiMatrix, radii, directions=None,
             raise InvalidInputError("radii must be positive")
         best = -np.inf
         for d in dirs:
-            k = _converged_kernel(j, r * d, n_max, series_tol)
+            k = _kernel_sum(j, r * d, n_max, series_tol)
             best = max(best, float(np.log(mk.spectral_norm(k))) / r)
         table.append((r, best))
     return table
@@ -325,26 +310,15 @@ def gauss_quadrature(j: BlockJacobiMatrix, n: int, d0=None) -> StepMeasure:
             nodes.append(float(np.mean(w[start:stop])))
             clusters.append(slice(start, stop))
             start = stop
-    values = list(first_kind_values(j, nodes, n - 1, d0))  # D_0 .. D_{n-1}
+    # D_n, one step past the truncation, gives the null directions at the
+    # nodes when block n exists; otherwise fall back to eigenvector
+    # first-block directions
+    steps = _available_terms(j, n)
+    values = list(first_kind_values(j, nodes, steps, d0))
     kernels = np.zeros((len(nodes), p, p), dtype=complex)
-    for dk in values:
+    for dk in values[:n]:
         kernels += np.conj(np.swapaxes(dk, 1, 2)) @ dk
-    d_next = None
-    if p > 1:
-        # null directions of D_n need one block beyond the truncation; fall
-        # back to eigenvector first-block directions when it is missing
-        try:
-            jp1 = j.prefix(n + 1)
-        except OutOfRangeError:
-            jp1 = None
-        if jp1 is not None:
-            zc = np.asarray(nodes, dtype=complex)[:, None, None]
-            b_inv = np.linalg.inv(jp1.offdiag[n - 1])
-            d_next = zc * values[-1] - jp1.diag[n - 1][None] @ values[-1]
-            if n > 1:
-                sub = jp1.offdiag[n - 2].conj().T
-                d_next -= sub[None] @ values[-2]
-            d_next = b_inv[None] @ d_next
+    d_next = values[n] if steps == n else None
     d0_inv = (np.eye(p, dtype=complex) if d0 is None
               else np.linalg.inv(mk.as_complex_matrix(d0, p)))
     weights = []

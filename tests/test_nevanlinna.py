@@ -4,18 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockmoment import (BlockJacobiMatrix, Determinacy, DeterminacyClass,
-                         MatrixPoly, StepMeasure, classify,
+                         MatrixPoly, StepMeasure, classify, estimate_H,
                          extension_bracket, extension_spectrum, form,
-                         generate_first_kind, jump_bound, kernel_partial,
-                         quartet, second_kind, stieltjes_invert,
-                         stieltjes_transform, transform_extremal,
-                         transform_from_V)
+                         gauss_quadrature, generate_first_kind,
+                         ind_fixture, jump_bound, kernel_partial, quartet,
+                         second_kind, stieltjes_invert, stieltjes_transform,
+                         transform_extremal, transform_from_V)
 from blockmoment import matkernel as mk
 from blockmoment.errors import (HalfPlaneError, InvalidInputError,
                                 RefusedError)
-from blockmoment.nevanlinna import (_d0_seeds, _quartet_sums_block,
-                                    _quartet_sums_scalar, _SeriesAccumulator,
-                                    _state_chunks)
+from blockmoment.polys import (_d0_seeds, _scalar_series, _series,
+                               _SeriesAccumulator, _state_chunks)
 
 from conftest import random_nonsingular, random_regular_growing, \
     random_unitary, rel_err
@@ -168,15 +167,29 @@ def test_quartet_reports_nonconvergence_at_default_depth(ind, ind_cls):
     assert q.tail_norm > 0
 
 
-def test_quartet_scalar_path_matches_block_path(ind, ind_cls):
-    z = 0.7 + 1.3j
+def test_quartet_scalar_path_matches_block_path(ind):
+    # the p = 1 scalar path against the engine on the sums of the quartet,
+    # of the extremal transform and of the extension bracket
+    z, xi, x = 0.7 + 1.3j, 0.4, -1.7
+    zb = z.conjugate()
     seeds = _d0_seeds(None, 1)
-    for tol in (0.0, 1e-5):
-        a = _quartet_sums_scalar(ind, z, 300, tol, seeds)
-        b = _quartet_sums_block(ind, z, 300, tol, seeds)
-        for x, y in zip(a[:4], b[:4]):
-            assert rel_err(x, y) < 1e-12
-        assert a[4] == b[4] and a[6] == b[6]
+    cases = (  # scalar: w, v, weight, watch; engine: points, second,
+               # n_left, weight; scalar sums (DD, DE, ED, EE) compared
+        (zb, 0j, (z, z), (True,) * 4,
+         [zb, zb, 0.0, 0.0], [False, True, False, True], 2, z, (0, 1, 2, 3)),
+        (zb, xi, None, (True, False, True, False),
+         [zb, zb, xi], [False, True, False], 2, 1.0, (0, 2)),
+        (x, 0j, (x, x), (True, True, False, False),
+         [x, 0.0, 0.0], [False, False, True], 1, x, (0, 1)))
+    for w, v, weight, watch, zs, second, n_left, eng_weight, idx in cases:
+        for tol in (0.0, 1e-5):
+            sums, n_used, _, conv = _scalar_series(
+                ind, w, v, weight, (0j, 0j, 0j), watch, 300, tol, seeds)
+            t, n_eng, _, conv_eng = _series(ind, zs, second, n_left,
+                                            eng_weight, 300, tol, seeds)
+            for i, want in zip(idx, t.ravel()):
+                assert rel_err(sums[i], want) < 1e-12
+            assert (n_used, conv) == (n_eng, conv_eng)
 
 
 def test_series_stop_rule_is_the_same_one_at_a_time_and_in_chunks():
@@ -248,7 +261,7 @@ def plain_quartet(j, z, n_terms, series_tol, d0):
 
 
 @settings(max_examples=30, deadline=None)
-@given(p=st.sampled_from([2, 3]), seed=st.integers(0, 2 ** 32 - 1),
+@given(p=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2 ** 32 - 1),
        extended=st.booleans(), with_d0=st.booleans(),
        log_tol=st.floats(-6.0, -1.0))
 def test_engine_matches_plain_recurrence(p, seed, extended, with_d0,
@@ -293,9 +306,24 @@ def test_second_call_reuses_the_recurrence_plan(monkeypatch):
     counts.update(prefix=0, inv=0)
     quartet(j, 1j, n_max=500, determinacy=cls)   # longer: one rebuild
     assert counts == {"prefix": 1, "inv": 1}
+    # the kernel sums, the classifier and the quadrature share the plan
+    counts.update(prefix=0, inv=0)
+    kernel_partial(j, 1j, 300)
+    estimate_H(j, 2j)
+    classify(j)
+    gauss_quadrature(j, 12)
+    assert counts["prefix"] == 0
+    # and so does the p = 1 scalar path
+    ind = ind_fixture(420)
+    cls = DeterminacyClass(Determinacy.COMPLETELY_INDETERMINATE, 1, 1)
+    quartet(ind, 1j, determinacy=cls)
+    counts.update(prefix=0, inv=0)
+    quartet(ind, 0.5 + 2j, determinacy=cls)
+    extension_bracket(ind, np.eye(1), [0.5])
+    assert counts == {"prefix": 0, "inv": 0}
 
 
-def test_singular_d0_is_invalid_input(ind, ind_cls):
+def test_singular_d0_is_invalid_input(ch, ind, ind_cls):
     with pytest.raises(InvalidInputError):
         quartet(ind, 1j, d0=[[0]], determinacy=ind_cls)
     j = double_ind_fixture()
@@ -310,6 +338,13 @@ def test_singular_d0_is_invalid_input(ind, ind_cls):
                  lambda: jump_bound(j, 0.0, 5, d0=d0)):
         with pytest.raises(InvalidInputError):
             call()
+    # the spectral entry points, at p = 1 and p = 2
+    for jj, bad in ((ch, [[0]]), (j, d0)):
+        for call in (lambda: gauss_quadrature(jj, 4, d0=bad),
+                     lambda: kernel_partial(jj, 1j, 4, d0=bad),
+                     lambda: estimate_H(jj, 1j, d0=bad)):
+            with pytest.raises(InvalidInputError):
+                call()
 
 
 # ---------------------------------------------------------------------------

@@ -121,17 +121,21 @@ def validate_regular(j: BlockJacobiMatrix,
     Violations are reported, not raised; the first one in scan order
     (block 0 diagonal, block 0 off-diagonal, block 1 diagonal, ...) wins.
     """
-    for k in range(j.n_blocks):
-        d = j.diag[k]
-        if not mk.is_hermitian(d):
-            return RegularityReport(False,
-                                    (k, "not-hermitian", mk.hermitian_defect(d)))
-        if k < len(j.offdiag):
-            o = j.offdiag[k]
-            smin = mk.min_singular_value(o)
-            if smin <= reg_tol * max(1.0, mk.spectral_norm(o)):
-                return RegularityReport(False, (k, "singular-offdiag", smin))
-    return RegularityReport(True, None)
+    diag = np.array(j.diag).reshape(-1, j.p, j.p)
+    off = np.array(j.offdiag, dtype=complex).reshape(-1, j.p, j.p)
+    defect = np.abs(diag - np.conj(np.swapaxes(diag, 1, 2))).max(axis=(1, 2))
+    scale = 1.0 + np.abs(diag).max(axis=(1, 2))
+    s = np.linalg.svd(off, compute_uv=False)
+    # entry 2k is diagonal block k, entry 2k + 1 off-diagonal block k
+    bad = np.zeros(2 * j.n_blocks, dtype=bool)
+    bad[0::2] = defect > mk.HERMITIAN_TOL * scale
+    bad[1:2 * len(off):2] = s[:, -1] <= reg_tol * np.maximum(1.0, s[:, 0])
+    if not bad.any():
+        return RegularityReport(True, None)
+    k, is_off = divmod(int(np.argmax(bad)), 2)
+    if is_off:
+        return RegularityReport(False, (k, "singular-offdiag", float(s[k, -1])))
+    return RegularityReport(False, (k, "not-hermitian", float(defect[k])))
 
 
 def truncate(j: BlockJacobiMatrix, n: int) -> np.ndarray:

@@ -41,8 +41,8 @@ from .errors import (HalfPlaneError, InvalidInputError,
                      NumericalFailureError, OutOfRangeError, PoleError,
                      RefusedError)
 from .jacobi import BlockJacobiMatrix
-from .polys import (MatrixPoly, OrthoBasis, _available_terms, _d0_seeds,
-                    _scalar_series, _series, form)
+from .polys import (MatrixPoly, OrthoBasis, _available_terms, _coefficients,
+                    _d0_seeds, _scalar_series, _series)
 from .spectral import (KERNEL_N_MAX, Determinacy, DeterminacyClass, classify,
                        kernel_partial)
 
@@ -73,35 +73,20 @@ class SecondKindBasis:
 def second_kind(basis: OrthoBasis, n: int) -> SecondKindBasis:
     """Build E_0..E_n symbolically (polynomials in z).
 
-    Applying the form in the lam variable to the divided difference of
-    D_k gives, coefficient by coefficient,
-
-        E_k(z) = sum_{m=0}^{k-1} z^m  sum_{j>=0} C_{j+m+1} S_j,
-
-    where C_i are the coefficients of D_k; exact degree k-1 follows from
-    the nondegenerate leading coefficient C_k and nonsingular S_0.
+    E_k(z) = {(D_k(lam) - D_k(z)) / (lam - z), I}, the form taken in the
+    lam variable of the divided difference of D_k.  These are the
+    solutions of the first-kind recurrence from E_0 = 0 and
+    E_1 = B_0^{-1} D_0^{-H}, and are computed so, on the plan the basis
+    was generated with; E_k has exact degree k-1.
     """
     if n > basis.n:
         raise OutOfRangeError(
             f"second kind needs first-kind basis of length {n}, "
             f"got {basis.n}")
-    p = basis.p
-    eye = np.eye(p, dtype=complex)
-    ident = MatrixPoly.constant(eye)
-    moments = [mk.hermitian_part(form(MatrixPoly.monomial(j, eye), ident,
-                                      basis))
-               for j in range(max(n, 1))]
-    epolys = [MatrixPoly.zero(p)]
-    for k in range(1, n + 1):
-        c = basis.polys[k].coeffs
-        coeffs = np.zeros((k, p, p), dtype=complex)
-        for m in range(k):
-            acc = np.zeros((p, p), dtype=complex)
-            for j in range(k - m):
-                acc += c[j + m + 1] @ moments[j]
-            coeffs[m] = acc
-        epolys.append(MatrixPoly(p, coeffs))
-    return SecondKindBasis(basis=basis, epolys=tuple(epolys))
+    x = _coefficients(basis.jacobi, n, basis.lead_inv[0].conj().T,
+                      second=True)
+    epolys = [MatrixPoly(basis.p, x[k, :k]) for k in range(1, n + 1)]
+    return SecondKindBasis(basis, (MatrixPoly.zero(basis.p), *epolys))
 
 
 @dataclass(frozen=True)
@@ -438,8 +423,10 @@ def stieltjes_invert(sampler, grid, eta: float) -> list:
 
     d(lam) = (1/pi) * HermitianPart(Im sampler(lam + i eta)) per grid
     point.  This is a Poisson-kernel smoothing of the underlying measure,
-    not an exact inverse.  A sampler failure marks the point missing
-    (density ``None``) instead of aborting the table.
+    not an exact inverse.  A sampler that raises one of the package's
+    errors (a pole, a refusal, an invalid value) marks the point missing
+    (density ``None``) instead of aborting the table; any other exception
+    propagates.
     """
     if not eta > 0:
         raise InvalidInputError("eta must be positive")
@@ -449,7 +436,7 @@ def stieltjes_invert(sampler, grid, eta: float) -> list:
         try:
             m = mk.as_complex_matrix(sampler(lam + 1j * eta))
             dens = mk.hermitian_part((m - m.conj().T) / 2j) / np.pi
-        except Exception:
+        except (InvalidInputError, NumericalFailureError):
             dens = None
         rows.append((lam, dens))
     return rows

@@ -14,17 +14,21 @@ nondegenerate leading coefficients.  ``expand`` writes any polynomial as
 sum_k U_k D_k by degree peeling, and ``form`` is the sesquilinear pairing
 {P, Q} = sum_k U_k V_k^H defined by orthonormality of the D_k.
 
-Every pointwise evaluation (first-kind values, kernel sums, quadrature
-weights, the quartet, transform and bracket series) runs on one engine.
-A recurrence plan (the stacked B_k^{-1}, B_k^{-1} A_kk, B_k^{-1} A_{k,k-1},
-B_k = A_{k,k+1}) is built from one ``prefix()`` and kept on the matrix, so
-a call needs no ``prefix()`` and no inverse per step.  The states D_k, E_k
-of all points advance together as the columns of one (p, W) matrix, one
-small GEMM per step, and series terms are formed per chunk of steps by one
-batched matmul; ``_SeriesAccumulator`` is the one series stop rule.  For
-p = 1 and at most two points (a left point w and a right point v) the
-scalar path ``_scalar_series`` runs the same recurrence in plain complex
-arithmetic on coefficient lists kept with the plan.
+The symbolic polynomials (``generate_first_kind`` here, the second kind in
+:mod:`nevanlinna`) and every pointwise evaluation (first-kind values,
+kernel sums, quadrature weights, the quartet, transform and bracket series)
+run on one recurrence plan: the stacked B_k^{-1}, B_k^{-1} A_kk,
+B_k^{-1} A_{k,k-1}, B_k = A_{k,k+1}, built from one ``prefix()`` and kept
+on the matrix, so a call needs no ``prefix()`` and no inverse per step.
+Regularity is checked where the plan is built, over the blocks it reads,
+once per build.  Pointwise, the states D_k, E_k of all points advance
+together as the columns of one (p, W) matrix, one small GEMM per step,
+and series terms are formed per chunk of steps by one batched matmul;
+``_SeriesAccumulator`` is the one series stop rule.  Symbolically, the
+same step runs on coefficients laid side by side.  For p = 1 and at most
+two points (a left point w and a right point v) the scalar path
+``_scalar_series`` runs the same recurrence in plain complex arithmetic on
+coefficient lists kept with the plan.
 """
 
 from dataclasses import dataclass
@@ -158,52 +162,23 @@ def generate_first_kind(j: BlockJacobiMatrix, n: int,
 
     D_{k+1} = A_{k,k+1}^{-1} [ (lam I - A_{k,k}) D_k - A_{k,k-1} D_{k-1} ],
     starting from D_{-1} = 0 and the constant nonsingular D_0 (identity by
-    default).
+    default).  Runs on the matrix's cached recurrence plan, whose build
+    refuses a non-regular prefix with InvalidInputError.
     """
-    report = validate_regular(j)
-    if not report.ok:
-        k, kind, mag = report.first_violation
-        raise InvalidInputError(
-            f"matrix is not a regular block Jacobi matrix: block {k} "
-            f"{kind} (magnitude {mag:.3e})")
     p = j.p
     d0 = np.eye(p, dtype=complex) if d0 is None else \
         _require_nonsingular(mk.as_complex_matrix(d0, p), "D_0")
-    jp = j.prefix(n + 1) if n >= 1 else j
-    polys = [MatrixPoly(p, d0[None])]
-    lead_inv = [np.linalg.inv(d0)]
-    prev = None
-    for k in range(n):
-        a_kk = jp.diag[k]
-        try:
-            b_inv = np.linalg.inv(jp.offdiag[k])
-        except np.linalg.LinAlgError:
-            raise NumericalFailureError(
-                f"off-diagonal block {k} is singular; recurrence cannot "
-                "continue") from None
-        cur = polys[k].coeffs
-        nxt = np.zeros((k + 2, p, p), dtype=complex)
-        nxt[1:] = cur                                  # lam * D_k
-        nxt[:k + 1] -= a_kk[None] @ cur                # - A_{k,k} D_k
-        if k > 0:
-            sub = jp.offdiag[k - 1].conj().T           # A_{k,k-1}
-            nxt[:k] -= sub[None] @ prev.coeffs
-        nxt = b_inv[None] @ nxt
-        poly = MatrixPoly(p, nxt)
-        lead = poly.coeffs[k + 1]
-        # leading coefficients are products of block inverses: their scale
-        # shrinks or grows geometrically and may mix scales across
-        # components, so only exact singularity is refused here
-        try:
-            inv_lead = np.linalg.inv(lead)
-        except np.linalg.LinAlgError:
-            raise NumericalFailureError(
-                f"leading coefficient of D_{k + 1} degenerated "
-                "numerically") from None
-        prev = polys[k]
-        polys.append(poly)
-        lead_inv.append(inv_lead)
-    return OrthoBasis(jp, _freeze(np.array(d0)), tuple(polys),
+    x = _coefficients(j, n, d0, second=False)
+    # leading coefficients are products of block inverses: their scale
+    # shrinks or grows geometrically and may mix scales across components,
+    # so only exact singularity is refused here
+    try:
+        lead_inv = np.linalg.inv(x[np.arange(n + 1), np.arange(n + 1)])
+    except np.linalg.LinAlgError:
+        raise NumericalFailureError("a leading coefficient degenerated "
+                                    "numerically") from None
+    return OrthoBasis(j, _freeze(np.array(d0)),
+                      tuple(MatrixPoly(p, x[k, :k + 1]) for k in range(n + 1)),
                       tuple(_freeze(m) for m in lead_inv))
 
 
@@ -260,13 +235,21 @@ def _recurrence(j: BlockJacobiMatrix, n: int):
     complex numbers for the scalar path (None otherwise).  The longest data
     built so far is kept in ``j.memo`` and serves every shorter request; it
     comes from one ``prefix`` and one batched inverse, and dies with the
-    matrix.
+    matrix.  Each build checks the blocks of that prefix with
+    ``validate_regular`` and raises InvalidInputError naming the first
+    violation, so every user of the engine refuses a non-regular matrix.
     """
     rec = j.memo.get("recurrence")
     if rec is not None and len(rec[0]) >= n:
         return rec
     p = j.p
     jp = j.prefix(n + 1)
+    report = validate_regular(jp)
+    if not report.ok:
+        k, kind, mag = report.first_violation
+        raise InvalidInputError(
+            f"matrix is not a regular block Jacobi matrix: block {k} "
+            f"{kind} (magnitude {mag:.3e})")
     off = np.array(jp.offdiag, dtype=complex).reshape(n, p, p)
     diag = np.array(jp.diag[:n], dtype=complex).reshape(n, p, p)
     b_inv = np.linalg.inv(off)
@@ -296,6 +279,30 @@ def _d0_seeds(d0, p: int):
         return eye, eye
     d0m = _require_nonsingular(mk.as_complex_matrix(d0, p), "D_0")
     return d0m, np.linalg.inv(d0m).conj().T
+
+
+def _coefficients(j: BlockJacobiMatrix, n: int, seed, second: bool):
+    """Coefficients of X_0..X_n as an (n+1, n+1, p, p) array.
+
+    Entry [k, i] multiplies lam^i in X_k.  The coefficient-layout twin of
+    ``_state_chunks``: X_k holds its coefficients side by side as a
+    (p, (n+1)p) matrix, "z X_k" is X_k shifted one block to the right, and
+    each step is one GEMM with the same plan row.  The first kind starts
+    from D_{-1} = 0 and D_0 = ``seed``; the second from E_0 = 0 with
+    ``seed`` = D_0^{-H} in the z X_0 slot, so that E_1 = B_0^{-1} D_0^{-H}.
+    """
+    p = seed.shape[0]
+    plan = _recurrence(j, n)[0]
+    # h[i] = (z X, X) of state i - 1; step k reads [X, zX, X] of states
+    # k - 1, k and writes state k + 1
+    h = np.zeros((n + 2, 2, p, (n + 1) * p), dtype=complex)
+    h[1, 0 if second else 1, :, :p] = seed
+    h[1, 0, :, p:] = h[1, 1, :, :-p]
+    flat = h.reshape(2 * p * (n + 2), (n + 1) * p)
+    for k, row in enumerate(plan[:n]):
+        np.matmul(row, flat[(2 * k + 1) * p:(2 * k + 4) * p], out=h[k + 2, 1])
+        h[k + 2, 0, :, p:] = h[k + 2, 1, :, :-p]
+    return h[1:, 1].reshape(n + 1, p, n + 1, p).transpose(0, 2, 1, 3)
 
 
 def _state_chunks(j: BlockJacobiMatrix, zs, second, n: int, seeds):
@@ -338,8 +345,8 @@ def first_kind_values(j: BlockJacobiMatrix, zs, n: int, d0=None):
     """Yield D_k(z) for k = 0..n, batched over the points ``zs``.
 
     Pointwise form of the recurrence, read off the engine's states; yields
-    arrays of shape (B, p, p).  The matrix is assumed validated by the
-    caller; a numerically singular ``d0`` raises InvalidInputError.
+    arrays of shape (B, p, p).  A non-regular matrix or a numerically
+    singular ``d0`` raises InvalidInputError.
     """
     p = j.p
     z = np.asarray(zs, dtype=complex).reshape(-1)

@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from blockmoment import BlockJacobiMatrix
 from blockmoment.cli import run
-from blockmoment.serialize import loads
+from blockmoment.serialize import dumps, jacobi_to_doc, loads
 
 from cli_cases import CASES
 
@@ -150,6 +151,22 @@ def test_classify_samples_deficiency_indices_once(monkeypatch, capsys):
                                  capsys)
         assert code == 0
         assert len(calls) == 1
+
+
+def test_non_regular_document_is_invalid_input(tmp_path, capsys):
+    # off-diagonal block 1 exactly zero, or below the regularity tolerance
+    for value in (0.0, 1e-13):
+        j = BlockJacobiMatrix(1, (np.zeros((1, 1)),) * 3,
+                              (np.array([[0.5]]), np.array([[value]])))
+        jfile = tmp_path / "bad.json"
+        jfile.write_text(dumps(jacobi_to_doc(j)))
+        for argv in (["kernel", "--jacobi", str(jfile), "--z", "0,1",
+                      "--n", "2"],
+                     ["quad", "--jacobi", str(jfile), "--n", "2"]):
+            code, out, err = run_capture(argv, capsys)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: matrix is not a regular block "
+                                  "Jacobi matrix: block 1 singular-offdiag")
 
 
 def test_spectrum_rejects_nonunitary(tmp_path, capsys):

@@ -31,6 +31,20 @@ def test_nonhermitian_diag_flagged():
     assert report.first_violation[1] == "not-hermitian"
 
 
+def test_first_violation_in_scan_order():
+    # singular off-diagonal at block 2, non-Hermitian diagonal at block 3
+    diag = [np.eye(2)] * 5
+    off = [np.eye(2)] * 4
+    off[2] = np.array([[1.0, 2.0], [0.5, 1.0]])
+    diag[3] = np.array([[0.0, 1.0], [0.0, 0.0]])
+    report = validate_regular(BlockJacobiMatrix(2, tuple(diag), tuple(off)))
+    assert report.first_violation[:2] == (2, "singular-offdiag")
+    # within one block the diagonal comes first
+    diag[2] = diag[3]
+    report = validate_regular(BlockJacobiMatrix(2, tuple(diag), tuple(off)))
+    assert report.first_violation == (2, "not-hermitian", 1.0)
+
+
 def test_truncate_examples(ch):
     assert np.allclose(truncate(ch, 2), [[0, 0.5], [0.5, 0]])
     assert np.allclose(truncate(ch, 1), [[0.0]])

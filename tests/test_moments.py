@@ -8,7 +8,8 @@ from blockmoment.errors import (IllConditionedError, InvalidInputError,
                                 OutOfRangeError)
 from blockmoment.moments import block_hankel
 
-from conftest import random_hermitian, random_regular, rel_err
+from conftest import (random_hermitian, random_regular, random_regular_growing,
+                      rel_err)
 
 
 def scalar_seq(*values):
@@ -40,7 +41,10 @@ def test_oracle_examples(ch):
 
 
 def test_oracle_equivalence(ch, ind, ds, rng):
-    js = [ch, ind, ds, random_regular(2, 14, rng), random_regular(3, 14, rng)]
+    js = [ch, ind, ds, random_regular(2, 14, rng), random_regular(3, 14, rng),
+          random_regular(2, 14, rng), random_regular(3, 14, rng),
+          random_regular_growing(2, 14, rng),
+          random_regular_growing(3, 14, rng)]
     for j in js:
         s = moments_from_jacobi(j, 12)
         for n in range(13):

@@ -7,14 +7,16 @@ from blockmoment import (BlockJacobiMatrix, Determinacy, DeterminacyClass,
                          MatrixPoly, StepMeasure, classify, estimate_H,
                          extension_bracket, extension_spectrum, form,
                          gauss_quadrature, generate_first_kind,
-                         ind_fixture, jump_bound, kernel_partial, quartet,
+                         growth_diagnostic, ind_fixture, jump_bound,
+                         kernel_partial, moments_from_jacobi, quartet,
                          second_kind, stieltjes_invert, stieltjes_transform,
                          transform_extremal, transform_from_V)
 from blockmoment import matkernel as mk
 from blockmoment.errors import (HalfPlaneError, InvalidInputError,
-                                RefusedError)
+                                PoleError, RefusedError)
 from blockmoment.polys import (_d0_seeds, _scalar_series, _series,
-                               _SeriesAccumulator, _state_chunks)
+                               _SeriesAccumulator, _state_chunks,
+                               first_kind_values)
 
 from conftest import random_nonsingular, random_regular_growing, \
     random_unitary, rel_err
@@ -313,6 +315,14 @@ def test_second_call_reuses_the_recurrence_plan(monkeypatch):
     classify(j)
     gauss_quadrature(j, 12)
     assert counts["prefix"] == 0
+    # so do the symbolic polynomials of both kinds
+    basis = generate_first_kind(j, 12)
+    for call in (lambda: generate_first_kind(j, 12),
+                 lambda: second_kind(basis, 12),
+                 lambda: moments_from_jacobi(j, 12)):
+        counts.update(prefix=0, inv=0)
+        call()
+        assert counts["prefix"] == 0 and counts["inv"] <= 1
     # and so does the p = 1 scalar path
     ind = ind_fixture(420)
     cls = DeterminacyClass(Determinacy.COMPLETELY_INDETERMINATE, 1, 1)
@@ -549,6 +559,58 @@ def test_pole_blowup_at_roots(ind, ind_cls):
         assert mk.spectral_norm(m) > 1e3
 
 
+def non_regular_matrix(p, case):
+    """CI-type matrix (completely indeterminate when regular) with one
+    defect: a zero off-diagonal at block 1, a non-Hermitian diagonal at
+    block 1, or a rule yielding a singular off-diagonal at block 6, past
+    the four stored blocks."""
+    j = ci_matrix(np.random.default_rng(3), p, 4, rule=True)
+    diag, off, rule = list(j.diag), list(j.offdiag), j.generator
+    if case == "zero-offdiag":
+        off[1] = np.zeros((p, p))
+    elif case == "not-hermitian":
+        diag[1] = diag[1] + np.triu(np.ones((p, p)), 1) + 1j * np.eye(p)
+    else:
+        def rule(k):
+            a, b = j.generator(k)
+            return a, (0.0 * b if k == 6 else b)
+    return BlockJacobiMatrix(p, tuple(diag), tuple(off), rule)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("case,message", [
+    ("zero-offdiag", "block 1 singular-offdiag"),
+    ("not-hermitian", "block 1 not-hermitian"),
+    ("generated-singular", "block 6 singular-offdiag")])
+def test_non_regular_matrix_is_refused_at_every_entry_point(p, case,
+                                                            message):
+    j = non_regular_matrix(p, case)
+    cls = DeterminacyClass(Determinacy.COMPLETELY_INDETERMINATE, p, p)
+    eye = np.eye(p)
+    calls = (lambda: generate_first_kind(j, 8),
+             lambda: moments_from_jacobi(j, 8),
+             lambda: list(first_kind_values(j, [1j], 8)),
+             lambda: kernel_partial(j, 1j, 8),
+             lambda: estimate_H(j, 1j),
+             lambda: classify(j),
+             lambda: jump_bound(j, 0.0, 8),
+             lambda: gauss_quadrature(j, 8),
+             lambda: growth_diagnostic(j, [1.0]),
+             lambda: quartet(j, 1j),
+             lambda: quartet(j, 1j, determinacy=cls),
+             lambda: transform_extremal(j, 0.3, -1j, determinacy=cls),
+             lambda: transform_from_V(j, 1j, eye, determinacy=cls),
+             lambda: extension_bracket(j, eye, [0.5]),
+             lambda: extension_bracket(j, eye, [0.5, 1.5]),
+             lambda: extension_spectrum(j, eye, (-1.0, 1.0), grid=8,
+                                        determinacy=cls))
+    for call in calls:
+        with pytest.raises(InvalidInputError,
+                           match="matrix is not a regular block Jacobi "
+                                 f"matrix: {message}"):
+            call()
+
+
 def test_extension_interval_validation(ind, ind_cls):
     with pytest.raises(InvalidInputError):
         extension_spectrum(ind, np.eye(1), (5, -5), determinacy=ind_cls)
@@ -590,12 +652,20 @@ def test_stieltjes_invert_missing_points():
     def flaky(z):
         calls.append(z)
         if z.real > 0:
-            raise RuntimeError("sampler broke")
+            raise PoleError("sampler hit a pole")
         return np.array([[1j]])
 
     rows = stieltjes_invert(flaky, [-1.0, 1.0], 0.1)
     assert rows[0][1] is not None
     assert rows[1][1] is None
+
+
+def test_stieltjes_invert_propagates_foreign_errors():
+    def broken(z):
+        raise TypeError("not a sampler")
+
+    with pytest.raises(TypeError):
+        stieltjes_invert(broken, [0.0], 0.1)
 
 
 def test_stieltjes_invert_validation():

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from blockmoment import MatrixPoly, expand, form, generate_first_kind
+from blockmoment import (BlockJacobiMatrix, MatrixPoly, expand, form,
+                         generate_first_kind, moments_from_jacobi,
+                         second_kind)
 from blockmoment.errors import InvalidInputError, OutOfRangeError
 
-from conftest import random_regular, rel_err
+from conftest import (random_hermitian, random_nonsingular, random_regular,
+                      rel_err)
 
 
 def random_poly(p, deg, rng):
@@ -92,6 +97,76 @@ def test_generate_requires_regular():
     bad = BlockJacobiMatrix(1, (np.zeros((1, 1)),) * 2, (np.zeros((1, 1)),))
     with pytest.raises(InvalidInputError):
         generate_first_kind(bad, 1)
+
+
+def test_degree_zero_on_a_one_block_matrix():
+    # the plan for n = 0 is an empty stack of steps
+    j = BlockJacobiMatrix(2, (np.diag([1.0, -2.0]),), ())
+    d0 = np.array([[2.0, 1.0], [0.0, 1.0]])
+    basis = generate_first_kind(j, 0, d0)
+    assert basis.n == 0 and np.array_equal(basis.polys[0].coeffs[0], d0)
+    assert rel_err(basis.lead_inv[0], np.linalg.inv(d0)) < 1e-15
+    assert second_kind(basis, 0).epolys[0].degree == -1
+    s = moments_from_jacobi(j, 0, d0)
+    assert rel_err(s.S[0], np.linalg.inv(d0) @ np.linalg.inv(d0).conj().T) \
+        < 1e-15
+
+
+def plain_coefficients(j, n, d0, second):
+    """X_0..X_n by one solve per step on stacked coefficients, written
+    independently of the library's recurrence plan."""
+    p = j.p
+    jp = j.prefix(n + 1)
+    zero = np.zeros((n + 1, p, p), dtype=complex)
+    prev, cur = zero, zero.copy()
+    if second:
+        e1 = np.linalg.solve(jp.offdiag[0], np.linalg.inv(d0).conj().T)
+    else:
+        cur[0] = d0
+    out = [cur]
+    for k in range(n):
+        rhs = -(jp.diag[k] @ cur)
+        rhs[1:] += cur[:-1]                            # lam X_k
+        if k > 0:
+            rhs -= jp.offdiag[k - 1].conj().T @ prev   # A_{k,k-1} X_{k-1}
+        nxt = np.linalg.solve(jp.offdiag[k], rhs)
+        if second and k == 0:
+            nxt = zero.copy()
+            nxt[0] = e1
+        prev, cur = cur, nxt
+        out.append(cur)
+    return out
+
+
+def rule_matrix(p, seed, n_stored, extended):
+    """Random regular matrix; blocks past the stored prefix come from a
+    seeded rule when ``extended``."""
+    def rule(k):
+        rng = np.random.default_rng([seed, k])
+        h = random_hermitian(p, rng)
+        h = (k + 1) * h / np.linalg.svd(h, compute_uv=False)[0]
+        return h, random_nonsingular(p, rng, scale=float((k + 1) ** 1.5))
+
+    return BlockJacobiMatrix(p, tuple(rule(k)[0] for k in range(n_stored)),
+                             tuple(rule(k)[1] for k in range(n_stored - 1)),
+                             rule if extended else None)
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2 ** 32 - 1),
+       extended=st.booleans(), with_d0=st.booleans(), n=st.integers(1, 12))
+def test_symbolic_polys_match_plain_solve_recurrence(p, seed, extended,
+                                                     with_d0, n):
+    j = rule_matrix(p, seed, 3 if extended else 13, extended)
+    d0 = (random_nonsingular(p, np.random.default_rng(seed)) if with_d0
+          else np.eye(p))
+    basis = generate_first_kind(j, n, d0 if with_d0 else None)
+    epolys = second_kind(basis, n).epolys
+    for got, want in ((basis.polys, plain_coefficients(j, n, d0, False)),
+                      (epolys, plain_coefficients(j, n, d0, True))):
+        for poly, w in zip(got, want):      # relative to each polynomial
+            assert np.abs(poly._padded(n + 1) - w).max() \
+                <= 1e-12 * np.abs(w).max()
 
 
 def test_expand_examples(ch):

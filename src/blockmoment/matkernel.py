@@ -126,9 +126,3 @@ def hermitian_inv_sqrt(h, pd_tol: float = PD_TOL) -> np.ndarray:
     """Principal K with K @ H @ K = I, for Hermitian positive definite H."""
     w, v = _pd_eig(h, pd_tol, "matrix")
     return hermitian_part((v / np.sqrt(w)) @ v.conj().T)
-
-
-def hermitian_inv(h, pd_tol: float = PD_TOL) -> np.ndarray:
-    """Inverse of a Hermitian positive definite matrix, hermitized."""
-    w, v = _pd_eig(h, pd_tol, "matrix")
-    return hermitian_part((v / w) @ v.conj().T)

@@ -1,14 +1,17 @@
 """Moment sequences: the forward map, positivity, and the inverse map.
 
 The forward map sends a regular block Jacobi matrix to its moment sequence
-S_n = {lam^n I, I} through the polynomial form.  ``moments_oracle`` provides
-the independent route: S_n equals the (0,0) block of the n-th power of a
-sufficiently long finite truncation, because length-n walks starting at
-block 0 never leave it.
+S_n = {lam^n I, I}.  Multiplication by lam acts on expansion coefficients in
+the first-kind basis as J, and I = D_0^{-1} D_0, so S_n is
+D_0^{-1} (J^n)_{00} D_0^{-H}, taken as a product of two banded half powers.
+``moments_oracle`` provides the independent dense route: S_n equals the
+(0,0) block of the n-th power of a sufficiently long finite truncation,
+because length-n walks starting at block 0 never leave it.
 
 Block Hankel positivity of [S_{j+k}] sections is the solvability criterion;
 ``jacobi_from_moments`` inverts positive data by block Lanczos in the moment
-inner product, normalizing each super-diagonal block to be Hermitian
+inner product {P, Q} = P H Q^H (coefficient rows against the block Hankel
+matrix H), normalizing each super-diagonal block to be Hermitian
 positive definite (the canonical representative of the unitary-equivalence
 class of recoveries).
 """
@@ -21,7 +24,7 @@ from . import matkernel as mk
 from .errors import IllConditionedError, InvalidInputError, OutOfRangeError
 from .jacobi import BlockJacobiMatrix, truncate
 from .measures import StepMeasure
-from .polys import MatrixPoly, form, generate_first_kind
+from .polys import _d0_seeds, _recurrence
 
 
 @dataclass(frozen=True)
@@ -74,12 +77,8 @@ def block_hankel(s: MomentSequence, n: int) -> np.ndarray:
         raise OutOfRangeError(
             f"Hankel section {n} needs S_{2 * n} but only S_{s.order} "
             "is available")
-    p = s.p
-    out = np.empty(((n + 1) * p, (n + 1) * p), dtype=complex)
-    for j in range(n + 1):
-        for k in range(n + 1):
-            out[j * p:(j + 1) * p, k * p:(k + 1) * p] = s.S[j + k]
-    return out
+    return np.block([[s.S[j + k] for k in range(n + 1)]
+                     for j in range(n + 1)])
 
 
 def hankel_positive(s: MomentSequence,
@@ -106,16 +105,31 @@ def hankel_positive(s: MomentSequence,
 
 def moments_from_jacobi(j: BlockJacobiMatrix, n_max: int,
                         d0=None) -> MomentSequence:
-    """Forward map: S_n = {lam^n I, I} for n = 0..n_max."""
+    """Forward map: S_n = {lam^n I, I} for n = 0..n_max.
+
+    With W_0 = E_0 D_0^{-H} and W_m = J W_{m-1}, one block-tridiagonal
+    product on the A_kk and A_{k,k+1} kept with the recurrence plan,
+    S_n = W_a^H W_b for a = n // 2 and b = n - a, so every even moment is a
+    Gram matrix, positive semidefinite by construction.  The plan build
+    refuses a non-regular prefix of n_max + 1 blocks (InvalidInputError).
+    """
     if n_max < 0:
         raise InvalidInputError("n_max must be >= 0")
-    basis = generate_first_kind(j, n_max, d0)
-    ident = MatrixPoly.constant(np.eye(j.p))
-    out = []
-    for n in range(n_max + 1):
-        s = form(MatrixPoly.monomial(n, np.eye(j.p)), ident, basis)
-        out.append(mk.hermitian_part(s))
-    return MomentSequence(j.p, tuple(out))
+    p = j.p
+    diag, off = _recurrence(j, n_max)[1:3]
+    m = n_max - n_max // 2
+    # w[i, k] is block k of W_i, which vanishes for k > i
+    w = np.zeros((m + 1, m + 1, p, p), dtype=complex)
+    w[0, 0] = _d0_seeds(d0, p)[1]
+    for i in range(m):
+        src, dst = w[i, :i + 1], w[i + 1]
+        dst[:i + 1] = diag[:i + 1] @ src
+        dst[1:i + 2] += np.conj(np.swapaxes(off[:i + 1], 1, 2)) @ src
+        dst[:i] += off[:i] @ src[1:]
+    cols = w.reshape(m + 1, (m + 1) * p, p)
+    return MomentSequence(p, tuple(
+        mk.hermitian_part(cols[n // 2].conj().T @ cols[n - n // 2])
+        for n in range(n_max + 1)))
 
 
 def moments_oracle(j: BlockJacobiMatrix, n: int) -> np.ndarray:
@@ -129,20 +143,6 @@ def moments_oracle(j: BlockJacobiMatrix, n: int) -> np.ndarray:
     t = truncate(j, n + 1)
     power = np.linalg.matrix_power(t, n)
     return mk.hermitian_part(power[:j.p, :j.p])
-
-
-def _moment_form(s: MomentSequence, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """{P, Q} = sum_{j,k} A_j S_{j+k} B_k^H in the moment inner product."""
-    da, db = a.shape[0] - 1, b.shape[0] - 1
-    if da + db > s.order:
-        raise OutOfRangeError(
-            f"moment form needs S_{da + db} but only S_{s.order} is available")
-    p = s.p
-    out = np.zeros((p, p), dtype=complex)
-    for j in range(da + 1):
-        for k in range(db + 1):
-            out += a[j] @ s.S[j + k] @ b[k].conj().T
-    return out
 
 
 def jacobi_from_moments(s: MomentSequence,
@@ -167,29 +167,37 @@ def jacobi_from_moments(s: MomentSequence,
 
     Refuses (rather than regularizes) when a Gram normalization falls below
     the positive-definiteness floor: silent regularization would corrupt
-    determinacy diagnostics downstream.
+    determinacy diagnostics downstream.  Data failing the Hankel test raises
+    InvalidInputError, or IllConditionedError (``step`` the section) when
+    the failing section's smallest eigenvalue is positive but uncertifiable.
     """
     report = hankel_positive(s, psd_tol)
     if not report.positive:
+        bad, lo = report.first_bad_section, report.min_eigenvalue
+        if lo > 0:
+            raise IllConditionedError(
+                f"moment sequence cannot be certified positive: Hankel "
+                f"section {bad} has min eigenvalue {lo:.3e} > 0, at most "
+                f"{psd_tol:.0e} times its largest", step=bad)
         raise InvalidInputError(
-            f"moment sequence is not positive: Hankel section "
-            f"{report.first_bad_section} has min eigenvalue "
-            f"{report.min_eigenvalue:.3e}")
+            f"moment sequence is not positive: Hankel section {bad} has "
+            f"min eigenvalue {lo:.3e}")
     p = s.p
     n = s.order // 2
+    h = block_hankel(s, n)
     d0 = mk.hermitian_inv_sqrt(s.S[0])
-    cur = d0[None]                       # coefficients of D_k, shape (k+1,p,p)
-    prev = None
+    cur = np.zeros((p, (n + 1) * p), dtype=complex)  # D_k as [C_0 ... C_n]
+    cur[:, :p] = d0
+    prev = np.zeros_like(cur)
+    b = np.zeros((p, p), dtype=complex)  # A_{-1,0}, against D_{-1} = 0
     diag: list[np.ndarray] = []
     offdiag: list[np.ndarray] = []
     for k in range(n):
-        lam_cur = np.concatenate([np.zeros((1, p, p), dtype=complex), cur])
-        a_kk = mk.hermitian_part(_moment_form(s, lam_cur, cur))
-        resid = np.array(lam_cur)
-        resid[:k + 1] -= a_kk[None] @ cur
-        if k > 0:
-            resid[:k] -= (offdiag[k - 1].conj().T)[None] @ prev
-        gram = mk.hermitian_part(_moment_form(s, resid, resid))
+        lam_cur = np.zeros_like(cur)
+        lam_cur[:, p:] = cur[:, :-p]
+        a_kk = mk.hermitian_part(lam_cur @ h @ cur.conj().T)
+        resid = lam_cur - a_kk @ cur - b.conj().T @ prev
+        gram = mk.hermitian_part(resid @ h @ resid.conj().T)
         w, v = np.linalg.eigh(gram)
         if w[0] <= pd_tol * max(1.0, float(w[-1])):
             raise IllConditionedError(
@@ -199,7 +207,7 @@ def jacobi_from_moments(s: MomentSequence,
         b_inv = mk.hermitian_part((v / np.sqrt(w)) @ v.conj().T)
         diag.append(a_kk)
         offdiag.append(b)
-        prev, cur = cur, b_inv[None] @ resid
+        prev, cur = cur, b_inv @ resid
 
     def neutral_rule(k: int):
         return np.zeros((p, p)), np.eye(p, dtype=complex)
@@ -215,10 +223,7 @@ def moments_of_measure(t: StepMeasure, n_max: int) -> MomentSequence:
         raise InvalidInputError("n_max must be >= 0")
     out = []
     for n in range(n_max + 1):
-        if t.n_nodes == 0:
-            out.append(np.zeros((t.p, t.p), dtype=complex))
-        else:
-            powers = t.nodes.astype(complex) ** n
-            out.append(mk.hermitian_part(
-                (powers[:, None, None] * t.weights).sum(axis=0)))
+        powers = t.nodes.astype(complex) ** n
+        out.append(mk.hermitian_part(
+            (powers[:, None, None] * t.weights).sum(axis=0)))
     return MomentSequence(t.p, tuple(out))

@@ -225,13 +225,14 @@ _CHUNK = 16  # recurrence steps whose series terms are formed in one matmul
 def _recurrence(j: BlockJacobiMatrix, n: int):
     """Step data of the first n recurrence steps, cached on ``j``.
 
-    Returns (plan, b, a, ac).  Row k of the plan is
+    Returns (plan, diag, off, b, a, ac).  Row k of the plan is
     [-B_k^{-1} A_{k,k-1} | B_k^{-1} | -B_k^{-1} A_{k,k}] with B_k = A_{k,k+1}
     and A_{0,-1} = 0, so that
 
         X_{k+1} = row_k @ [X_{k-1}; z X_k; X_k].
 
-    For p = 1, b, a and ac list A_kk, A_{k,k+1} and its conjugate as plain
+    ``diag`` and ``off`` stack A_kk and A_{k,k+1}, the bands of J.  For
+    p = 1, b, a and ac list A_kk, A_{k,k+1} and its conjugate as plain
     complex numbers for the scalar path (None otherwise).  The longest data
     built so far is kept in ``j.memo`` and serves every shorter request; it
     comes from one ``prefix`` and one batched inverse, and dies with the
@@ -250,8 +251,8 @@ def _recurrence(j: BlockJacobiMatrix, n: int):
         raise InvalidInputError(
             f"matrix is not a regular block Jacobi matrix: block {k} "
             f"{kind} (magnitude {mag:.3e})")
-    off = np.array(jp.offdiag, dtype=complex).reshape(n, p, p)
-    diag = np.array(jp.diag[:n], dtype=complex).reshape(n, p, p)
+    off = _freeze(np.array(jp.offdiag, dtype=complex).reshape(n, p, p))
+    diag = _freeze(np.array(jp.diag[:n], dtype=complex).reshape(n, p, p))
     b_inv = np.linalg.inv(off)
     sub = np.zeros_like(off)
     sub[1:] = np.conj(np.swapaxes(off[:-1], 1, 2))         # A_{k,k-1}
@@ -261,7 +262,7 @@ def _recurrence(j: BlockJacobiMatrix, n: int):
     if p == 1:
         b, a, ac = (diag.ravel().tolist(), off.ravel().tolist(),
                     off.ravel().conj().tolist())
-    rec = (plan, b, a, ac)
+    rec = (plan, diag, off, b, a, ac)
     j.memo["recurrence"] = rec
     return rec
 
@@ -431,7 +432,7 @@ def _scalar_series(j, w: complex, v: complex, weight, start, watch,
     among those ``watch`` flags.  Returns (sums, n_used, tail_norm,
     converged).
     """
-    _, b, a, ac = _recurrence(j, n_terms)
+    b, a, ac = _recurrence(j, n_terms)[3:]
     d0 = complex(seeds[0][0, 0])
     e1 = 1.0 / (a[0] * d0.conjugate()) if n_terms >= 1 else 0j
     wd, we = weight or (None, None)

@@ -45,9 +45,10 @@ def random_nonsingular(p, rng, scale=1.0):
 def random_regular(p, n_blocks, rng, scale=0.4):
     """Random regular block Jacobi matrix with O(1) spectral radius.
 
-    Degree peeling amplifies rounding like (spectral radius)^degree, so
-    block norms are pinned at a moderate scale to keep degree-30 algebra
-    accurate to ~1e-12.
+    Degree peeling amplifies rounding like (spectral radius)^degree, so the
+    default pins block norms at 0.4 to keep degree-30 algebra accurate to
+    ~1e-12.  The pin serves only the degree-peeling tests of ``form`` and
+    ``expand``; code that does not peel is tested with ``scale`` >= 1 too.
     """
     def herm():
         h = random_hermitian(p, rng)

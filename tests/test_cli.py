@@ -86,6 +86,18 @@ def test_exit_2_on_refusal_and_indecision(capsys):
     assert code == 2 and "indecisive" in err
 
 
+def test_exit_2_on_positive_moments_that_cannot_be_certified(tmp_path,
+                                                             capsys):
+    code, out, _ = run_capture(
+        ["moments", "--jacobi", "ch.json", "--n", "30", "--json"], capsys)
+    assert code == 0
+    mfile = tmp_path / "m.json"
+    mfile.write_text(out)
+    code, _, err = run_capture(
+        ["invert-moments", "--moments", str(mfile), "--json"], capsys)
+    assert code == 2 and "numerical failure" in err and "section 14" in err
+
+
 def test_moments_invert_moments_pipeline(tmp_path, capsys):
     # moments | invert-moments | moments is a fixed point on the depth the
     # recovered prefix supports (the serialized document drops the

@@ -1,11 +1,14 @@
+import mpmath
 import numpy as np
 import pytest
 
-from blockmoment import (MomentSequence, StepMeasure, hankel_positive,
+from blockmoment import (MatrixPoly, MomentSequence, StepMeasure, form,
+                         generate_first_kind, hankel_positive,
                          jacobi_from_moments, moments_from_jacobi,
                          moments_of_measure, moments_oracle)
 from blockmoment.errors import (IllConditionedError, InvalidInputError,
                                 OutOfRangeError)
+from blockmoment.jacobi import truncate
 from blockmoment.moments import block_hankel
 
 from conftest import (random_hermitian, random_regular, random_regular_growing,
@@ -40,15 +43,67 @@ def test_oracle_examples(ch):
     assert moments_oracle(ch, 2)[0, 0] == pytest.approx(0.25)
 
 
+def small_n_matrices(ch, ind, ds, rng):
+    return [ch, ind, ds, random_regular(2, 14, rng),
+            random_regular(3, 14, rng), random_regular(2, 14, rng),
+            random_regular(3, 14, rng), random_regular_growing(2, 14, rng),
+            random_regular_growing(3, 14, rng)]
+
+
 def test_oracle_equivalence(ch, ind, ds, rng):
-    js = [ch, ind, ds, random_regular(2, 14, rng), random_regular(3, 14, rng),
-          random_regular(2, 14, rng), random_regular(3, 14, rng),
-          random_regular_growing(2, 14, rng),
-          random_regular_growing(3, 14, rng)]
-    for j in js:
+    for j in small_n_matrices(ch, ind, ds, rng):
         s = moments_from_jacobi(j, 12)
         for n in range(13):
             assert rel_err(s.S[n], moments_oracle(j, n)) < 1e-10
+
+
+def test_moments_match_the_form_definition(ch, ind, ds, rng):
+    # S_n = {lam^n I, I} through degree peeling, with and without D_0
+    d0 = np.array([[2.0, 1.0j], [0.5, 1.0]])
+    cases = [(j, None) for j in small_n_matrices(ch, ind, ds, rng)]
+    cases.append((random_regular(2, 14, rng), d0))
+    for j, d in cases:
+        basis = generate_first_kind(j, 12, d)
+        ident = MatrixPoly.constant(np.eye(j.p))
+        s = moments_from_jacobi(j, 12, d)
+        for n in range(13):
+            want = form(MatrixPoly.monomial(n, np.eye(j.p)), ident, basis)
+            assert rel_err(s.S[n], want) < 1e-10
+
+
+def mpmath_moments(j, n_max, dps=60):
+    """(J^n)_{00}, n = 0..n_max, as J^n E_0 on a truncation in mpmath.
+
+    Row r of J^n E_0 is sum_c J[r, c] (J^{n-1} E_0)[c]; the truncation to
+    n_max // 2 + 1 blocks holds every walk that returns to block 0.
+    """
+    t = truncate(j, n_max // 2 + 1)
+    p = j.p
+    with mpmath.workdps(dps):
+        rows = [[(c, mpmath.mpc(complex(v))) for c, v in enumerate(row)
+                 if v != 0] for row in t]
+        col = [[mpmath.mpc(int(r == c)) for c in range(p)]
+               for r in range(len(t))]
+        out = []
+        for _ in range(n_max + 1):
+            out.append(np.array([[complex(v) for v in r] for r in col[:p]]))
+            col = [[mpmath.fsum(v * col[c][k] for c, v in row)
+                    for k in range(p)] for row in rows]
+    return out
+
+
+def test_moments_match_a_60_digit_reference(ind, ds, rng):
+    # no degree-peeling pin: bounded blocks of norm 1 and 2, and growing ones
+    js = [ind, ds]
+    for p in (1, 2, 3):
+        js += [random_regular(p, 31, rng, scale=1.0),
+               random_regular(p, 31, rng, scale=2.0),
+               random_regular_growing(p, 31, rng)]
+    for j in js:
+        s = moments_from_jacobi(j, 30)
+        # a vanishing reference (odd moments of ind, ds) is matched exactly
+        for got, want in zip(s.S, mpmath_moments(j, 30), strict=True):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_oracle_out_of_range():
@@ -131,6 +186,17 @@ def test_invert_ds_round_trip(ds):
 def test_invert_rejects_nonpositive():
     with pytest.raises(InvalidInputError):
         jacobi_from_moments(scalar_seq(1.0, 2.0, 4.0))
+
+
+def test_invert_positive_but_uncertifiable_is_ill_conditioned(ch):
+    # section 14 of the ch moments S_0..S_30 has a positive min eigenvalue
+    # below the certification floor: a numerical failure, not bad input
+    s = moments_from_jacobi(ch, 30)
+    rep = hankel_positive(s)
+    assert rep.first_bad_section == 14 and rep.min_eigenvalue > 0
+    with pytest.raises(IllConditionedError, match="section 14") as e:
+        jacobi_from_moments(s)
+    assert e.value.step == 14
 
 
 def test_invert_refuses_ill_conditioned():

@@ -59,7 +59,7 @@ class PositivityReport:
     When not positive, ``first_bad_section`` is the smallest n whose section
     [S_{j+k}]_{j,k<=n} fails and ``min_eigenvalue`` its offending smallest
     eigenvalue; when positive, ``min_eigenvalue`` is the smallest eigenvalue
-    seen across all sections.
+    of the largest section, by interlacing the smallest across all sections.
     """
 
     positive: bool
@@ -86,21 +86,26 @@ def hankel_positive(s: MomentSequence,
     """Check positive definiteness of every available Hankel section.
 
     A section passes when its smallest eigenvalue exceeds
-    psd_tol * |largest eigenvalue|.  An odd trailing moment cannot complete
-    a section and is ignored, flagged in the report.
+    psd_tol * |largest eigenvalue|.  When the largest section passes, every
+    leading section does by Cauchy interlacing; only otherwise are they
+    scanned.  An odd trailing moment cannot complete a section and is
+    ignored, flagged in the report.
     """
-    m = s.order
-    odd = (m % 2 == 1)
-    n_max = m // 2
-    worst = np.inf
-    for n in range(n_max + 1):
+    odd = (s.order % 2 == 1)
+    n_max = s.order // 2
+
+    def bounds(n):
         w = np.linalg.eigvalsh(mk.hermitian_part(block_hankel(s, n)))
-        scale = float(np.abs(w).max())
-        lo = float(w[0])
-        if lo <= psd_tol * scale:
-            return PositivityReport(False, n, lo, odd)
-        worst = min(worst, lo)
-    return PositivityReport(True, None, worst, odd)
+        return float(w[0]), float(np.abs(w).max())
+
+    lo, scale = bounds(n_max)
+    if lo > psd_tol * scale:
+        return PositivityReport(True, None, lo, odd)
+    for n in range(n_max):
+        sub_lo, sub_scale = bounds(n)
+        if sub_lo <= psd_tol * sub_scale:
+            return PositivityReport(False, n, sub_lo, odd)
+    return PositivityReport(False, n_max, lo, odd)
 
 
 def moments_from_jacobi(j: BlockJacobiMatrix, n_max: int,

@@ -26,9 +26,11 @@ together as the columns of one (p, W) matrix, one small GEMM per step,
 and series terms are formed per chunk of steps by one batched matmul;
 ``_SeriesAccumulator`` is the one series stop rule.  Symbolically, the
 same step runs on coefficients laid side by side.  For p = 1 and at most
-two points (a left point w and a right point v) the scalar path
-``_scalar_series`` runs the same recurrence in plain complex arithmetic on
-coefficient lists kept with the plan.
+two points (a left point w and a right point v: the quartet, the
+extremal transform, and an extension bracket at one point, which is a
+one-minimum spectrum refinement or a caller's single-point probe) the
+scalar path ``_scalar_series`` runs the same recurrence in plain complex
+arithmetic on coefficient lists kept with the plan.
 """
 
 from dataclasses import dataclass

@@ -6,6 +6,7 @@ from blockmoment import (MatrixPoly, MomentSequence, StepMeasure, form,
                          generate_first_kind, hankel_positive,
                          jacobi_from_moments, moments_from_jacobi,
                          moments_of_measure, moments_oracle)
+from blockmoment import matkernel as mk
 from blockmoment.errors import (IllConditionedError, InvalidInputError,
                                 OutOfRangeError)
 from blockmoment.jacobi import truncate
@@ -138,6 +139,41 @@ def test_hankel_odd_tail_flagged(ch):
     s = moments_from_jacobi(ch, 3)
     rep = hankel_positive(s)
     assert rep.positive and rep.odd_tail_ignored
+
+
+def scanned_report(s, psd_tol=mk.PSD_TOL):
+    """PositivityReport by one eigvalsh per leading section, smallest first."""
+    worst = np.inf
+    for n in range(s.order // 2 + 1):
+        h = np.block([[s.S[j + k] for k in range(n + 1)]
+                      for j in range(n + 1)])
+        w = np.linalg.eigvalsh(0.5 * (h + h.conj().T))
+        if w[0] <= psd_tol * np.abs(w).max():
+            return (False, n, w[0], s.order % 2 == 1)
+        worst = min(worst, w[0])
+    return (True, None, worst, s.order % 2 == 1)
+
+
+def test_hankel_positive_matches_a_section_by_section_scan(ch, ind, ds, rng):
+    seqs = [moments_from_jacobi(ch, 30), moments_from_jacobi(ind, 9),
+            moments_from_jacobi(ds, 12), scalar_seq(1.0, 2.0, 4.0),
+            MomentSequence(2, (np.eye(2), np.zeros((2, 2)),
+                               np.zeros((2, 2))))]
+    for p in (1, 2, 3):
+        for depth in (4, 7, 12, 16):
+            seqs.append(moments_from_jacobi(
+                random_regular(p, depth + 1, rng, scale=1.0), depth))
+    # a point mass: positive S_0, singular from section 1 on
+    seqs.append(moments_of_measure(
+        StepMeasure(1, np.array([2.0]), np.array([[[1.0]]])), 6))
+    seen = set()
+    for s in seqs:
+        rep = hankel_positive(s)
+        want = scanned_report(s)
+        assert (rep.positive, rep.first_bad_section, rep.min_eigenvalue,
+                rep.odd_tail_ignored) == want
+        seen.add(rep.positive)
+    assert seen == {True, False}
 
 
 def test_hankel_quadratic_form_identity(ch, rng):

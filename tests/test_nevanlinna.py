@@ -12,6 +12,7 @@ from blockmoment import (BlockJacobiMatrix, Determinacy, DeterminacyClass,
                          second_kind, stieltjes_invert, stieltjes_transform,
                          transform_extremal, transform_from_V)
 from blockmoment import matkernel as mk
+from blockmoment import nevanlinna
 from blockmoment.errors import (HalfPlaneError, InvalidInputError,
                                 PoleError, RefusedError)
 from blockmoment.polys import (_d0_seeds, _scalar_series, _series,
@@ -557,6 +558,49 @@ def test_pole_blowup_at_roots(ind, ind_cls):
     for r in roots:
         m = transform_from_V(ind, complex(r, 1e-6), u, determinacy=ind_cls)
         assert mk.spectral_norm(m) > 1e3
+
+
+def test_extension_spectrum_double_roots_are_found_once(ind, ind_cls):
+    # the direct sum of two ind copies: with U = I every root of ind's
+    # U = 1 spectrum is a double root, where |det| touches zero without a
+    # sign change
+    def rule(k):
+        return np.zeros((2, 2)), float((k + 1) ** 2) * np.eye(2)
+
+    n = len(ind.diag)
+    twice = BlockJacobiMatrix(2, tuple(rule(k)[0] for k in range(n)),
+                              tuple(rule(k)[1] for k in range(n - 1)), rule)
+    cls = DeterminacyClass(Determinacy.COMPLETELY_INDETERMINATE, 2, 2)
+    want = extension_spectrum(ind, np.eye(1), (-10, 10), determinacy=ind_cls)
+    got = extension_spectrum(twice, np.eye(2), (-10, 10), determinacy=cls)
+    assert len(want) >= 3
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-12 * (1.0 + abs(w))
+
+
+def test_extension_spectrum_refines_all_minima_in_one_batched_pass(
+        monkeypatch, ind, ind_cls):
+    # one grid call, the two opening probes and 72 golden-section steps
+    # over every minimum at once, and one acceptance call
+    calls = []
+    bracket_values = nevanlinna._bracket_values
+
+    def counted(j, u, lam, *args):
+        calls.append(lam.size)
+        return bracket_values(j, u, lam, *args)
+
+    monkeypatch.setattr(nevanlinna, "_bracket_values", counted)
+    ci = ci_matrix(np.random.default_rng(5), 2, 420, rule=True)
+    cls = DeterminacyClass(Determinacy.COMPLETELY_INDETERMINATE, 2, 2)
+    for j, u, c in ((ind, np.eye(1), ind_cls),
+                    (ci, random_unitary(2, np.random.default_rng(6)), cls)):
+        calls.clear()
+        roots = extension_spectrum(j, u, (-10, 10), determinacy=c)
+        assert len(calls) == 1 + 2 + 72 + 1
+        assert calls[0] == 2001 and set(calls[1:]) == {calls[1]}
+        assert calls[1] >= 5                      # minima refined together
+        assert len(roots) >= 3
 
 
 def non_regular_matrix(p, case):

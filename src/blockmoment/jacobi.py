@@ -114,8 +114,7 @@ class RegularityReport:
     first_violation: tuple[int, str, float] | None = None
 
 
-def validate_regular(j: BlockJacobiMatrix,
-                     reg_tol: float = REG_TOL) -> RegularityReport:
+def validate_regular(j: BlockJacobiMatrix) -> RegularityReport:
     """Check Hermitian diagonal blocks and nonsingular super-diagonals.
 
     Violations are reported, not raised; the first one in scan order
@@ -129,7 +128,7 @@ def validate_regular(j: BlockJacobiMatrix,
     # entry 2k is diagonal block k, entry 2k + 1 off-diagonal block k
     bad = np.zeros(2 * j.n_blocks, dtype=bool)
     bad[0::2] = defect > mk.HERMITIAN_TOL * scale
-    bad[1:2 * len(off):2] = s[:, -1] <= reg_tol * np.maximum(1.0, s[:, 0])
+    bad[1:2 * len(off):2] = s[:, -1] <= REG_TOL * np.maximum(1.0, s[:, 0])
     if not bad.any():
         return RegularityReport(True, None)
     k, is_off = divmod(int(np.argmax(bad)), 2)

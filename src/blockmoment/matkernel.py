@@ -33,22 +33,30 @@ def as_complex_matrix(a, p: int | None = None) -> np.ndarray:
     return m
 
 
+def _require_finite(x, what: str):
+    """Return ``x``, a point or array of points, if all entries are finite."""
+    a = np.asarray(x)
+    if not np.isfinite(a).all():
+        raise InvalidInputError(
+            f"{what} must be finite, got {a[~np.isfinite(a)].flat[0]}")
+    return x
+
+
 def hermitian_defect(a) -> float:
     """max |a_ij - conj(a_ji)|."""
     m = np.asarray(a, dtype=complex)
     return float(np.abs(m - m.conj().T).max())
 
 
-def is_hermitian(a, tol: float = HERMITIAN_TOL) -> bool:
+def is_hermitian(a) -> bool:
     m = np.asarray(a, dtype=complex)
     scale = 1.0 + (float(np.abs(m).max()) if m.size else 0.0)
-    return hermitian_defect(m) <= tol * scale
+    return hermitian_defect(m) <= HERMITIAN_TOL * scale
 
 
-def require_hermitian(a, tol: float = HERMITIAN_TOL,
-                      what: str = "matrix") -> np.ndarray:
+def require_hermitian(a, what: str = "matrix") -> np.ndarray:
     m = as_complex_matrix(a)
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         raise InvalidInputError(
             f"{what} is not Hermitian (defect {hermitian_defect(m):.3e})")
     return m
@@ -63,11 +71,6 @@ def spectral_norm(c) -> float:
     """Largest singular value: the smallest mu >= 0 with C*C <= mu^2 I."""
     m = as_complex_matrix(c)
     return float(np.linalg.svd(m, compute_uv=False)[0])
-
-
-def min_singular_value(c) -> float:
-    m = as_complex_matrix(c)
-    return float(np.linalg.svd(m, compute_uv=False)[-1])
 
 
 def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
@@ -105,24 +108,24 @@ def numerical_rank(h, rel_tol: float = 1e-8) -> int:
     return int(np.count_nonzero(w > threshold))
 
 
-def _pd_eig(h, pd_tol: float, what: str) -> tuple[np.ndarray, np.ndarray]:
+def _pd_eig(h) -> tuple[np.ndarray, np.ndarray]:
     w, v = hermitian_eig(h)
-    floor = pd_tol * max(1.0, float(w[-1]))
+    floor = PD_TOL * max(1.0, float(w[-1]))
     if w[0] <= floor:
         raise SingularInputError(
-            f"{what} is not positive definite "
+            "matrix is not positive definite "
             f"(min eigenvalue {w[0]:.3e}, floor {floor:.3e})",
             min_eigenvalue=float(w[0]))
     return w, v
 
 
-def hermitian_sqrt(h, pd_tol: float = PD_TOL) -> np.ndarray:
+def hermitian_sqrt(h) -> np.ndarray:
     """Principal (Hermitian positive definite) square root."""
-    w, v = _pd_eig(h, pd_tol, "matrix")
+    w, v = _pd_eig(h)
     return hermitian_part((v * np.sqrt(w)) @ v.conj().T)
 
 
-def hermitian_inv_sqrt(h, pd_tol: float = PD_TOL) -> np.ndarray:
+def hermitian_inv_sqrt(h) -> np.ndarray:
     """Principal K with K @ H @ K = I, for Hermitian positive definite H."""
-    w, v = _pd_eig(h, pd_tol, "matrix")
+    w, v = _pd_eig(h)
     return hermitian_part((v / np.sqrt(w)) @ v.conj().T)

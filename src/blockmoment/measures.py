@@ -49,19 +49,12 @@ class StepMeasure:
         return int(self.nodes.size)
 
 
-def _default_node_tol(nodes: np.ndarray) -> float:
-    span = float(np.abs(nodes).max()) if nodes.size else 0.0
-    return 1e-12 * max(1.0, span)
-
-
-def normalize(t: StepMeasure, node_tol: float | None = None,
-              drop_tol: float = 0.0, psd_tol: float = mk.PSD_TOL) -> StepMeasure:
+def normalize(t: StepMeasure) -> StepMeasure:
     """Sort nodes, merge duplicates, drop zero weights, validate PSD.
 
-    Nodes within ``node_tol`` of each other are merged by weight addition
-    (default: 1e-12 relative to the largest node magnitude).  Weights whose
-    spectral norm is <= ``drop_tol`` are dropped (exact zeros by default).
-    A weight with an eigenvalue below -psd_tol * (1 + |W|) is rejected.
+    Nodes within 1e-12 * max(1, largest |node|) of each other are merged
+    by weight addition, and exactly zero weights are dropped.  A weight
+    with an eigenvalue below -mk.PSD_TOL * (1 + |W|) is rejected.
     """
     if t.n_nodes == 0:
         return t
@@ -69,13 +62,13 @@ def normalize(t: StepMeasure, node_tol: float | None = None,
         w = t.weights[i]
         mk.require_hermitian(w, what=f"weight {i}")
         lo = mk.min_eigenvalue(w)
-        if lo < -psd_tol * (1.0 + mk.spectral_norm(w)):
+        if lo < -mk.PSD_TOL * (1.0 + mk.spectral_norm(w)):
             raise InvalidMeasureError(
                 f"weight {i} has negative eigenvalue {lo:.3e}")
     order = np.argsort(t.nodes, kind="stable")
     nodes = t.nodes[order]
     weights = t.weights[order]
-    tol = _default_node_tol(nodes) if node_tol is None else node_tol
+    tol = 1e-12 * max(1.0, float(np.abs(nodes).max()))
     out_nodes: list[float] = []
     out_weights: list[np.ndarray] = []
     for lam, w in zip(nodes, weights):
@@ -85,7 +78,7 @@ def normalize(t: StepMeasure, node_tol: float | None = None,
             out_nodes.append(float(lam))
             out_weights.append(np.array(w))
     keep = [i for i, w in enumerate(out_weights)
-            if mk.spectral_norm(w) > drop_tol]
+            if mk.spectral_norm(w) > 0.0]
     return StepMeasure(t.p, np.array([out_nodes[i] for i in keep]),
                        np.array([out_weights[i] for i in keep]).reshape(
                            len(keep), t.p, t.p))
@@ -99,6 +92,7 @@ def total_mass(t: StepMeasure) -> np.ndarray:
 
 def cumulative(t: StepMeasure, lam: float) -> np.ndarray:
     """T(lam): sum of weights at nodes strictly below lam (left continuous)."""
+    mk._require_finite(lam, "lam")
     out = np.zeros((t.p, t.p), dtype=complex)
     if t.n_nodes == 0:
         return out
@@ -110,7 +104,7 @@ def cumulative(t: StepMeasure, lam: float) -> np.ndarray:
 
 def stieltjes_transform(t: StepMeasure, z: complex) -> np.ndarray:
     """m(z) = sum_j W_j / (lam_j - z); pole error within 1e-14 of a node."""
-    z = complex(z)
+    z = mk._require_finite(complex(z), "z")
     if t.n_nodes == 0:
         return np.zeros((t.p, t.p), dtype=complex)
     d = t.nodes - z

@@ -77,33 +77,35 @@ def block_hankel(s: MomentSequence, n: int) -> np.ndarray:
         raise OutOfRangeError(
             f"Hankel section {n} needs S_{2 * n} but only S_{s.order} "
             "is available")
-    return np.block([[s.S[j + k] for k in range(n + 1)]
-                     for j in range(n + 1)])
+    m = (n + 1) * s.p
+    index = np.add.outer(range(n + 1), range(n + 1))
+    return np.stack(s.S)[index].transpose(0, 2, 1, 3).reshape(m, m)
 
 
-def hankel_positive(s: MomentSequence,
-                    psd_tol: float = mk.PSD_TOL) -> PositivityReport:
+def hankel_positive(s: MomentSequence) -> PositivityReport:
     """Check positive definiteness of every available Hankel section.
 
     A section passes when its smallest eigenvalue exceeds
-    psd_tol * |largest eigenvalue|.  When the largest section passes, every
-    leading section does by Cauchy interlacing; only otherwise are they
-    scanned.  An odd trailing moment cannot complete a section and is
-    ignored, flagged in the report.
+    mk.PSD_TOL * |largest eigenvalue|.  When the largest section passes,
+    every leading section does by Cauchy interlacing; only otherwise are
+    they scanned, as leading blocks of the largest.  An odd trailing moment
+    cannot complete a section and is ignored, flagged in the report.
     """
     odd = (s.order % 2 == 1)
     n_max = s.order // 2
+    h = mk.hermitian_part(block_hankel(s, n_max))
 
     def bounds(n):
-        w = np.linalg.eigvalsh(mk.hermitian_part(block_hankel(s, n)))
+        m = (n + 1) * s.p
+        w = np.linalg.eigvalsh(h[:m, :m])
         return float(w[0]), float(np.abs(w).max())
 
     lo, scale = bounds(n_max)
-    if lo > psd_tol * scale:
+    if lo > mk.PSD_TOL * scale:
         return PositivityReport(True, None, lo, odd)
     for n in range(n_max):
         sub_lo, sub_scale = bounds(n)
-        if sub_lo <= psd_tol * sub_scale:
+        if sub_lo <= mk.PSD_TOL * sub_scale:
             return PositivityReport(False, n, sub_lo, odd)
     return PositivityReport(False, n_max, lo, odd)
 
@@ -150,9 +152,7 @@ def moments_oracle(j: BlockJacobiMatrix, n: int) -> np.ndarray:
     return mk.hermitian_part(power[:j.p, :j.p])
 
 
-def jacobi_from_moments(s: MomentSequence,
-                        psd_tol: float = mk.PSD_TOL,
-                        pd_tol: float = mk.PD_TOL
+def jacobi_from_moments(s: MomentSequence
                         ) -> tuple[BlockJacobiMatrix, np.ndarray]:
     """Inverse map: block Lanczos in the moment inner product.
 
@@ -176,14 +176,14 @@ def jacobi_from_moments(s: MomentSequence,
     InvalidInputError, or IllConditionedError (``step`` the section) when
     the failing section's smallest eigenvalue is positive but uncertifiable.
     """
-    report = hankel_positive(s, psd_tol)
+    report = hankel_positive(s)
     if not report.positive:
         bad, lo = report.first_bad_section, report.min_eigenvalue
         if lo > 0:
             raise IllConditionedError(
                 f"moment sequence cannot be certified positive: Hankel "
                 f"section {bad} has min eigenvalue {lo:.3e} > 0, at most "
-                f"{psd_tol:.0e} times its largest", step=bad)
+                f"{mk.PSD_TOL:.0e} times its largest", step=bad)
         raise InvalidInputError(
             f"moment sequence is not positive: Hankel section {bad} has "
             f"min eigenvalue {lo:.3e}")
@@ -204,7 +204,7 @@ def jacobi_from_moments(s: MomentSequence,
         resid = lam_cur - a_kk @ cur - b.conj().T @ prev
         gram = mk.hermitian_part(resid @ h @ resid.conj().T)
         w, v = np.linalg.eigh(gram)
-        if w[0] <= pd_tol * max(1.0, float(w[-1])):
+        if w[0] <= mk.PD_TOL * max(1.0, float(w[-1])):
             raise IllConditionedError(
                 f"Gram matrix at step {k + 1} is numerically singular "
                 f"(min eigenvalue {w[0]:.3e}); refusing to continue", step=k + 1)

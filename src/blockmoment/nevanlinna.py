@@ -45,8 +45,7 @@ from .errors import (HalfPlaneError, InvalidInputError,
 from .jacobi import BlockJacobiMatrix
 from .polys import (MatrixPoly, OrthoBasis, _available_terms, _coefficients,
                     _d0_seeds, _scalar_series, _series)
-from .spectral import (KERNEL_N_MAX, Determinacy, DeterminacyClass, classify,
-                       kernel_partial)
+from .spectral import Determinacy, DeterminacyClass, classify, kernel_partial
 
 SERIES_TOL = 1e-12
 SERIES_N_MAX = 400
@@ -123,9 +122,8 @@ def _quartet_sums(j, z, n_terms, series_tol, seeds):
             tail, converged)
 
 
-def _ensure_completely_indeterminate(j, determinacy, n_max_classify):
-    cls = classify(j, n_max=n_max_classify) if determinacy is None \
-        else determinacy
+def _ensure_completely_indeterminate(j, determinacy):
+    cls = classify(j) if determinacy is None else determinacy
     if not isinstance(cls, DeterminacyClass):
         raise InvalidInputError("determinacy must be a DeterminacyClass")
     if cls.kind is not Determinacy.COMPLETELY_INDETERMINATE:
@@ -136,8 +134,7 @@ def _ensure_completely_indeterminate(j, determinacy, n_max_classify):
 
 def quartet(j: BlockJacobiMatrix, z: complex, n_max: int = SERIES_N_MAX,
             series_tol: float = SERIES_TOL, d0=None,
-            determinacy: DeterminacyClass | None = None,
-            n_max_classify: int = KERNEL_N_MAX) -> QuartetValue:
+            determinacy: DeterminacyClass | None = None) -> QuartetValue:
     """Evaluate F1, F2, G1, G2 at ``z`` by truncated series.
 
     Refused unless the problem is completely indeterminate (pass a
@@ -147,10 +144,10 @@ def quartet(j: BlockJacobiMatrix, z: complex, n_max: int = SERIES_N_MAX,
     Values are returned either way, with the last increment size in
     ``tail_norm``.
     """
+    z = mk._require_finite(complex(z), "z")
     seeds = _d0_seeds(d0, j.p)
-    _ensure_completely_indeterminate(j, determinacy, n_max_classify)
-    z = complex(z)
     n_terms = _available_terms(j, n_max)
+    _ensure_completely_indeterminate(j, determinacy)
     f1, f2, g1, g2, n_used, tail, conv = _quartet_sums(j, z, n_terms,
                                                        series_tol, seeds)
     return QuartetValue(z=z, f1=f1, f2=f2, g1=g1, g2=g2, n_used=n_used,
@@ -179,8 +176,8 @@ def _pair_sums(j, z, xi, n_terms, series_tol, seeds):
 def transform_extremal(j: BlockJacobiMatrix, xi: float, z: complex,
                        n_max: int = SERIES_N_MAX,
                        series_tol: float = SERIES_TOL, d0=None,
-                       determinacy: DeterminacyClass | None = None,
-                       n_max_classify: int = KERNEL_N_MAX) -> np.ndarray:
+                       determinacy: DeterminacyClass | None = None
+                       ) -> np.ndarray:
     """Stieltjes transform of the extremal solution T_xi, for Im z < 0.
 
     T_xi is the unique normalized solution attaining the maximal jump at
@@ -192,14 +189,14 @@ def transform_extremal(j: BlockJacobiMatrix, xi: float, z: complex,
     leading sign is fixed so that m is a genuine Stieltjes transform
     (Herglotz in the lower half-plane, positive extremal mass).
     """
-    z = complex(z)
-    xi = float(xi)
+    z = mk._require_finite(complex(z), "z")
+    xi = mk._require_finite(float(xi), "xi")
     if z.imag >= 0:
         raise HalfPlaneError(
             f"extremal transform is defined for Im z < 0, got z={z}")
     seeds = _d0_seeds(d0, j.p)
-    _ensure_completely_indeterminate(j, determinacy, n_max_classify)
     n_terms = _available_terms(j, n_max)
+    _ensure_completely_indeterminate(j, determinacy)
     num, den, _ = _pair_sums(j, z, xi, n_terms, series_tol, seeds)
     p = num.shape[0]
     svals = np.linalg.svd(den, compute_uv=False)
@@ -242,8 +239,8 @@ def _contraction_value(v, p, z):
 def transform_from_V(j: BlockJacobiMatrix, z: complex, v,
                      n_max: int = SERIES_N_MAX,
                      series_tol: float = SERIES_TOL, d0=None,
-                     determinacy: DeterminacyClass | None = None,
-                     n_max_classify: int = KERNEL_N_MAX) -> np.ndarray:
+                     determinacy: DeterminacyClass | None = None
+                     ) -> np.ndarray:
     """Stieltjes transform of the solution parametrized by V, Im z > 0.
 
         m(z) = [F1(I+V) + i F2(I-V)] [G1(I+V) + i G2(I-V)]^{-1}.
@@ -261,13 +258,14 @@ def transform_from_V(j: BlockJacobiMatrix, z: complex, v,
     family with the same unitary members, so interior members are best
     trusted at moderate distance from the axis.
     """
-    z = complex(z)
+    z = mk._require_finite(complex(z), "z")
     if z.imag <= 0:
         raise HalfPlaneError(
             f"the V-parametrization is defined for Im z > 0, got z={z}")
-    cls = _ensure_completely_indeterminate(j, determinacy, n_max_classify)
+    n_terms = _available_terms(j, n_max)
+    cls = _ensure_completely_indeterminate(j, determinacy)
     vm = _contraction_value(v, j.p, z)
-    q = quartet(j, z, n_max=n_max, series_tol=series_tol, d0=d0,
+    q = quartet(j, z, n_max=n_terms, series_tol=series_tol, d0=d0,
                 determinacy=cls)
     eye = np.eye(j.p, dtype=complex)
     plus = eye + vm
@@ -330,7 +328,7 @@ def extension_bracket(j: BlockJacobiMatrix, u, lams,
     """
     u = _require_unitary(u, j.p)
     seeds = _d0_seeds(d0, j.p)
-    lam = np.asarray(lams, dtype=float).reshape(-1)
+    lam = mk._require_finite(np.asarray(lams, dtype=float).reshape(-1), "lam")
     return _bracket_values(j, u, lam, _available_terms(j, n_max), series_tol,
                            seeds)
 
@@ -338,13 +336,12 @@ def extension_bracket(j: BlockJacobiMatrix, u, lams,
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_min(f, lo: np.ndarray, hi: np.ndarray,
-                iters: int = 72) -> np.ndarray:
-    """Golden-section minimizers of many intervals at once (deterministic
-    iteration count): one call of ``f`` per iteration over all probes."""
+def _golden_min(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Golden-section minimizers of many intervals at once (a deterministic
+    72 iterations): one call of ``f`` per iteration over all probes."""
     c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(72):
         left = fc <= fd
         lo, hi = np.where(left, lo, c), np.where(left, d, hi)
         w = _INVPHI * (hi - lo)
@@ -357,29 +354,30 @@ def _golden_min(f, lo: np.ndarray, hi: np.ndarray,
 
 
 def extension_spectrum(j: BlockJacobiMatrix, u, interval, grid: int = DEFAULT_GRID,
-                       root_tol: float = ROOT_TOL, n_max: int = SERIES_N_MAX,
+                       n_max: int = SERIES_N_MAX,
                        series_tol: float = SERIES_TOL, d0=None,
-                       determinacy: DeterminacyClass | None = None,
-                       n_max_classify: int = KERNEL_N_MAX) -> list[float]:
+                       determinacy: DeterminacyClass | None = None
+                       ) -> list[float]:
     """Real roots of det[G1(I+U) + i G2(I-U)] on [a, b], sorted ascending.
 
     Scans |det| on a uniform grid and refines all local minima together
     by golden section, one batched bracket evaluation per iteration (76
     evaluations in all, whatever the number of minima).  A candidate is
     accepted only when the smallest singular value of the bracket matrix
-    falls below ``root_tol`` times the local bracket scale (largest
+    falls below ROOT_TOL times the local bracket scale (largest
     singular value over the refined point and its bracketing grid points),
     and dropped within 1e-9 (relative) of the accepted root before it.
     """
-    a, b = (float(interval[0]), float(interval[1]))
+    a, b = mk._require_finite((float(interval[0]), float(interval[1])),
+                              "interval end")
     if not a < b:
         raise InvalidInputError(f"interval must satisfy a < b, got [{a}, {b}]")
     if grid < 8:
         raise InvalidInputError("grid must be >= 8")
     u = _require_unitary(u, j.p)
     seeds = _d0_seeds(d0, j.p)
-    _ensure_completely_indeterminate(j, determinacy, n_max_classify)
     n_terms = _available_terms(j, n_max)
+    _ensure_completely_indeterminate(j, determinacy)
 
     def bracket(points):
         return _bracket_values(j, u, points, n_terms, series_tol, seeds)
@@ -396,7 +394,7 @@ def extension_spectrum(j: BlockJacobiMatrix, u, interval, grid: int = DEFAULT_GR
                            lams[lo], lams[hi])
     s = np.linalg.svd(bracket(lam_star), compute_uv=False)
     scale = np.max([s[:, 0], smax[lo], smax[hi]], axis=0).clip(1e-300)
-    roots = np.sort(lam_star[s[:, -1] < root_tol * scale])
+    roots = np.sort(lam_star[s[:, -1] < ROOT_TOL * scale])
     fresh = np.diff(roots, prepend=-np.inf) > 1e-9 * (1.0 + np.abs(roots))
     return roots[fresh].tolist()
 
@@ -415,11 +413,11 @@ def stieltjes_invert(sampler, grid, eta: float) -> list:
     (density ``None``) instead of aborting the table; any other exception
     propagates.
     """
-    if not eta > 0:
+    if not mk._require_finite(eta, "eta") > 0:
         raise InvalidInputError("eta must be positive")
     rows = []
     for lam in grid:
-        lam = float(lam)
+        lam = mk._require_finite(float(lam), "grid point")
         try:
             m = mk.as_complex_matrix(sampler(lam + 1j * eta))
             dens = mk.hermitian_part((m - m.conj().T) / 2j) / np.pi

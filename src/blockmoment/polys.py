@@ -153,7 +153,8 @@ class OrthoBasis:
 
 def _require_nonsingular(c, what: str) -> np.ndarray:
     m = mk.as_complex_matrix(c)
-    if mk.min_singular_value(m) <= REG_TOL * max(1.0, mk.spectral_norm(m)):
+    s = np.linalg.svd(m, compute_uv=False)
+    if s[-1] <= REG_TOL * max(1.0, s[0]):
         raise InvalidInputError(f"{what} is numerically singular")
     return m
 
@@ -270,6 +271,8 @@ def _recurrence(j: BlockJacobiMatrix, n: int):
 
 
 def _available_terms(j: BlockJacobiMatrix, n_max: int) -> int:
+    if n_max < 0:
+        raise InvalidInputError(f"n_max must be >= 0, got {n_max}")
     if j.generator is not None:
         return n_max
     return min(n_max, j.n_blocks - 1)

@@ -108,6 +108,7 @@ def kernel_partial(j: BlockJacobiMatrix, z: complex, n: int,
     Hermitian PSD and >= D_0^H D_0 in the Loewner order; real z is allowed
     (needed for jump bounds).
     """
+    mk._require_finite(z, "z")
     if n < 0:
         raise InvalidInputError("n must be >= 0")
     return _kernel_sum(j, z, n, 0.0, d0)
@@ -136,21 +137,20 @@ def _kernel_history(j, z, n_max, d0):
 
 
 def estimate_H(j: BlockJacobiMatrix, z: complex, n_max: int = KERNEL_N_MAX,
-               growth_factor: float = GROWTH_FACTOR,
-               cap: float = VALUE_CAP, d0=None) -> KernelSummary:
+               d0=None) -> KernelSummary:
     """Classify eigen-directions of K_n(z) and estimate H(z).
 
     A direction with final quadratic-form value v and half-depth value h is
 
-    * diverged   when v >= cap or v/h >= growth_factor,
-    * converged  when v < cap and v/h <= 1 + (growth_factor - 1)/4,
+    * diverged   when v >= VALUE_CAP or v/h >= GROWTH_FACTOR,
+    * converged  when v < VALUE_CAP and v/h <= 1 + (GROWTH_FACTOR - 1)/4,
     * indecisive otherwise (dead zone; reported, never silently resolved).
 
     H(z) is the inverse of the final partial sum restricted to convergent
     directions and zero on the others; the rank r(z) is the number of
     convergent directions.
     """
-    z = complex(z)
+    z = mk._require_finite(complex(z), "z")
     if z.imag == 0:
         raise HalfPlaneError("estimate_H needs Im z != 0")
     if n_max < 4:
@@ -160,7 +160,7 @@ def estimate_H(j: BlockJacobiMatrix, z: complex, n_max: int = KERNEL_N_MAX,
     k_last = mk.hermitian_part(history[-1])
     k_half = mk.hermitian_part(history[n_eff // 2])
     w, v = np.linalg.eigh(k_last)
-    low_band = 1.0 + (growth_factor - 1.0) / 4.0
+    low_band = 1.0 + (GROWTH_FACTOR - 1.0) / 4.0
     checkpoints = sorted({max(0, n_eff // 8), max(0, n_eff // 4),
                           n_eff // 2, n_eff})
     conv, div, dead = [], [], []
@@ -173,7 +173,7 @@ def estimate_H(j: BlockJacobiMatrix, z: complex, n_max: int = KERNEL_N_MAX,
         trajectories.append(tuple(
             (m, float(np.real(vec.conj() @ history[m] @ vec)))
             for m in checkpoints))
-        if value >= cap or ratio >= growth_factor:
+        if value >= VALUE_CAP or ratio >= GROWTH_FACTOR:
             div.append(i)
         elif ratio <= low_band:
             conv.append(i)
@@ -191,9 +191,7 @@ def estimate_H(j: BlockJacobiMatrix, z: complex, n_max: int = KERNEL_N_MAX,
 
 
 def deficiency_indices(j: BlockJacobiMatrix, n_max: int = KERNEL_N_MAX,
-                       sample_points=None,
-                       growth_factor: float = GROWTH_FACTOR,
-                       cap: float = VALUE_CAP) -> DeficiencyReport:
+                       sample_points=None) -> DeficiencyReport:
     """Estimate (nu_+, nu_-) from kernel ranks over half-plane samples.
 
     Decisive only when every sample is decisive and the ranks within each
@@ -202,6 +200,7 @@ def deficiency_indices(j: BlockJacobiMatrix, n_max: int = KERNEL_N_MAX,
     """
     points = tuple(DEFAULT_SAMPLE_POINTS if sample_points is None
                    else (complex(z) for z in sample_points))
+    mk._require_finite(points, "sample point")
     upper = [z for z in points if z.imag > 0]
     lower = [z for z in points if z.imag < 0]
     if any(z.imag == 0 for z in points):
@@ -213,8 +212,7 @@ def deficiency_indices(j: BlockJacobiMatrix, n_max: int = KERNEL_N_MAX,
     def scan(zs):
         samples = []
         for z in zs:
-            est = estimate_H(j, z, n_max=n_max, growth_factor=growth_factor,
-                             cap=cap)
+            est = estimate_H(j, z, n_max=n_max)
             samples.append((z, est.rank, est.decisive))
         ranks = {r for _, r, _ in samples}
         ok = all(d for _, _, d in samples) and len(ranks) == 1
@@ -246,35 +244,29 @@ DEFAULT_GROWTH_DIRECTIONS = (1.0 + 0j,
                              np.exp(3j * np.pi / 4))
 
 
-def growth_diagnostic(j: BlockJacobiMatrix, radii, directions=None,
-                      n_max: int = 400, series_tol: float = 1e-12,
-                      n_max_classify: int = KERNEL_N_MAX) -> list:
-    """Table of (r, max over directions of log |K(r dir)| / r).
+def growth_diagnostic(j: BlockJacobiMatrix, radii, n_max: int = 400,
+                      series_tol: float = 1e-12) -> list:
+    """Table of (r, max over directions d of log |K(r d)| / r).
 
-    Only meaningful when the kernel series converges everywhere, i.e. in
-    the completely indeterminate case; refused otherwise.  The ratio table
-    is reported as a diagnostic; no limit is asserted.
+    The directions d are DEFAULT_GROWTH_DIRECTIONS.  Only meaningful when
+    the kernel series converges everywhere, i.e. in the completely
+    indeterminate case; refused otherwise.  The ratio table is reported as
+    a diagnostic; no limit is asserted.
     """
-    cls = classify(j, n_max=n_max_classify)
+    n_terms = _available_terms(j, n_max)
+    cls = classify(j)
     if cls.kind is not Determinacy.COMPLETELY_INDETERMINATE:
         raise RefusedError(
             f"growth diagnostic needs a completely indeterminate problem, "
             f"got {cls}")
-    dirs = DEFAULT_GROWTH_DIRECTIONS if directions is None else directions
-    dirs = [complex(d) for d in dirs]
-    if not dirs:
-        raise InvalidInputError("need at least one direction")
-    for d in dirs:
-        if abs(abs(d) - 1.0) > 1e-12:
-            raise InvalidInputError(f"direction {d} is not unit modulus")
     table = []
     for r in radii:
-        r = float(r)
+        r = mk._require_finite(float(r), "radius")
         if r <= 0:
             raise InvalidInputError("radii must be positive")
         best = -np.inf
-        for d in dirs:
-            k = _kernel_sum(j, r * d, n_max, series_tol)
+        for d in DEFAULT_GROWTH_DIRECTIONS:
+            k = _kernel_sum(j, r * d, n_terms, series_tol)
             best = max(best, float(np.log(mk.spectral_norm(k))) / r)
         table.append((r, best))
     return table

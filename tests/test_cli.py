@@ -74,6 +74,25 @@ def test_exit_1_on_validation_failures(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["quartet", "--jacobi", "ind.json", "--z", "nan,1"],
+    ["quartet", "--jacobi", "ind.json", "--z", "nan,1", "--json"],
+    ["quartet", "--jacobi", "ind.json", "--z", "0,1", "--n-max", "-1"],
+    ["transform", "--jacobi", "ind.json", "--z", "0,-1", "--xi", "nan"],
+    ["transform", "--jacobi", "ind.json", "--z", "nan,1", "--v-scalar",
+     "0,0"],
+    ["spectrum", "--jacobi", "ind.json", "--u", "u_one.json",
+     "--interval=-inf,1"],
+    ["spectrum", "--jacobi", "ind.json", "--u", "u_one.json",
+     "--interval=-1,1", "--n-max", "-3"],
+    ["kernel", "--jacobi", "ch.json", "--z", "inf,1", "--n", "4"]])
+def test_exit_1_on_non_finite_points_and_negative_series_lengths(argv,
+                                                                capsys):
+    code, out, err = run_capture(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_exit_2_on_refusal_and_indecision(capsys):
     # determinate fixture: the V-parametrization is refused
     code, _, err = run_capture(

@@ -106,6 +106,22 @@ def test_from_scalar_band_band_violation():
         from_scalar_band(a, 1)
 
 
+def test_from_scalar_band_names_the_first_offender():
+    a = np.diag(np.arange(1.0, 7.0))
+    for i in range(4):
+        a[i, i + 2] = a[i + 2, i] = 1.0
+    wide = a.copy()
+    wide[0, 3] = wide[3, 0] = wide[1, 5] = wide[5, 1] = 0.5
+    with pytest.raises(InvalidInputError,
+                       match=r"entry \(0,3\) outside bandwidth 2"):
+        from_scalar_band(wide, 2)
+    gaps = a.copy()
+    gaps[1, 3] = gaps[3, 1] = gaps[2, 4] = gaps[4, 2] = 0.0
+    with pytest.raises(InvalidInputError,
+                       match=r"extreme-diagonal entry \(1,3\) is zero"):
+        from_scalar_band(gaps, 2)
+
+
 def test_regularity_invariant_under_block_unitaries(rng):
     p, n = 3, 5
     j = random_regular(p, n, rng)

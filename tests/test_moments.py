@@ -176,6 +176,15 @@ def test_hankel_positive_matches_a_section_by_section_scan(ch, ind, ds, rng):
     assert seen == {True, False}
 
 
+def test_block_hankel_equals_a_block_assembly(rng):
+    for p in (1, 2, 3):
+        s = moments_from_jacobi(random_regular(p, 14, rng, scale=1.0), 13)
+        for n in range(7):
+            want = np.block([[s.S[j + k] for k in range(n + 1)]
+                             for j in range(n + 1)])
+            assert np.array_equal(block_hankel(s, n), want)
+
+
 def test_hankel_quadratic_form_identity(ch, rng):
     # sum_j x_j S_{j+k} x_k^H equals the Hankel quadratic form
     s = moments_from_jacobi(ch, 8)

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockmoment import (BlockJacobiMatrix, Determinacy, DeterminacyClass,
-                         MatrixPoly, StepMeasure, classify, estimate_H,
-                         extension_bracket, extension_spectrum, form,
+                         MatrixPoly, StepMeasure, classify, cumulative,
+                         deficiency_indices, estimate_H, extension_bracket,
+                         extension_spectrum, form,
                          gauss_quadrature, generate_first_kind,
                          growth_diagnostic, ind_fixture, jump_bound,
                          kernel_partial, moments_from_jacobi, quartet,
@@ -652,6 +653,54 @@ def test_non_regular_matrix_is_refused_at_every_entry_point(p, case,
         with pytest.raises(InvalidInputError,
                            match="matrix is not a regular block Jacobi "
                                  f"matrix: {message}"):
+            call()
+
+
+def test_non_finite_points_are_refused_at_every_entry_point(ind, ind_cls):
+    nan, inf = float("nan"), float("inf")
+    eye = np.eye(1)
+    t = StepMeasure(1, np.array([0.0]), np.array([[[1.0]]]))
+    calls = (lambda: quartet(ind, complex(nan, 1.0), determinacy=ind_cls),
+             lambda: transform_extremal(ind, nan, -1j, determinacy=ind_cls),
+             lambda: transform_extremal(ind, 0.3, complex(inf, -1.0),
+                                        determinacy=ind_cls),
+             lambda: transform_from_V(ind, complex(nan, 1.0), eye,
+                                      determinacy=ind_cls),
+             lambda: extension_bracket(ind, eye, [nan]),
+             lambda: extension_bracket(ind, eye, [0.5, inf]),
+             lambda: extension_spectrum(ind, eye, (-inf, 1.0),
+                                        determinacy=ind_cls),
+             lambda: jump_bound(ind, nan, 8),
+             lambda: kernel_partial(ind, complex(inf, 1.0), 8),
+             lambda: estimate_H(ind, complex(nan, 1.0)),
+             lambda: deficiency_indices(
+                 ind, sample_points=[complex(1.0, nan), 1j, 2j, 3j,
+                                     -1j, -2j, -3j]),
+             lambda: growth_diagnostic(ind, [1.0, inf]),
+             lambda: growth_diagnostic(ind, [nan]),
+             lambda: stieltjes_invert(lambda z: eye, [0.0, nan], 0.1),
+             lambda: stieltjes_invert(lambda z: eye, [0.0], inf),
+             lambda: cumulative(t, nan),
+             lambda: stieltjes_transform(t, complex(nan, 1.0)))
+    for call in calls:
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            call()
+
+
+def test_negative_series_length_is_refused(ind, ind_cls):
+    eye = np.eye(1)
+    calls = (lambda: quartet(ind, 1j, n_max=-1, determinacy=ind_cls),
+             lambda: transform_extremal(ind, 0.3, -1j, n_max=-1,
+                                        determinacy=ind_cls),
+             lambda: transform_from_V(ind, 1j, eye, n_max=-1,
+                                      determinacy=ind_cls),
+             lambda: extension_bracket(ind, eye, [0.5], n_max=-1),
+             lambda: extension_bracket(ind, eye, [0.5, 1.5], n_max=-1),
+             lambda: extension_spectrum(ind, eye, (-1.0, 1.0), n_max=-3,
+                                        determinacy=ind_cls),
+             lambda: growth_diagnostic(ind, [1.0], n_max=-1))
+    for call in calls:
+        with pytest.raises(InvalidInputError, match="n_max must be >= 0"):
             call()
 
 

@@ -229,6 +229,3 @@ def ds_fixture(n_blocks: int = 36) -> BlockJacobiMatrix:
         return (np.zeros((2, 2)),
                 np.diag([0.5, float((k + 1) ** 2)]).astype(complex))
     return _materialize(2, rule, n_blocks)
-
-
-FIXTURES = {"ch": ch_fixture, "ind": ind_fixture, "ds": ds_fixture}

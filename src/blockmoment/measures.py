@@ -84,12 +84,6 @@ def normalize(t: StepMeasure) -> StepMeasure:
                            len(keep), t.p, t.p))
 
 
-def total_mass(t: StepMeasure) -> np.ndarray:
-    if t.n_nodes == 0:
-        return np.zeros((t.p, t.p), dtype=complex)
-    return t.weights.sum(axis=0)
-
-
 def cumulative(t: StepMeasure, lam: float) -> np.ndarray:
     """T(lam): sum of weights at nodes strictly below lam (left continuous)."""
     mk._require_finite(lam, "lam")

@@ -5,8 +5,9 @@ S_n = {lam^n I, I}.  Multiplication by lam acts on expansion coefficients in
 the first-kind basis as J, and I = D_0^{-1} D_0, so S_n is
 D_0^{-1} (J^n)_{00} D_0^{-H}, taken as a product of two banded half powers.
 ``moments_oracle`` provides the independent dense route: S_n equals the
-(0,0) block of the n-th power of a sufficiently long finite truncation,
-because length-n walks starting at block 0 never leave it.
+(0,0) block of the n-th power of the truncation to blocks 0..n//2, because
+closed length-n walks from block 0 never go deeper.  Both routes read only
+those blocks.
 
 Block Hankel positivity of [S_{j+k}] sections is the solvability criterion;
 ``jacobi_from_moments`` inverts positive data by block Lanczos in the moment
@@ -117,14 +118,17 @@ def moments_from_jacobi(j: BlockJacobiMatrix, n_max: int,
     With W_0 = E_0 D_0^{-H} and W_m = J W_{m-1}, one block-tridiagonal
     product on the A_kk and A_{k,k+1} kept with the recurrence plan,
     S_n = W_a^H W_b for a = n // 2 and b = n - a, so every even moment is a
-    Gram matrix, positive semidefinite by construction.  The plan build
-    refuses a non-regular prefix of n_max + 1 blocks (InvalidInputError).
+    Gram matrix, positive semidefinite by construction.  The m = n_max -
+    n_max // 2 steps read only blocks 0..m of J, since a closed walk of
+    length n_max from block 0 never goes deeper than n_max // 2; the plan
+    build refuses a non-regular prefix of those m + 1 blocks
+    (InvalidInputError).
     """
     if n_max < 0:
         raise InvalidInputError("n_max must be >= 0")
     p = j.p
-    diag, off = _recurrence(j, n_max)[1:3]
     m = n_max - n_max // 2
+    diag, off = _recurrence(j, m)[1:3]
     # w[i, k] is block k of W_i, which vanishes for k > i
     w = np.zeros((m + 1, m + 1, p, p), dtype=complex)
     w[0, 0] = _d0_seeds(d0, p)[1]
@@ -140,14 +144,14 @@ def moments_from_jacobi(j: BlockJacobiMatrix, n_max: int,
 
 
 def moments_oracle(j: BlockJacobiMatrix, n: int) -> np.ndarray:
-    """Independent moment route: (0,0) block of truncate(J, n+1) ** n.
+    """Independent moment route: (0,0) block of truncate(J, n//2 + 1) ** n.
 
-    Exact for the infinite matrix because a length-n walk from block 0
-    stays within the first n+1 blocks.
+    Exact for the infinite matrix because a closed length-n walk from
+    block 0 stays within the first n//2 + 1 blocks.
     """
     if n < 0:
         raise InvalidInputError("moment index must be >= 0")
-    t = truncate(j, n + 1)
+    t = truncate(j, n // 2 + 1)
     power = np.linalg.matrix_power(t, n)
     return mk.hermitian_part(power[:j.p, :j.p])
 
@@ -164,11 +168,11 @@ def jacobi_from_moments(s: MomentSequence
         D_{k+1}   = A_{k,k+1}^{-1} R_{k+1},
 
     for k = 0..n-1.  Returns the recovered matrix with n+1 stored diagonal
-    blocks -- the data determines A_{0,0}..A_{n-1,n-1} and
-    A_{0,1}..A_{n-1,n}; the final diagonal block is a zero pad, which leaves
-    S_0..S_2n unchanged -- plus a neutral generator rule (zero diagonal,
-    identity off-diagonal) so the round trip ``moments_from_jacobi(J, D0, 2n)``
-    is executable.  Serialized documents keep only the stored prefix.
+    blocks and no generator rule -- the data determines
+    A_{0,0}..A_{n-1,n-1} and A_{0,1}..A_{n-1,n}; the final diagonal block
+    is a zero pad, which leaves S_0..S_2n unchanged.  Both moment routes
+    reproduce S_0..S_2n from these blocks alone; anything deeper raises
+    OutOfRangeError.
 
     Refuses (rather than regularizes) when a Gram normalization falls below
     the positive-definiteness floor: silent regularization would corrupt
@@ -213,13 +217,8 @@ def jacobi_from_moments(s: MomentSequence
         diag.append(a_kk)
         offdiag.append(b)
         prev, cur = cur, b_inv @ resid
-
-    def neutral_rule(k: int):
-        return np.zeros((p, p)), np.eye(p, dtype=complex)
-
     diag.append(np.zeros((p, p), dtype=complex))
-    return (BlockJacobiMatrix(p, tuple(diag), tuple(offdiag), neutral_rule),
-            d0)
+    return BlockJacobiMatrix(p, tuple(diag), tuple(offdiag)), d0
 
 
 def moments_of_measure(t: StepMeasure, n_max: int) -> MomentSequence:

@@ -27,11 +27,9 @@ caller's responsibility: it cannot be verified pointwise.
 
 The series run on the recurrence engine of :mod:`polys`, under its one
 stop rule.  A p = 1 series between one left and one right point (the
-quartet, the extremal transform, a single bracket point: the refinement
-of a one-minimum spectrum or a caller's single-point probe) takes the
-engine's scalar path; every other series, p = 1 grids and the refinement
-of several minima included, advances all points together as the columns
-of one state matrix.
+quartet and the extremal transform) takes the engine's scalar path; every
+other series, every extension bracket included, advances all points
+together as the columns of one state matrix.
 """
 
 from dataclasses import dataclass
@@ -299,22 +297,14 @@ def _bracket_values(j, u, lam, n_terms, series_tol, seeds):
     D_k(0) and E_k(0) ride along with the states at the points.
     """
     p = j.p
-    if p == 1 and lam.size == 1:
-        x = complex(lam[0])
-        (g1, g2, _, _), _, _, _ = _scalar_series(
-            j, x, 0j, (-x, x), (1.0 + 0j, 0j, 0j), (True, True, False, False),
-            n_terms, series_tol, seeds)
-        g1 = np.full((1, 1, 1), g1, dtype=complex)
-        g2 = np.full((1, 1, 1), g2, dtype=complex)
-    else:
-        zs = np.concatenate([lam, [0.0, 0.0]])
-        second = np.arange(zs.size) == zs.size - 1
-        weight = np.repeat(-lam, p)[:, None]
-        t, _, _, _ = _series(j, zs, second, lam.size, weight, n_terms,
-                             series_tol, seeds)
-        g1 = t[:, :p].reshape(lam.size, p, p)
-        g2 = np.eye(p, dtype=complex) + t[:, p:].reshape(lam.size, p, p)
+    zs = np.concatenate([lam, [0.0, 0.0]])
+    second = np.arange(zs.size) == zs.size - 1
+    weight = np.repeat(-lam, p)[:, None]
+    t, _, _, _ = _series(j, zs, second, lam.size, weight, n_terms,
+                         series_tol, seeds)
+    g1 = t[:, :p].reshape(lam.size, p, p)
     eye = np.eye(p, dtype=complex)
+    g2 = eye + t[:, p:].reshape(lam.size, p, p)
     return g1 @ (eye + u) + 1j * (g2 @ (eye - u))
 
 

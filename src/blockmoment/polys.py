@@ -25,12 +25,10 @@ once per build.  Pointwise, the states D_k, E_k of all points advance
 together as the columns of one (p, W) matrix, one small GEMM per step,
 and series terms are formed per chunk of steps by one batched matmul;
 ``_SeriesAccumulator`` is the one series stop rule.  Symbolically, the
-same step runs on coefficients laid side by side.  For p = 1 and at most
-two points (a left point w and a right point v: the quartet, the
-extremal transform, and an extension bracket at one point, which is a
-one-minimum spectrum refinement or a caller's single-point probe) the
-scalar path ``_scalar_series`` runs the same recurrence in plain complex
-arithmetic on coefficient lists kept with the plan.
+same step runs on coefficients laid side by side.  For p = 1 and two
+points (a left point w and a right point v: the quartet and the extremal
+transform) the scalar path ``_scalar_series`` runs the same recurrence in
+plain complex arithmetic on coefficient lists kept with the plan.
 """
 
 from dataclasses import dataclass
@@ -297,6 +295,8 @@ def _coefficients(j: BlockJacobiMatrix, n: int, seed, second: bool):
     from D_{-1} = 0 and D_0 = ``seed``; the second from E_0 = 0 with
     ``seed`` = D_0^{-H} in the z X_0 slot, so that E_1 = B_0^{-1} D_0^{-H}.
     """
+    if n < 0:
+        raise InvalidInputError(f"n must be >= 0, got {n}")
     p = seed.shape[0]
     plan = _recurrence(j, n)[0]
     # h[i] = (z X, X) of state i - 1; step k reads [X, zX, X] of states
@@ -352,8 +352,10 @@ def first_kind_values(j: BlockJacobiMatrix, zs, n: int, d0=None):
 
     Pointwise form of the recurrence, read off the engine's states; yields
     arrays of shape (B, p, p).  A non-regular matrix or a numerically
-    singular ``d0`` raises InvalidInputError.
+    singular ``d0`` raises InvalidInputError, as does n < 0.
     """
+    if n < 0:
+        raise InvalidInputError(f"n must be >= 0, got {n}")
     p = j.p
     z = np.asarray(zs, dtype=complex).reshape(-1)
     for xs in _state_chunks(j, z, np.zeros(z.size, dtype=bool), n,

@@ -275,12 +275,21 @@ def growth_diagnostic(j: BlockJacobiMatrix, radii, n_max: int = 400,
 def gauss_quadrature(j: BlockJacobiMatrix, n: int, d0=None) -> StepMeasure:
     """Block Gauss rule exact on moments S_0 .. S_{2n-1}.
 
-    Nodes are the distinct eigenvalues of truncate(J, n), clustered within
-    NODE_MERGE_FACTOR * |truncation|.  Weights use the block Christoffel
-    formula: with Y a null basis of D_n at the node (eigenvector clusters
-    of the truncation are exactly stacks of D_k values on such vectors),
+    Reads only truncate(J, n).  Nodes are its distinct eigenvalues,
+    clustered within NODE_MERGE_FACTOR * |truncation|.  With x stacking
+    D_0..D_{n-1} at a node, x c is an eigenvector exactly when c is a null
+    direction of the residual of the truncation's last block row,
 
-        W = Y (Y^H K_{n-1}(node) Y)^{-1} Y^H.
+        node D_{n-1} - A_{n-1,n-2} D_{n-2} - A_{n-1,n-1} D_{n-1}
+            = A_{n-1,n} D_n(node),
+
+    and with Y a basis of those directions the block Christoffel formula
+    gives the weight
+
+        W = Y (Y^H K_{n-1}(node) Y)^{-1} Y^H,   K_{n-1} = x^H x,
+
+    with Y^H K_{n-1} Y formed as the Gram matrix of the eigenvectors x Y,
+    so that the large directions of K_{n-1} cannot swamp it.
 
     Weights read off eigenvector first-block rows are mathematically the
     same but carry only absolute eigensolver accuracy: at far-out nodes
@@ -292,40 +301,28 @@ def gauss_quadrature(j: BlockJacobiMatrix, n: int, d0=None) -> StepMeasure:
         raise InvalidInputError("quadrature needs at least one block")
     p = j.p
     t = truncate(j, n)
-    w, vecs = np.linalg.eigh(mk.hermitian_part(t))
+    w = np.linalg.eigvalsh(mk.hermitian_part(t))
     tol = NODE_MERGE_FACTOR * mk.spectral_norm(t)
     nodes: list[float] = []
-    clusters: list[slice] = []
+    sizes: list[int] = []
     start = 0
     for stop in range(1, len(w) + 1):
         if stop == len(w) or w[stop] - w[stop - 1] > tol:
             nodes.append(float(np.mean(w[start:stop])))
-            clusters.append(slice(start, stop))
+            sizes.append(stop - start)
             start = stop
-    # D_n, one step past the truncation, gives the null directions at the
-    # nodes when block n exists; otherwise fall back to eigenvector
-    # first-block directions
-    steps = _available_terms(j, n)
-    values = list(first_kind_values(j, nodes, steps, d0))
-    kernels = np.zeros((len(nodes), p, p), dtype=complex)
-    for dk in values[:n]:
-        kernels += np.conj(np.swapaxes(dk, 1, 2)) @ dk
-    d_next = values[n] if steps == n else None
-    d0_inv = (np.eye(p, dtype=complex) if d0 is None
-              else np.linalg.inv(mk.as_complex_matrix(d0, p)))
+    # x[i] stacks D_0..D_{n-1} at node i
+    x = np.concatenate(list(first_kind_values(j, nodes, n - 1, d0)), axis=1)
+    resid = np.array(nodes)[:, None, None] * x[:, -p:] - t[-p:] @ x
     weights = []
-    for i, cluster in enumerate(clusters):
-        m_eff = min(cluster.stop - cluster.start, p)
+    for i, size in enumerate(sizes):
         if p == 1:
             y = np.ones((1, 1), dtype=complex)
-        elif d_next is not None:
-            _, _, vh = np.linalg.svd(d_next[i])
-            y = vh[p - m_eff:, :].conj().T   # null directions of D_n(node)
         else:
-            first = d0_inv @ vecs[:p, cluster]
-            q, _ = np.linalg.qr(first)
-            y = q[:, :m_eff]
-        gram = mk.hermitian_part(y.conj().T @ kernels[i] @ y)
+            _, _, vh = np.linalg.svd(resid[i])
+            y = vh[p - min(size, p):, :].conj().T   # null directions
+        v = x[i] @ y                                # eigenvectors x Y
+        gram = mk.hermitian_part(v.conj().T @ v)
         weights.append(mk.hermitian_part(y @ np.linalg.inv(gram)
                                          @ y.conj().T))
     measure = StepMeasure(p, np.array(nodes),

@@ -193,7 +193,7 @@ def test_non_regular_document_is_invalid_input(tmp_path, capsys):
         jfile.write_text(dumps(jacobi_to_doc(j)))
         for argv in (["kernel", "--jacobi", str(jfile), "--z", "0,1",
                       "--n", "2"],
-                     ["quad", "--jacobi", str(jfile), "--n", "2"]):
+                     ["quad", "--jacobi", str(jfile), "--n", "3"]):
             code, out, err = run_capture(argv, capsys)
             assert (code, out) == (1, "")
             assert err.startswith("error: matrix is not a regular block "

@@ -12,8 +12,8 @@ from blockmoment.errors import (IllConditionedError, InvalidInputError,
 from blockmoment.jacobi import truncate
 from blockmoment.moments import block_hankel
 
-from conftest import (random_hermitian, random_regular, random_regular_growing,
-                      rel_err)
+from conftest import (random_hermitian, random_nonsingular, random_regular,
+                      random_regular_growing, rel_err)
 
 
 def scalar_seq(*values):
@@ -226,6 +226,24 @@ def test_invert_ds_round_trip(ds):
     for k in range(4):
         assert rel_err(j.diag[k], ds.diag[k]) < 1e-8
         assert rel_err(j.offdiag[k], ds.offdiag[k]) < 1e-8
+
+
+def test_recovered_matrix_holds_only_what_the_data_determines(rng):
+    # both moment routes reproduce S_0..S_2n from the stored blocks alone
+    for p, n in ((1, 4), (2, 3), (3, 5)):
+        d0 = random_nonsingular(p, rng)
+        s = moments_from_jacobi(random_regular(p, n + 1, rng, scale=1.0),
+                                2 * n, d0)
+        j, d0r = jacobi_from_moments(s)
+        assert j.generator is None and j.n_blocks == n + 1
+        d0r_inv = np.linalg.inv(d0r)
+        back = moments_from_jacobi(j, 2 * n, d0r)
+        for m in range(2 * n + 1):
+            oracle = d0r_inv @ moments_oracle(j, m) @ d0r_inv.conj().T
+            assert rel_err(back.S[m], s.S[m]) < 1e-8
+            assert rel_err(oracle, s.S[m]) < 1e-8
+        with pytest.raises(OutOfRangeError):
+            moments_from_jacobi(j, 2 * n + 1, d0r)
 
 
 def test_invert_rejects_nonpositive():

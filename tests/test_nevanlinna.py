@@ -633,7 +633,7 @@ def test_non_regular_matrix_is_refused_at_every_entry_point(p, case,
     cls = DeterminacyClass(Determinacy.COMPLETELY_INDETERMINATE, p, p)
     eye = np.eye(p)
     calls = (lambda: generate_first_kind(j, 8),
-             lambda: moments_from_jacobi(j, 8),
+             lambda: moments_from_jacobi(j, 14),
              lambda: list(first_kind_values(j, [1j], 8)),
              lambda: kernel_partial(j, 1j, 8),
              lambda: estimate_H(j, 1j),

@@ -7,6 +7,7 @@ from blockmoment import (BlockJacobiMatrix, MatrixPoly, expand, form,
                          generate_first_kind, moments_from_jacobi,
                          second_kind)
 from blockmoment.errors import InvalidInputError, OutOfRangeError
+from blockmoment.polys import first_kind_values
 
 from conftest import (random_hermitian, random_nonsingular, random_regular,
                       rel_err)
@@ -167,6 +168,15 @@ def test_symbolic_polys_match_plain_solve_recurrence(p, seed, extended,
         for poly, w in zip(got, want):      # relative to each polynomial
             assert np.abs(poly._padded(n + 1) - w).max() \
                 <= 1e-12 * np.abs(w).max()
+
+
+def test_negative_lengths_are_refused(ch):
+    basis = generate_first_kind(ch, 3)
+    for call in (lambda: generate_first_kind(ch, -1),
+                 lambda: second_kind(basis, -1),
+                 lambda: list(first_kind_values(ch, [1j], -1))):
+        with pytest.raises(InvalidInputError, match="n must be >= 0, got -1"):
+            call()
 
 
 def test_expand_examples(ch):

@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from blockmoment import (Determinacy, classify, deficiency_indices,
-                         estimate_H, gauss_quadrature, growth_diagnostic,
-                         kernel_partial, moments_from_jacobi,
-                         moments_of_measure)
+from blockmoment import (BlockJacobiMatrix, Determinacy, classify,
+                         deficiency_indices, estimate_H, gauss_quadrature,
+                         growth_diagnostic, kernel_partial,
+                         moments_from_jacobi, moments_of_measure)
 from blockmoment import matkernel as mk
 from blockmoment.errors import (ClassificationUnavailableError,
                                 HalfPlaneError, InvalidInputError,
                                 RefusedError)
 from blockmoment.polys import generate_first_kind
 
-from conftest import rel_err
+from conftest import random_hermitian, random_nonsingular, rel_err
 
 
 def test_kernel_partial_examples(ch):
@@ -219,8 +221,8 @@ def test_quadrature_total_mass_is_identity(ds):
 
 
 def test_quadrature_with_exactly_n_stored_blocks(ch, ds):
-    # the contract needs only N stored blocks; with no block beyond the
-    # truncation the p>1 path falls back to eigenvector directions
+    # the contract needs only N stored blocks: the rule reads nothing
+    # beyond the truncation
     from blockmoment import BlockJacobiMatrix
     for src in (ch, ds):
         finite = BlockJacobiMatrix(src.p, src.prefix(6).diag,
@@ -239,3 +241,56 @@ def test_quadrature_nontrivial_d0(ch):
     sq = moments_of_measure(q, 5)
     for a, b in zip(sq.S, s.S):
         assert rel_err(a, b) < 1e-9
+
+
+def seeded_blocks(p, seed, n_blocks):
+    """Diagonal and off-diagonal blocks of a random regular matrix."""
+    rng = np.random.default_rng(seed)
+    diag = [random_hermitian(p, rng) for _ in range(n_blocks)]
+    off = [random_nonsingular(p, rng) for _ in range(n_blocks - 1)]
+    return diag, off
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([1, 2, 3]), n=st.integers(1, 8),
+       seed=st.integers(0, 2 ** 32 - 1), with_d0=st.booleans())
+def test_quadrature_is_exact_and_reads_only_the_truncation(p, n, seed,
+                                                           with_d0):
+    diag, off = seeded_blocks(p, seed, n + 2)
+    d0 = random_nonsingular(p, np.random.default_rng([seed, 1])) \
+        if with_d0 else None
+    exact = BlockJacobiMatrix(p, tuple(diag[:n]), tuple(off[:n - 1]))
+    ruled = BlockJacobiMatrix(p, (diag[0],), (),
+                              lambda k: (diag[k], off[k]))
+    q = gauss_quadrature(exact, n, d0)
+    s = moments_from_jacobi(ruled, 2 * n - 1, d0)
+    sq = moments_of_measure(q, 2 * n - 1)
+    for a, b in zip(sq.S, s.S):
+        assert rel_err(a, b) <= 1e-9
+    q2 = gauss_quadrature(ruled, n, d0)
+    assert np.array_equal(q.nodes, q2.nodes)
+    assert np.abs(q.weights - q2.weights).max() <= 1e-10
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("k", [1, 3])
+def test_refusal_follows_the_blocks_each_result_reads(p, k):
+    # the only defect is a singular A_{k,k+1}: Gauss rules of up to k + 1
+    # nodes and moments up to S_2k never read it
+    diag, off = seeded_blocks(p, 7 * k + p, 8)
+    regular = BlockJacobiMatrix(p, tuple(diag[:k + 1]), tuple(off[:k]))
+    off[k] = np.zeros((p, p))
+    j = BlockJacobiMatrix(p, tuple(diag), tuple(off))
+    for n in range(1, k + 2):
+        q, want = gauss_quadrature(j, n), gauss_quadrature(regular, n)
+        assert np.array_equal(q.nodes, want.nodes)
+        assert np.array_equal(q.weights, want.weights)
+    for n_max in range(2 * k + 1):
+        got = moments_from_jacobi(j, n_max).S
+        want = moments_from_jacobi(regular, n_max).S
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    for call in (lambda: gauss_quadrature(j, k + 2),
+                 lambda: moments_from_jacobi(j, 2 * k + 1)):
+        with pytest.raises(InvalidInputError,
+                           match=f"block {k} singular-offdiag"):
+            call()

@@ -147,11 +147,6 @@ def _cmd_classify(ns):
     samples = _samples_from_file(ns.samples) if ns.samples else None
     report = spectral.deficiency_indices(j, n_max=ns.n_max,
                                          sample_points=samples)
-    if not report.decisive:
-        raise NumericalFailureError(
-            "indecisive classification: "
-            f"upper ranks {[r for _, r, _ in report.samples_upper]}, "
-            f"lower ranks {[r for _, r, _ in report.samples_lower]}")
     cls = report.determinacy(j.p)
     doc = {"class": cls.kind.value,
            "nu_plus": int(cls.nu_plus),

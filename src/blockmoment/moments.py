@@ -25,7 +25,7 @@ from . import matkernel as mk
 from .errors import IllConditionedError, InvalidInputError, OutOfRangeError
 from .jacobi import BlockJacobiMatrix, truncate
 from .measures import StepMeasure
-from .polys import _d0_seeds, _recurrence
+from .polys import _recurrence, _require_nonsingular
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,8 @@ def moments_from_jacobi(j: BlockJacobiMatrix, n_max: int,
     n_max // 2 steps read only blocks 0..m of J, since a closed walk of
     length n_max from block 0 never goes deeper than n_max // 2; the plan
     build refuses a non-regular prefix of those m + 1 blocks
-    (InvalidInputError).
+    (InvalidInputError).  D_0 is ``d0``, the identity by default; a
+    numerically singular one raises InvalidInputError.
     """
     if n_max < 0:
         raise InvalidInputError("n_max must be >= 0")
@@ -131,7 +132,8 @@ def moments_from_jacobi(j: BlockJacobiMatrix, n_max: int,
     diag, off = _recurrence(j, m)[1:3]
     # w[i, k] is block k of W_i, which vanishes for k > i
     w = np.zeros((m + 1, m + 1, p, p), dtype=complex)
-    w[0, 0] = _d0_seeds(d0, p)[1]
+    w[0, 0] = np.eye(p) if d0 is None else \
+        np.linalg.inv(_require_nonsingular(d0, p, "D_0")).conj().T
     for i in range(m):
         src, dst = w[i, :i + 1], w[i + 1]
         dst[:i + 1] = diag[:i + 1] @ src

@@ -38,12 +38,14 @@ import numpy as np
 
 from . import matkernel as mk
 from .errors import (HalfPlaneError, InvalidInputError,
-                     NumericalFailureError, OutOfRangeError, PoleError,
-                     RefusedError)
+                     NumericalFailureError, OutOfRangeError, PoleError)
 from .jacobi import BlockJacobiMatrix
 from .polys import (MatrixPoly, OrthoBasis, _available_terms, _coefficients,
-                    _d0_seeds, _scalar_series, _series)
-from .spectral import Determinacy, DeterminacyClass, classify, kernel_partial
+                    _scalar_series, _series)
+# classify is re-exported next to the entry points whose ``determinacy``
+# argument it computes
+from .spectral import (DeterminacyClass, _ensure_completely_indeterminate,
+                       classify, kernel_partial)
 
 SERIES_TOL = 1e-12
 SERIES_N_MAX = 400
@@ -102,36 +104,26 @@ class QuartetValue:
     converged: bool
 
 
-def _quartet_sums(j, z, n_terms, series_tol, seeds):
+def _quartet_sums(j, z, n_terms, series_tol):
     p = j.p
     zb = z.conjugate()
     if p == 1:
         (g1, g2, f1, f2), n_used, tail, converged = _scalar_series(
             j, zb, 0j, (-z, z), (1.0 + 0j, 1.0 + 0j, 0j), (True,) * 4,
-            n_terms, series_tol, seeds)
+            n_terms, series_tol)
         one = np.ones((1, 1), dtype=complex)
         return (f1 * one, f2 * one, g1 * one, g2 * one, n_used, tail,
                 converged)
     t, n_used, tail, converged = _series(
         j, [zb, zb, 0.0, 0.0], [False, True, False, True], 2, z, n_terms,
-        series_tol, seeds)
+        series_tol)
     eye = np.eye(p, dtype=complex)
     return (eye + t[p:, :p], t[p:, p:], -t[:p, :p], eye - t[:p, p:], n_used,
             tail, converged)
 
 
-def _ensure_completely_indeterminate(j, determinacy):
-    cls = classify(j) if determinacy is None else determinacy
-    if not isinstance(cls, DeterminacyClass):
-        raise InvalidInputError("determinacy must be a DeterminacyClass")
-    if cls.kind is not Determinacy.COMPLETELY_INDETERMINATE:
-        raise RefusedError(
-            f"operation needs a completely indeterminate problem, got {cls}")
-    return cls
-
-
 def quartet(j: BlockJacobiMatrix, z: complex, n_max: int = SERIES_N_MAX,
-            series_tol: float = SERIES_TOL, d0=None,
+            series_tol: float = SERIES_TOL,
             determinacy: DeterminacyClass | None = None) -> QuartetValue:
     """Evaluate F1, F2, G1, G2 at ``z`` by truncated series.
 
@@ -143,11 +135,10 @@ def quartet(j: BlockJacobiMatrix, z: complex, n_max: int = SERIES_N_MAX,
     ``tail_norm``.
     """
     z = mk._require_finite(complex(z), "z")
-    seeds = _d0_seeds(d0, j.p)
     n_terms = _available_terms(j, n_max)
     _ensure_completely_indeterminate(j, determinacy)
     f1, f2, g1, g2, n_used, tail, conv = _quartet_sums(j, z, n_terms,
-                                                       series_tol, seeds)
+                                                       series_tol)
     return QuartetValue(z=z, f1=f1, f2=f2, g1=g1, g2=g2, n_used=n_used,
                         tail_norm=tail, converged=conv)
 
@@ -156,24 +147,24 @@ def quartet(j: BlockJacobiMatrix, z: complex, n_max: int = SERIES_N_MAX,
 # solution transforms
 # ---------------------------------------------------------------------------
 
-def _pair_sums(j, z, xi, n_terms, series_tol, seeds):
+def _pair_sums(j, z, xi, n_terms, series_tol):
     """N(z, xi) = sum_{k>=1} E_k*(z) D_k(xi), Den = sum_{k>=0} D_k*(z) D_k(xi)."""
     p = j.p
     zb = z.conjugate()
     if p == 1:
         (den, _, num, _), _, _, converged = _scalar_series(
             j, zb, complex(xi), None, (0j, 0j, 0j),
-            (True, False, True, False), n_terms, series_tol, seeds)
+            (True, False, True, False), n_terms, series_tol)
         one = np.ones((1, 1), dtype=complex)
         return num * one, den * one, converged
     t, _, _, converged = _series(j, [zb, zb, xi], [False, True, False], 2,
-                                 1.0, n_terms, series_tol, seeds)
+                                 1.0, n_terms, series_tol)
     return t[p:], t[:p], converged
 
 
 def transform_extremal(j: BlockJacobiMatrix, xi: float, z: complex,
                        n_max: int = SERIES_N_MAX,
-                       series_tol: float = SERIES_TOL, d0=None,
+                       series_tol: float = SERIES_TOL,
                        determinacy: DeterminacyClass | None = None
                        ) -> np.ndarray:
     """Stieltjes transform of the extremal solution T_xi, for Im z < 0.
@@ -192,10 +183,9 @@ def transform_extremal(j: BlockJacobiMatrix, xi: float, z: complex,
     if z.imag >= 0:
         raise HalfPlaneError(
             f"extremal transform is defined for Im z < 0, got z={z}")
-    seeds = _d0_seeds(d0, j.p)
     n_terms = _available_terms(j, n_max)
     _ensure_completely_indeterminate(j, determinacy)
-    num, den, _ = _pair_sums(j, z, xi, n_terms, series_tol, seeds)
+    num, den, _ = _pair_sums(j, z, xi, n_terms, series_tol)
     p = num.shape[0]
     svals = np.linalg.svd(den, compute_uv=False)
     if svals[-1] <= 1e-14 * max(1.0, svals[0]):
@@ -206,14 +196,14 @@ def transform_extremal(j: BlockJacobiMatrix, xi: float, z: complex,
     return (bracket @ np.linalg.inv(den)) / (xi - z)
 
 
-def jump_bound(j: BlockJacobiMatrix, xi: float, n: int, d0=None) -> np.ndarray:
+def jump_bound(j: BlockJacobiMatrix, xi: float, n: int) -> np.ndarray:
     """K_n(xi)^{-1}: Loewner upper bound on any solution's jump at xi.
 
-    Decreasing in n.  K_n(xi) >= D_0^H D_0 > 0, so a singular kernel here
-    is an internal invariant violation, not an input problem.
+    Decreasing in n.  K_n(xi) >= I > 0, so a singular kernel here is an
+    internal invariant violation, not an input problem.
     """
     xi = float(xi)
-    k = kernel_partial(j, xi, n, d0)
+    k = kernel_partial(j, xi, n)
     w, v = np.linalg.eigh(k)
     if w[0] <= 0:
         raise NumericalFailureError(
@@ -236,7 +226,7 @@ def _contraction_value(v, p, z):
 
 def transform_from_V(j: BlockJacobiMatrix, z: complex, v,
                      n_max: int = SERIES_N_MAX,
-                     series_tol: float = SERIES_TOL, d0=None,
+                     series_tol: float = SERIES_TOL,
                      determinacy: DeterminacyClass | None = None
                      ) -> np.ndarray:
     """Stieltjes transform of the solution parametrized by V, Im z > 0.
@@ -263,8 +253,7 @@ def transform_from_V(j: BlockJacobiMatrix, z: complex, v,
     n_terms = _available_terms(j, n_max)
     cls = _ensure_completely_indeterminate(j, determinacy)
     vm = _contraction_value(v, j.p, z)
-    q = quartet(j, z, n_max=n_terms, series_tol=series_tol, d0=d0,
-                determinacy=cls)
+    q = quartet(j, z, n_max=n_terms, series_tol=series_tol, determinacy=cls)
     eye = np.eye(j.p, dtype=complex)
     plus = eye + vm
     minus = eye - vm
@@ -291,17 +280,18 @@ def _require_unitary(u, p) -> np.ndarray:
     return m
 
 
-def _bracket_values(j, u, lam, n_terms, series_tol, seeds):
+def _bracket_values(j, u, lam, n_terms):
     """G1(I+U) + i G2(I-U) batched over real points, U validated.
 
-    D_k(0) and E_k(0) ride along with the states at the points.
+    D_k(0) and E_k(0) ride along with the states at the points; the series
+    stops at SERIES_TOL.
     """
     p = j.p
     zs = np.concatenate([lam, [0.0, 0.0]])
     second = np.arange(zs.size) == zs.size - 1
     weight = np.repeat(-lam, p)[:, None]
     t, _, _, _ = _series(j, zs, second, lam.size, weight, n_terms,
-                         series_tol, seeds)
+                         SERIES_TOL)
     g1 = t[:, :p].reshape(lam.size, p, p)
     eye = np.eye(p, dtype=complex)
     g2 = eye + t[:, p:].reshape(lam.size, p, p)
@@ -309,18 +299,15 @@ def _bracket_values(j, u, lam, n_terms, series_tol, seeds):
 
 
 def extension_bracket(j: BlockJacobiMatrix, u, lams,
-                      n_max: int = SERIES_N_MAX,
-                      series_tol: float = SERIES_TOL, d0=None) -> np.ndarray:
+                      n_max: int = SERIES_N_MAX) -> np.ndarray:
     """B(lam) = G1(lam)(I+U) + i G2(lam)(I-U) at real points.
 
     Returns a (len(lams), p, p) stack; determinacy is not re-checked here,
     so this is also usable as the residual probe for accepted roots.
     """
     u = _require_unitary(u, j.p)
-    seeds = _d0_seeds(d0, j.p)
     lam = mk._require_finite(np.asarray(lams, dtype=float).reshape(-1), "lam")
-    return _bracket_values(j, u, lam, _available_terms(j, n_max), series_tol,
-                           seeds)
+    return _bracket_values(j, u, lam, _available_terms(j, n_max))
 
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -345,7 +332,6 @@ def _golden_min(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 def extension_spectrum(j: BlockJacobiMatrix, u, interval, grid: int = DEFAULT_GRID,
                        n_max: int = SERIES_N_MAX,
-                       series_tol: float = SERIES_TOL, d0=None,
                        determinacy: DeterminacyClass | None = None
                        ) -> list[float]:
     """Real roots of det[G1(I+U) + i G2(I-U)] on [a, b], sorted ascending.
@@ -365,12 +351,11 @@ def extension_spectrum(j: BlockJacobiMatrix, u, interval, grid: int = DEFAULT_GR
     if grid < 8:
         raise InvalidInputError("grid must be >= 8")
     u = _require_unitary(u, j.p)
-    seeds = _d0_seeds(d0, j.p)
     n_terms = _available_terms(j, n_max)
     _ensure_completely_indeterminate(j, determinacy)
 
     def bracket(points):
-        return _bracket_values(j, u, points, n_terms, series_tol, seeds)
+        return _bracket_values(j, u, points, n_terms)
 
     lams = np.linspace(a, b, grid + 1)
     bmat = bracket(lams)

@@ -28,7 +28,9 @@ and series terms are formed per chunk of steps by one batched matmul;
 same step runs on coefficients laid side by side.  For p = 1 and two
 points (a left point w and a right point v: the quartet and the extremal
 transform) the scalar path ``_scalar_series`` runs the same recurrence in
-plain complex arithmetic on coefficient lists kept with the plan.
+plain complex arithmetic on coefficient lists kept with the plan.  The
+pointwise engine has fixed seeds, those of normalized solutions: D_0 = I
+for the first kind and E_1 = B_0^{-1} for the second.
 """
 
 from dataclasses import dataclass
@@ -149,8 +151,8 @@ class OrthoBasis:
         return len(self.polys) - 1
 
 
-def _require_nonsingular(c, what: str) -> np.ndarray:
-    m = mk.as_complex_matrix(c)
+def _require_nonsingular(c, p: int, what: str) -> np.ndarray:
+    m = mk.as_complex_matrix(c, p)
     s = np.linalg.svd(m, compute_uv=False)
     if s[-1] <= REG_TOL * max(1.0, s[0]):
         raise InvalidInputError(f"{what} is numerically singular")
@@ -168,7 +170,7 @@ def generate_first_kind(j: BlockJacobiMatrix, n: int,
     """
     p = j.p
     d0 = np.eye(p, dtype=complex) if d0 is None else \
-        _require_nonsingular(mk.as_complex_matrix(d0, p), "D_0")
+        _require_nonsingular(d0, p, "D_0")
     x = _coefficients(j, n, d0, second=False)
     # leading coefficients are products of block inverses: their scale
     # shrinks or grows geometrically and may mix scales across components,
@@ -276,15 +278,6 @@ def _available_terms(j: BlockJacobiMatrix, n_max: int) -> int:
     return min(n_max, j.n_blocks - 1)
 
 
-def _d0_seeds(d0, p: int):
-    """Validated D_0 and D_0^{-H}, the seeds of the two polynomial kinds."""
-    if d0 is None:
-        eye = np.eye(p, dtype=complex)
-        return eye, eye
-    d0m = _require_nonsingular(mk.as_complex_matrix(d0, p), "D_0")
-    return d0m, np.linalg.inv(d0m).conj().T
-
-
 def _coefficients(j: BlockJacobiMatrix, n: int, seed, second: bool):
     """Coefficients of X_0..X_n as an (n+1, n+1, p, p) array.
 
@@ -311,18 +304,17 @@ def _coefficients(j: BlockJacobiMatrix, n: int, seed, second: bool):
     return h[1:, 1].reshape(n + 1, p, n + 1, p).transpose(0, 2, 1, 3)
 
 
-def _state_chunks(j: BlockJacobiMatrix, zs, second, n: int, seeds):
+def _state_chunks(j: BlockJacobiMatrix, zs, second, n: int):
     """Yield stacks of X_k, k = 0..n, in chunks of at most _CHUNK steps.
 
     X_k is a (p, W) matrix of p-wide column blocks, one per entry of
     ``zs``: D_k at that point, or E_k where ``second`` is set.  Both kinds
-    share the recurrence and differ only in their seeds: D_{-1} = 0 with
-    D_0, and E_0 = 0 with E_1 = B_0^{-1} D_0^{-H}, which the first step
-    produces when the z X_0 slot of E columns holds D_0^{-H}.  A yielded
-    stack is overwritten when the generator resumes.
+    share the recurrence and differ only in their fixed seeds: D_{-1} = 0
+    with D_0 = I, and E_0 = 0 with E_1 = B_0^{-1}, which the first step
+    produces when the z X_0 slot of E columns holds I.  A yielded stack is
+    overwritten when the generator resumes.
     """
-    d0m, e1 = seeds
-    p = d0m.shape[0]
+    p = j.p
     zs = np.asarray(zs, dtype=complex).reshape(-1)
     is_e = np.repeat(np.asarray(second, dtype=bool).reshape(-1), p)
     zrow = np.repeat(zs, p)
@@ -330,8 +322,9 @@ def _state_chunks(j: BlockJacobiMatrix, zs, second, n: int, seeds):
     plan = _recurrence(j, n)[0]
     # h[i] = (z X, X) of one state; a chunk starts from X_{k0-1}, X_{k0}
     h = np.zeros((min(_CHUNK, n + 1) + 2, 2, p, w), dtype=complex)
-    h[1, 1] = np.where(is_e, 0.0, np.tile(d0m, len(zs)))
-    h[1, 0] = np.where(is_e, np.tile(e1, len(zs)), h[1, 1] * zrow)
+    eye = np.tile(np.eye(p, dtype=complex), len(zs))
+    h[1, 1] = np.where(is_e, 0.0, eye)
+    h[1, 0] = np.where(is_e, eye, h[1, 1] * zrow)
     flat = h.reshape(2 * p * len(h), w)
     # step i reads [X, zX, X] of states i-1, i and writes state i+1
     steps = [(flat[(2 * i - 1) * p:(2 * i + 2) * p], h[i + 1, 1], h[i + 1, 0])
@@ -347,19 +340,18 @@ def _state_chunks(j: BlockJacobiMatrix, zs, second, n: int, seeds):
         k0 += m
 
 
-def first_kind_values(j: BlockJacobiMatrix, zs, n: int, d0=None):
-    """Yield D_k(z) for k = 0..n, batched over the points ``zs``.
+def first_kind_values(j: BlockJacobiMatrix, zs, n: int):
+    """Yield D_k(z) for k = 0..n, D_0 = I, batched over the points ``zs``.
 
     Pointwise form of the recurrence, read off the engine's states; yields
-    arrays of shape (B, p, p).  A non-regular matrix or a numerically
-    singular ``d0`` raises InvalidInputError, as does n < 0.
+    arrays of shape (B, p, p).  A non-regular matrix raises
+    InvalidInputError, as does n < 0.
     """
     if n < 0:
         raise InvalidInputError(f"n must be >= 0, got {n}")
     p = j.p
     z = np.asarray(zs, dtype=complex).reshape(-1)
-    for xs in _state_chunks(j, z, np.zeros(z.size, dtype=bool), n,
-                            _d0_seeds(d0, p)):
+    for xs in _state_chunks(j, z, np.zeros(z.size, dtype=bool), n):
         yield from xs.reshape(len(xs), p, z.size, p).transpose(0, 2, 1, 3)\
             .copy()
 
@@ -402,7 +394,7 @@ class _SeriesAccumulator:
 
 
 def _series(j, zs, second, n_left: int, weight, n_terms: int,
-            series_tol: float, seeds):
+            series_tol: float):
     """sum_{k=0}^{n} weight * L_k^H R_k over the shared recurrence.
 
     L_k are the first ``n_left`` column blocks of X_k and R_k the rest
@@ -410,11 +402,11 @@ def _series(j, zs, second, n_left: int, weight, n_terms: int,
     stop rule sees the largest entry of each weighted term.  Returns
     (sum, n_used, tail_norm, converged), with n_used the last k summed.
     """
-    cols = n_left * seeds[0].shape[0]
+    cols = n_left * j.p
     total = 0.0
     acc = _SeriesAccumulator(series_tol)
     k0 = 0
-    for xs in _state_chunks(j, zs, second, n_terms, seeds):
+    for xs in _state_chunks(j, zs, second, n_terms):
         terms = weight * (np.conj(np.swapaxes(xs[..., :cols], 1, 2))
                           @ xs[..., cols:])
         stop = acc.push_chunk(np.abs(terms).max(axis=(1, 2), initial=0.0))
@@ -426,22 +418,22 @@ def _series(j, zs, second, n_left: int, weight, n_terms: int,
 
 
 def _scalar_series(j, w: complex, v: complex, weight, start, watch,
-                   n_terms: int, series_tol: float, seeds):
+                   n_terms: int, series_tol: float):
     """The p = 1 form of ``_series`` for one left point w, one right v.
 
     Advances D and E at w and at v with plain complex arithmetic, an order
     of magnitude faster than numpy scalars, and sums
     weight_L * conj(L_k(w)) R_k(v) for (L, R) = DD, DE, ED, EE, in that
-    order.  ``weight`` is (weight_D, weight_E), or None for no factor (a
-    complex factor 1 can flip the sign of a zero part).  The DD sum starts
-    from its k = 0 term; E_0 = 0, so the other three start from the
-    constants in ``start``.  The stop rule sees the largest absolute term
-    among those ``watch`` flags.  Returns (sums, n_used, tail_norm,
-    converged).
+    order, from D_0 = 1 and E_1 = 1 / A_01.  ``weight`` is (weight_D,
+    weight_E), or None for no factor (a complex factor 1 can flip the sign
+    of a zero part).  The DD sum starts from its k = 0 term; E_0 = 0, so
+    the other three start from the constants in ``start``.  The stop rule
+    sees the largest absolute term among those ``watch`` flags.  Returns
+    (sums, n_used, tail_norm, converged).
     """
     b, a, ac = _recurrence(j, n_terms)[3:]
-    d0 = complex(seeds[0][0, 0])
-    e1 = 1.0 / (a[0] * d0.conjugate()) if n_terms >= 1 else 0j
+    d0 = 1 + 0j
+    e1 = 1 / a[0] if n_terms >= 1 else 0j
     wd, we = weight or (None, None)
     w_dd, w_de, w_ed, w_ee = watch
     dw_p, dw, ew_p, ew = 0j, d0, 0j, 0j

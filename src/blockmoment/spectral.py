@@ -24,7 +24,7 @@ from .errors import (ClassificationUnavailableError, HalfPlaneError,
                      InvalidInputError, RefusedError)
 from .jacobi import BlockJacobiMatrix, truncate
 from .measures import StepMeasure, normalize
-from .polys import _available_terms, _d0_seeds, _series, first_kind_values
+from .polys import _available_terms, _series, first_kind_values
 
 KERNEL_N_MAX = 200
 GROWTH_FACTOR = 1.5
@@ -72,7 +72,15 @@ class DeficiencyReport:
     decisive: bool
 
     def determinacy(self, p: int) -> "DeterminacyClass":
-        """Class of a decisive report for block dimension ``p``."""
+        """Class of the report for block dimension ``p``.
+
+        An indecisive report has no class: ClassificationUnavailableError.
+        """
+        if not self.decisive:
+            raise ClassificationUnavailableError(
+                "deficiency sampling was indecisive: "
+                f"upper={[(str(z), r, d) for z, r, d in self.samples_upper]} "
+                f"lower={[(str(z), r, d) for z, r, d in self.samples_lower]}")
         nu_p, nu_m = self.nu_plus, self.nu_minus
         if nu_p == 0 or nu_m == 0:
             kind = Determinacy.DETERMINATE
@@ -101,34 +109,33 @@ class DeterminacyClass:
         return self.kind.value
 
 
-def kernel_partial(j: BlockJacobiMatrix, z: complex, n: int,
-                   d0=None) -> np.ndarray:
+def kernel_partial(j: BlockJacobiMatrix, z: complex, n: int) -> np.ndarray:
     """K_n(z) = sum_{k=0}^{n} eval(star(D_k), conj z) @ eval(D_k, z).
 
-    Hermitian PSD and >= D_0^H D_0 in the Loewner order; real z is allowed
-    (needed for jump bounds).
+    Hermitian PSD and >= I (the k = 0 term, D_0 = I) in the Loewner order;
+    real z is allowed (needed for jump bounds).
     """
     mk._require_finite(z, "z")
     if n < 0:
         raise InvalidInputError("n must be >= 0")
-    return _kernel_sum(j, z, n, 0.0, d0)
+    return _kernel_sum(j, z, n, 0.0)
 
 
-def _kernel_sum(j, z, n_max, series_tol, d0=None):
+def _kernel_sum(j, z, n_max, series_tol):
     """K_n(z) summed until the shared series stop rule fires or n = n_max.
 
     Both sides of each term are D_k(z); a ``series_tol`` of 0 never fires,
     since increments are nonnegative.
     """
     k, _, _, _ = _series(j, [z, z], [False, False], 1, 1.0, n_max,
-                         series_tol, _d0_seeds(d0, j.p))
+                         series_tol)
     return mk.hermitian_part(k)
 
 
-def _kernel_history(j, z, n_max, d0):
+def _kernel_history(j, z, n_max):
     """Partial sums K_0..K_m at a point, stopping early near overflow."""
     values = []
-    for dk in first_kind_values(j, [complex(z)], n_max, d0):
+    for dk in first_kind_values(j, [complex(z)], n_max):
         values.append(dk[0])
         if np.abs(dk).max() > OVERFLOW_GUARD:
             break
@@ -136,8 +143,8 @@ def _kernel_history(j, z, n_max, d0):
     return np.cumsum(np.conj(np.swapaxes(d, 1, 2)) @ d, axis=0)
 
 
-def estimate_H(j: BlockJacobiMatrix, z: complex, n_max: int = KERNEL_N_MAX,
-               d0=None) -> KernelSummary:
+def estimate_H(j: BlockJacobiMatrix, z: complex,
+               n_max: int = KERNEL_N_MAX) -> KernelSummary:
     """Classify eigen-directions of K_n(z) and estimate H(z).
 
     A direction with final quadratic-form value v and half-depth value h is
@@ -155,7 +162,7 @@ def estimate_H(j: BlockJacobiMatrix, z: complex, n_max: int = KERNEL_N_MAX,
         raise HalfPlaneError("estimate_H needs Im z != 0")
     if n_max < 4:
         raise InvalidInputError("n_max must be >= 4")
-    history = _kernel_history(j, z, n_max, d0)
+    history = _kernel_history(j, z, n_max)
     n_eff = len(history) - 1
     k_last = mk.hermitian_part(history[-1])
     k_half = mk.hermitian_part(history[n_eff // 2])
@@ -229,13 +236,20 @@ def deficiency_indices(j: BlockJacobiMatrix, n_max: int = KERNEL_N_MAX,
 def classify(j: BlockJacobiMatrix, n_max: int = KERNEL_N_MAX,
              sample_points=None) -> DeterminacyClass:
     """Map decisive deficiency indices to a determinacy class."""
-    report = deficiency_indices(j, n_max=n_max, sample_points=sample_points)
-    if not report.decisive:
-        raise ClassificationUnavailableError(
-            "deficiency sampling was indecisive: "
-            f"upper={[(str(z), r, d) for z, r, d in report.samples_upper]} "
-            f"lower={[(str(z), r, d) for z, r, d in report.samples_lower]}")
-    return report.determinacy(j.p)
+    return deficiency_indices(j, n_max=n_max,
+                              sample_points=sample_points).determinacy(j.p)
+
+
+def _ensure_completely_indeterminate(j, determinacy=None):
+    """The class of ``j`` (``determinacy`` when given), refused unless it is
+    completely indeterminate."""
+    cls = classify(j) if determinacy is None else determinacy
+    if not isinstance(cls, DeterminacyClass):
+        raise InvalidInputError("determinacy must be a DeterminacyClass")
+    if cls.kind is not Determinacy.COMPLETELY_INDETERMINATE:
+        raise RefusedError(
+            f"operation needs a completely indeterminate problem, got {cls}")
+    return cls
 
 
 DEFAULT_GROWTH_DIRECTIONS = (1.0 + 0j,
@@ -254,11 +268,7 @@ def growth_diagnostic(j: BlockJacobiMatrix, radii, n_max: int = 400,
     a diagnostic; no limit is asserted.
     """
     n_terms = _available_terms(j, n_max)
-    cls = classify(j)
-    if cls.kind is not Determinacy.COMPLETELY_INDETERMINATE:
-        raise RefusedError(
-            f"growth diagnostic needs a completely indeterminate problem, "
-            f"got {cls}")
+    _ensure_completely_indeterminate(j)
     table = []
     for r in radii:
         r = mk._require_finite(float(r), "radius")
@@ -272,8 +282,8 @@ def growth_diagnostic(j: BlockJacobiMatrix, radii, n_max: int = 400,
     return table
 
 
-def gauss_quadrature(j: BlockJacobiMatrix, n: int, d0=None) -> StepMeasure:
-    """Block Gauss rule exact on moments S_0 .. S_{2n-1}.
+def gauss_quadrature(j: BlockJacobiMatrix, n: int) -> StepMeasure:
+    """Block Gauss rule exact on moments S_0 .. S_{2n-1}, D_0 = I.
 
     Reads only truncate(J, n).  Nodes are its distinct eigenvalues,
     clustered within NODE_MERGE_FACTOR * |truncation|.  With x stacking
@@ -296,6 +306,9 @@ def gauss_quadrature(j: BlockJacobiMatrix, n: int, d0=None) -> StepMeasure:
     the first-block mass is exponentially small and high moment powers
     amplify the noise past any useful tolerance, while the recurrence
     route stays relatively accurate at every scale.
+
+    The rule for another D_0 has the same nodes and the weights
+    D_0^{-1} W D_0^{-H}.
     """
     if n < 1:
         raise InvalidInputError("quadrature needs at least one block")
@@ -312,7 +325,7 @@ def gauss_quadrature(j: BlockJacobiMatrix, n: int, d0=None) -> StepMeasure:
             sizes.append(stop - start)
             start = stop
     # x[i] stacks D_0..D_{n-1} at node i
-    x = np.concatenate(list(first_kind_values(j, nodes, n - 1, d0)), axis=1)
+    x = np.concatenate(list(first_kind_values(j, nodes, n - 1)), axis=1)
     resid = np.array(nodes)[:, None, None] * x[:, -p:] - t[-p:] @ x
     weights = []
     for i, size in enumerate(sizes):

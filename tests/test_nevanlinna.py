@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,12 +18,10 @@ from blockmoment import matkernel as mk
 from blockmoment import nevanlinna
 from blockmoment.errors import (HalfPlaneError, InvalidInputError,
                                 PoleError, RefusedError)
-from blockmoment.polys import (_d0_seeds, _scalar_series, _series,
-                               _SeriesAccumulator, _state_chunks,
-                               first_kind_values)
+from blockmoment.polys import (_scalar_series, _series, _SeriesAccumulator,
+                               _state_chunks, first_kind_values)
 
-from conftest import random_nonsingular, random_regular_growing, \
-    random_unitary, rel_err
+from conftest import random_regular_growing, random_unitary, rel_err
 
 
 @pytest.fixture(scope="module")
@@ -108,11 +108,10 @@ def test_second_kind_recurrence(ch, ind, ds):
             assert np.abs(diff.coeffs).max() < 1e-10 * scale
 
 
-def engine_values(j, zs, n, d0=None):
+def engine_values(j, zs, n):
     """D_k(zs) and E_k(zs), k = 0..n, from the series engine's states."""
     p = j.p
-    chunks = _state_chunks(j, np.repeat(zs, 2), [False, True] * len(zs), n,
-                           _d0_seeds(d0, p))
+    chunks = _state_chunks(j, np.repeat(zs, 2), [False, True] * len(zs), n)
     xs = np.concatenate([c.copy() for c in chunks])
     blocks = xs.reshape(n + 1, p, 2 * len(zs), p).transpose(0, 2, 1, 3)
     return blocks[:, 0::2], blocks[:, 1::2]
@@ -120,12 +119,10 @@ def engine_values(j, zs, n, d0=None):
 
 def test_pointwise_matches_symbolic(ind, rng):
     zs = [0.3 - 0.7j, 2.0 + 1.0j]
-    d0 = random_nonsingular(2, rng)
-    for j, d0j in ((ind, None), (double_ind_fixture(), None),
-                   (random_regular_growing(2, 12, rng), d0)):
-        basis = generate_first_kind(j, 10, d0j)
+    for j in (ind, double_ind_fixture(), random_regular_growing(2, 12, rng)):
+        basis = generate_first_kind(j, 10)
         sk = second_kind(basis, 10)
-        dks, eks = engine_values(j, zs, 10, d0j)
+        dks, eks = engine_values(j, zs, 10)
         for k in range(11):
             for i, z in enumerate(zs):
                 assert rel_err(dks[k, i], basis.polys[k](z)) < 1e-12
@@ -176,7 +173,6 @@ def test_quartet_scalar_path_matches_block_path(ind):
     # of the extremal transform and of the extension bracket
     z, xi, x = 0.7 + 1.3j, 0.4, -1.7
     zb = z.conjugate()
-    seeds = _d0_seeds(None, 1)
     cases = (  # scalar: w, v, weight, watch; engine: points, second,
                # n_left, weight; scalar sums (DD, DE, ED, EE) compared
         (zb, 0j, (z, z), (True,) * 4,
@@ -188,9 +184,9 @@ def test_quartet_scalar_path_matches_block_path(ind):
     for w, v, weight, watch, zs, second, n_left, eng_weight, idx in cases:
         for tol in (0.0, 1e-5):
             sums, n_used, _, conv = _scalar_series(
-                ind, w, v, weight, (0j, 0j, 0j), watch, 300, tol, seeds)
+                ind, w, v, weight, (0j, 0j, 0j), watch, 300, tol)
             t, n_eng, _, conv_eng = _series(ind, zs, second, n_left,
-                                            eng_weight, 300, tol, seeds)
+                                            eng_weight, 300, tol)
             for i, want in zip(idx, t.ravel()):
                 assert rel_err(sums[i], want) < 1e-12
             assert (n_used, conv) == (n_eng, conv_eng)
@@ -231,18 +227,18 @@ def ci_matrix(rng, p, n_blocks, rule):
                              blocks if rule else None)
 
 
-def plain_quartet(j, z, n_terms, series_tol, d0):
+def plain_quartet(j, z, n_terms, series_tol):
     """Quartet sums by one solve per step and per family, and the stop rule
     (two consecutive increments below tol, not before the third term)."""
     p = j.p
     jp = j.prefix(n_terms + 1)
     zero = np.zeros((p, p), dtype=complex)
-    e1 = np.linalg.solve(jp.offdiag[0], np.linalg.inv(d0).conj().T)
+    eye = np.eye(p, dtype=complex)
+    e1 = np.linalg.solve(jp.offdiag[0], eye)
     # (previous, current) for D(conj z), D(0), E(conj z), E(0)
-    states = [(zero, d0), (zero, d0), (zero, zero), (zero, zero)]
+    states = [(zero, eye), (zero, eye), (zero, zero), (zero, zero)]
     points = (np.conj(z), 0.0, np.conj(z), 0.0)
-    sums = [np.eye(p, dtype=complex), zero, -z * (d0.conj().T @ d0),
-            np.eye(p, dtype=complex)]
+    sums = [eye, zero, -z * eye, eye]
     incs = [np.abs(sums[2]).max()]
     for k in range(n_terms):
         nxt = []
@@ -266,19 +262,16 @@ def plain_quartet(j, z, n_terms, series_tol, d0):
 
 @settings(max_examples=30, deadline=None)
 @given(p=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2 ** 32 - 1),
-       extended=st.booleans(), with_d0=st.booleans(),
-       log_tol=st.floats(-6.0, -1.0))
-def test_engine_matches_plain_recurrence(p, seed, extended, with_d0,
-                                         log_tol):
+       extended=st.booleans(), log_tol=st.floats(-6.0, -1.0))
+def test_engine_matches_plain_recurrence(p, seed, extended, log_tol):
     rng = np.random.default_rng(seed)
     j = ci_matrix(rng, p, 20 if extended else 150, rule=extended)
-    d0 = random_nonsingular(p, rng) if with_d0 else np.eye(p)
     z = complex(*rng.uniform(-4.0, 4.0, 2))
     cls = DeterminacyClass(Determinacy.COMPLETELY_INDETERMINATE, p, p)
     q = quartet(j, z, n_max=200, series_tol=10.0 ** log_tol,
-                d0=d0 if with_d0 else None, determinacy=cls)
+                determinacy=cls)
     sums, n_used, converged = plain_quartet(j, z, 200 if extended else 149,
-                                            10.0 ** log_tol, d0)
+                                            10.0 ** log_tol)
     assert (q.n_used, q.converged) == (n_used, converged)
     for got, want in zip((q.f1, q.f2, q.g1, q.g2), sums):
         assert rel_err(got, want) < 1e-12
@@ -335,28 +328,31 @@ def test_second_call_reuses_the_recurrence_plan(monkeypatch):
     assert counts == {"prefix": 0, "inv": 0}
 
 
-def test_singular_d0_is_invalid_input(ch, ind, ind_cls):
-    with pytest.raises(InvalidInputError):
-        quartet(ind, 1j, d0=[[0]], determinacy=ind_cls)
-    j = double_ind_fixture()
-    cls = DeterminacyClass(Determinacy.COMPLETELY_INDETERMINATE, 2, 2)
-    d0 = [[1.0, 2.0], [2.0, 4.0]]
-    for call in (lambda: quartet(j, 1j, d0=d0, determinacy=cls),
-                 lambda: transform_extremal(j, 0.0, -1j, d0=d0,
-                                            determinacy=cls),
-                 lambda: transform_from_V(j, 1j, np.eye(2), d0=d0,
-                                          determinacy=cls),
-                 lambda: extension_bracket(j, np.eye(2), [0.5], d0=d0),
-                 lambda: jump_bound(j, 0.0, 5, d0=d0)):
-        with pytest.raises(InvalidInputError):
-            call()
-    # the spectral entry points, at p = 1 and p = 2
-    for jj, bad in ((ch, [[0]]), (j, d0)):
-        for call in (lambda: gauss_quadrature(jj, 4, d0=bad),
-                     lambda: kernel_partial(jj, 1j, 4, d0=bad),
-                     lambda: estimate_H(jj, 1j, d0=bad)):
-            with pytest.raises(InvalidInputError):
+def test_singular_d0_is_invalid_input(ch):
+    # the two entry points that take a D_0, at p = 1 and p = 2
+    for j, bad in ((ch, [[0]]), (double_ind_fixture(),
+                                 [[1.0, 2.0], [2.0, 4.0]])):
+        for call in (lambda: generate_first_kind(j, 4, bad),
+                     lambda: moments_from_jacobi(j, 4, bad)):
+            with pytest.raises(InvalidInputError, match="D_0"):
                 call()
+
+
+def test_series_kernel_and_quadrature_entry_points_take_no_d0():
+    def params(fn):
+        return set(inspect.signature(fn).parameters)
+
+    for fn in (first_kind_values, kernel_partial, estimate_H,
+               gauss_quadrature, jump_bound, quartet, transform_extremal,
+               transform_from_V):
+        assert "d0" not in params(fn), fn.__name__
+    for fn in (extension_bracket, extension_spectrum):
+        assert not {"d0", "series_tol"} & params(fn), fn.__name__
+    for fn in (generate_first_kind, moments_from_jacobi):
+        assert "d0" in params(fn), fn.__name__
+    # the engine runs on the fixed seeds D_0 = I and E_1 = B_0^{-1}
+    for fn in (_state_chunks, _series, _scalar_series):
+        assert "seeds" not in params(fn), fn.__name__
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockmoment import (BlockJacobiMatrix, Determinacy, classify,
+from blockmoment import (BlockJacobiMatrix, Determinacy, StepMeasure, classify,
                          deficiency_indices, estimate_H, gauss_quadrature,
                          growth_diagnostic, kernel_partial,
                          moments_from_jacobi, moments_of_measure)
@@ -159,6 +159,8 @@ def test_classify_indecisive_raises():
     rep = deficiency_indices(j)
     assert not rep.decisive
     assert rep.nu_plus is None
+    with pytest.raises(ClassificationUnavailableError, match="indecisive"):
+        rep.determinacy(j.p)
     with pytest.raises(ClassificationUnavailableError):
         classify(j)
 
@@ -234,15 +236,6 @@ def test_quadrature_with_exactly_n_stored_blocks(ch, ds):
             assert np.abs(a - b).max() < 1e-9 * quadrature_envelope(q, i)
 
 
-def test_quadrature_nontrivial_d0(ch):
-    d0 = np.array([[0.5]])
-    q = gauss_quadrature(ch, 3, d0=d0)
-    s = moments_from_jacobi(ch, 5, d0)
-    sq = moments_of_measure(q, 5)
-    for a, b in zip(sq.S, s.S):
-        assert rel_err(a, b) < 1e-9
-
-
 def seeded_blocks(p, seed, n_blocks):
     """Diagonal and off-diagonal blocks of a random regular matrix."""
     rng = np.random.default_rng(seed)
@@ -253,23 +246,39 @@ def seeded_blocks(p, seed, n_blocks):
 
 @settings(max_examples=40, deadline=None)
 @given(p=st.sampled_from([1, 2, 3]), n=st.integers(1, 8),
-       seed=st.integers(0, 2 ** 32 - 1), with_d0=st.booleans())
-def test_quadrature_is_exact_and_reads_only_the_truncation(p, n, seed,
-                                                           with_d0):
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_quadrature_is_exact_and_reads_only_the_truncation(p, n, seed):
     diag, off = seeded_blocks(p, seed, n + 2)
-    d0 = random_nonsingular(p, np.random.default_rng([seed, 1])) \
-        if with_d0 else None
     exact = BlockJacobiMatrix(p, tuple(diag[:n]), tuple(off[:n - 1]))
     ruled = BlockJacobiMatrix(p, (diag[0],), (),
                               lambda k: (diag[k], off[k]))
-    q = gauss_quadrature(exact, n, d0)
-    s = moments_from_jacobi(ruled, 2 * n - 1, d0)
+    q = gauss_quadrature(exact, n)
+    s = moments_from_jacobi(ruled, 2 * n - 1)
     sq = moments_of_measure(q, 2 * n - 1)
     for a, b in zip(sq.S, s.S):
         assert rel_err(a, b) <= 1e-9
-    q2 = gauss_quadrature(ruled, n, d0)
+    q2 = gauss_quadrature(ruled, n)
     assert np.array_equal(q.nodes, q2.nodes)
     assert np.abs(q.weights - q2.weights).max() <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([1, 2, 3]), n=st.integers(1, 8),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_quadrature_for_another_d0_is_the_congruent_rule(p, n, seed):
+    # the rule of (J, D_0) keeps the nodes of the D_0 = I rule and takes
+    # the weights D_0^{-1} W D_0^{-H}
+    diag, off = seeded_blocks(p, seed, n + 1)
+    j = BlockJacobiMatrix(p, tuple(diag), tuple(off))
+    d0 = random_nonsingular(p, np.random.default_rng([seed, 1]))
+    d0_inv = np.linalg.inv(d0)
+    q = gauss_quadrature(j, n)
+    congruent = StepMeasure(p, q.nodes,
+                            d0_inv @ q.weights @ d0_inv.conj().T)
+    s = moments_from_jacobi(j, 2 * n - 1, d0)
+    sq = moments_of_measure(congruent, 2 * n - 1)
+    for a, b in zip(sq.S, s.S):
+        assert rel_err(a, b) <= 1e-9
 
 
 @pytest.mark.parametrize("p", [1, 2])

@@ -118,28 +118,28 @@ def moments_from_jacobi(j: BlockJacobiMatrix, n_max: int,
     With W_0 = E_0 D_0^{-H} and W_m = J W_{m-1}, one block-tridiagonal
     product on the A_kk and A_{k,k+1} kept with the recurrence plan,
     S_n = W_a^H W_b for a = n // 2 and b = n - a, so every even moment is a
-    Gram matrix, positive semidefinite by construction.  The m = n_max -
-    n_max // 2 steps read only blocks 0..m of J, since a closed walk of
-    length n_max from block 0 never goes deeper than n_max // 2; the plan
-    build refuses a non-regular prefix of those m + 1 blocks
-    (InvalidInputError).  D_0 is ``d0``, the identity by default; a
-    numerically singular one raises InvalidInputError.
+    Gram matrix, positive semidefinite by construction.  A closed walk of
+    length n_max from block 0 goes no deeper than h = n_max // 2, so only
+    blocks 0..h of J are read and of the W_i formed (W_{h+1} enters only
+    as W_h^H W_{h+1}); the plan build refuses a non-regular prefix of
+    those h + 1 blocks (InvalidInputError).  D_0 is ``d0``, the identity
+    by default; a numerically singular one raises InvalidInputError.
     """
     if n_max < 0:
         raise InvalidInputError("n_max must be >= 0")
     p = j.p
-    m = n_max - n_max // 2
-    diag, off = _recurrence(j, m)[1:3]
+    h = n_max // 2
+    diag, off = _recurrence(j, h)[1:3]
     # w[i, k] is block k of W_i, which vanishes for k > i
-    w = np.zeros((m + 1, m + 1, p, p), dtype=complex)
+    w = np.zeros((n_max - h + 1, h + 1, p, p), dtype=complex)
     w[0, 0] = np.eye(p) if d0 is None else \
         np.linalg.inv(_require_nonsingular(d0, p, "D_0")).conj().T
-    for i in range(m):
-        src, dst = w[i, :i + 1], w[i + 1]
+    for i in range(n_max - h):
+        src, dst, top = w[i, :i + 1], w[i + 1], min(i + 1, h)
         dst[:i + 1] = diag[:i + 1] @ src
-        dst[1:i + 2] += np.conj(np.swapaxes(off[:i + 1], 1, 2)) @ src
+        dst[1:top + 1] += np.conj(np.swapaxes(off[:top], 1, 2)) @ src[:top]
         dst[:i] += off[:i] @ src[1:]
-    cols = w.reshape(m + 1, (m + 1) * p, p)
+    cols = w.reshape(n_max - h + 1, (h + 1) * p, p)
     return MomentSequence(p, tuple(
         mk.hermitian_part(cols[n // 2].conj().T @ cols[n - n // 2])
         for n in range(n_max + 1)))
@@ -173,8 +173,8 @@ def jacobi_from_moments(s: MomentSequence
     blocks and no generator rule -- the data determines
     A_{0,0}..A_{n-1,n-1} and A_{0,1}..A_{n-1,n}; the final diagonal block
     is a zero pad, which leaves S_0..S_2n unchanged.  Both moment routes
-    reproduce S_0..S_2n from these blocks alone; anything deeper raises
-    OutOfRangeError.
+    reproduce S_0..S_2n from these blocks alone; S_{2n+1} reads the pad,
+    and anything deeper raises OutOfRangeError.
 
     Refuses (rather than regularizes) when a Gram normalization falls below
     the positive-definiteness floor: silent regularization would corrupt

@@ -15,8 +15,8 @@ Everything here lives in the completely indeterminate regime
   with the star-evaluation convention X*(z) := eval(star(X), z), i.e.
   X*(z) = [X(conj z)]^H;
 * the extremal-solution transform (lower half-plane), the contraction
-  parametrization (upper half-plane), and self-adjoint-extension spectra via
-  the determinant equation det[G1(I+U) + i G2(I-U)] = 0.
+  parametrization (upper half-plane), and self-adjoint-extension spectra,
+  the roots of det[G1(I+U) + i G2(I-U)], as eigenvalues of a truncation.
 
 Half-plane conventions are enforced exactly as stated on each operation; no
 analytic continuation across the real axis is attempted.  Series are
@@ -39,17 +39,16 @@ import numpy as np
 from . import matkernel as mk
 from .errors import (HalfPlaneError, InvalidInputError,
                      NumericalFailureError, OutOfRangeError, PoleError)
-from .jacobi import BlockJacobiMatrix
+from .jacobi import BlockJacobiMatrix, truncate
 from .polys import (MatrixPoly, OrthoBasis, _available_terms, _coefficients,
-                    _scalar_series, _series)
+                    _scalar_series, _series, _state_chunks)
 # classify is re-exported next to the entry points whose ``determinacy``
 # argument it computes
 from .spectral import (DeterminacyClass, _ensure_completely_indeterminate,
-                       classify, kernel_partial)
+                       _truncation_nodes, classify, kernel_partial)
 
 SERIES_TOL = 1e-12
 SERIES_N_MAX = 400
-ROOT_TOL = 1e-9
 DEFAULT_GRID = 2000
 
 _CONTRACTION_SLACK = 1e-12
@@ -277,101 +276,85 @@ def _require_unitary(u, p) -> np.ndarray:
     if defect > 1e-10:
         raise InvalidInputError(
             f"U must be unitary (U^H U - I has norm {defect:.3e})")
-    return m
-
-
-def _bracket_values(j, u, lam, n_terms):
-    """G1(I+U) + i G2(I-U) batched over real points, U validated.
-
-    D_k(0) and E_k(0) ride along with the states at the points; the series
-    stops at SERIES_TOL.
-    """
-    p = j.p
-    zs = np.concatenate([lam, [0.0, 0.0]])
-    second = np.arange(zs.size) == zs.size - 1
-    weight = np.repeat(-lam, p)[:, None]
-    t, _, _, _ = _series(j, zs, second, lam.size, weight, n_terms,
-                         SERIES_TOL)
-    g1 = t[:, :p].reshape(lam.size, p, p)
-    eye = np.eye(p, dtype=complex)
-    g2 = eye + t[:, p:].reshape(lam.size, p, p)
-    return g1 @ (eye + u) + 1j * (g2 @ (eye - u))
+    w, _, vh = np.linalg.svd(m)
+    return w @ vh                          # the nearest unitary matrix
 
 
 def extension_bracket(j: BlockJacobiMatrix, u, lams,
                       n_max: int = SERIES_N_MAX) -> np.ndarray:
     """B(lam) = G1(lam)(I+U) + i G2(lam)(I-U) at real points.
 
-    Returns a (len(lams), p, p) stack; determinacy is not re-checked here,
-    so this is also usable as the residual probe for accepted roots.
+    Returns a (len(lams), p, p) stack for the nearest unitary to U;
+    determinacy is not re-checked, so this is also the residual probe for
+    accepted roots.  D_k(0) and E_k(0) ride along with the states at the
+    points; the series stops at SERIES_TOL.
     """
-    u = _require_unitary(u, j.p)
+    p = j.p
+    u = _require_unitary(u, p)
     lam = mk._require_finite(np.asarray(lams, dtype=float).reshape(-1), "lam")
-    return _bracket_values(j, u, lam, _available_terms(j, n_max))
-
-
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_min(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Golden-section minimizers of many intervals at once (a deterministic
-    72 iterations): one call of ``f`` per iteration over all probes."""
-    c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    for _ in range(72):
-        left = fc <= fd
-        lo, hi = np.where(left, lo, c), np.where(left, d, hi)
-        w = _INVPHI * (hi - lo)
-        x = np.where(left, hi - w, lo + w)
-        fx = f(x)
-        # x and the surviving probe are the new pair, in order
-        c, d = np.where(left, x, d), np.where(left, c, x)
-        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
-    return 0.5 * (lo + hi)
+    zs = np.concatenate([lam, [0.0, 0.0]])
+    second = np.arange(zs.size) == zs.size - 1
+    weight = np.repeat(-lam, p)[:, None]
+    t, _, _, _ = _series(j, zs, second, lam.size, weight,
+                         _available_terms(j, n_max), SERIES_TOL)
+    g1 = t[:, :p].reshape(lam.size, p, p)
+    eye = np.eye(p, dtype=complex)
+    g2 = eye + t[:, p:].reshape(lam.size, p, p)
+    return g1 @ (eye + u) + 1j * (g2 @ (eye - u))
 
 
 def extension_spectrum(j: BlockJacobiMatrix, u, interval, grid: int = DEFAULT_GRID,
                        n_max: int = SERIES_N_MAX,
                        determinacy: DeterminacyClass | None = None
                        ) -> list[float]:
-    """Real roots of det[G1(I+U) + i G2(I-U)] on [a, b], sorted ascending.
+    """Distinct real roots of det[G1(I+U) + i G2(I-U)] on [a, b], ascending.
 
-    Scans |det| on a uniform grid and refines all local minima together
-    by golden section, one batched bracket evaluation per iteration (76
-    evaluations in all, whatever the number of minima).  A candidate is
-    accepted only when the smallest singular value of the bracket matrix
-    falls below ROOT_TOL times the local bracket scale (largest
-    singular value over the refined point and its bracketing grid points),
-    and dropped within 1e-9 (relative) of the accepted root before it.
+    With the bracket summed to k = N and X_m = D_m(0)(I+U) + i E_m(0)(I-U),
+    they are the eigenvalues of the n = N + 1 block truncation with last
+    block A_{n-1,n-1} + X_{n-1}^{-H} X_n^H A_{n-1,n}^H, by the recurrence at
+    0 -X_{n-1}^{-H} X_{n-2}^H A_{n-2,n-1} (X_0^{-H} (i(I-U))^H for n = 1),
+    which reads only the blocks the bracket reads.  Where X_{n-1} vanishes
+    to working precision so does the bracket's last term, and x_{n-1} is
+    held at zero.  One Rayleigh step per node on its recurrence
+    eigenvectors removes the eigensolver's error; ``grid`` is not used.
     """
     a, b = mk._require_finite((float(interval[0]), float(interval[1])),
                               "interval end")
     if not a < b:
         raise InvalidInputError(f"interval must satisfy a < b, got [{a}, {b}]")
-    if grid < 8:
-        raise InvalidInputError("grid must be >= 8")
-    u = _require_unitary(u, j.p)
+    p = j.p
+    u = _require_unitary(u, p)
     n_terms = _available_terms(j, n_max)
     _ensure_completely_indeterminate(j, determinacy)
-
-    def bracket(points):
-        return _bracket_values(j, u, points, n_terms)
-
-    lams = np.linspace(a, b, grid + 1)
-    bmat = bracket(lams)
-    smax = np.linalg.svd(bmat, compute_uv=False)[:, 0]
-    absdet = np.abs(np.linalg.det(bmat))
-    padded = np.concatenate([[np.inf], absdet, [np.inf]])
-    # local minima: strict on the left, non-strict on the right
-    i = np.flatnonzero((absdet < padded[:-2]) & (absdet <= padded[2:]))
-    lo, hi = np.maximum(i - 1, 0), np.minimum(i + 1, grid)
-    lam_star = _golden_min(lambda x: np.abs(np.linalg.det(bracket(x))),
-                           lams[lo], lams[hi])
-    s = np.linalg.svd(bracket(lam_star), compute_uv=False)
-    scale = np.max([s[:, 0], smax[lo], smax[hi]], axis=0).clip(1e-300)
-    roots = np.sort(lam_star[s[:, -1] < ROOT_TOL * scale])
-    fresh = np.diff(roots, prepend=-np.inf) > 1e-9 * (1.0 + np.abs(roots))
-    return roots[fresh].tolist()
+    eye = np.eye(p)
+    states = np.concatenate([s.copy() for s in _state_chunks(
+        j, [0.0, 0.0], [False, True], n_terms)])
+    x = states[..., :p] @ (eye + u) + 1j * (states[..., p:] @ (eye - u))
+    n = n_terms + 1
+    t = truncate(j, n)
+    scale = max(np.abs(t).sum(axis=1).max(), abs(a), abs(b))
+    a_prev = t[-2 * p:-p, -p:].copy()                    # A_{n-2,n-1}
+    prev = -x[n - 2].conj().T @ a_prev if n > 1 else -1j * (eye - u).conj().T
+    # a basis whose first r vectors span X_{n-1}; the rest is parked past b
+    w, sv, vh = np.linalg.svd(x[n - 1])
+    r = np.count_nonzero(sv > p * np.finfo(float).eps
+                         * np.abs(states[n - 1]).max())
+    rot = w if p > 1 else eye
+    t[:, -p:] = t[:, -p:] @ rot
+    t[-p:] = rot.conj().T @ t[-p:]
+    t[-p:, -p:] = mk.hermitian_part(
+        rot.conj().T @ (w[:, :r] / sv[:r]) @ vh[:r] @ prev @ rot)
+    k = (n - 1) * p + r
+    t[k:], t[:, k:] = 0.0, 0.0
+    t[k:, k:] = (b + 1.0 + scale) * np.eye(p - r)
+    nodes, xs, resid, ys, grams = _truncation_nodes(j, t, a, b, scale, rot)
+    roots = []
+    for node, xi, res, y, g in zip(nodes, xs, resid, ys, grams):
+        # y^H x^H (t - node) x y; block row n - 2 sees the parked part
+        d, e = xi[-p:] @ y, xi[-2 * p:-p] @ y
+        num = -d.conj().T @ res @ y - e.conj().T @ a_prev @ rot[:, r:] @ d[r:]
+        roots.append(node + np.trace(np.linalg.solve(g, num)).real / len(g))
+    return [float(z) for z in roots if a <= z <= b]
 
 
 # ---------------------------------------------------------------------------

@@ -234,7 +234,7 @@ def _recurrence(j: BlockJacobiMatrix, n: int):
 
         X_{k+1} = row_k @ [X_{k-1}; z X_k; X_k].
 
-    ``diag`` and ``off`` stack A_kk and A_{k,k+1}, the bands of J.  For
+    ``diag`` and ``off`` stack A_kk, k <= n, and A_{k,k+1}, k < n.  For
     p = 1, b, a and ac list A_kk, A_{k,k+1} and its conjugate as plain
     complex numbers for the scalar path (None otherwise).  The longest data
     built so far is kept in ``j.memo`` and serves every shorter request; it
@@ -255,11 +255,12 @@ def _recurrence(j: BlockJacobiMatrix, n: int):
             f"matrix is not a regular block Jacobi matrix: block {k} "
             f"{kind} (magnitude {mag:.3e})")
     off = _freeze(np.array(jp.offdiag, dtype=complex).reshape(n, p, p))
-    diag = _freeze(np.array(jp.diag[:n], dtype=complex).reshape(n, p, p))
+    diag = _freeze(np.array(jp.diag, dtype=complex).reshape(n + 1, p, p))
     b_inv = np.linalg.inv(off)
     sub = np.zeros_like(off)
     sub[1:] = np.conj(np.swapaxes(off[:-1], 1, 2))         # A_{k,k-1}
-    plan = np.concatenate([-(b_inv @ sub), b_inv, -(b_inv @ diag)], axis=2)
+    plan = np.concatenate([-(b_inv @ sub), b_inv, -(b_inv @ diag[:n])],
+                          axis=2)
     plan.setflags(write=False)
     b = a = ac = None
     if p == 1:

@@ -282,19 +282,56 @@ def growth_diagnostic(j: BlockJacobiMatrix, radii, n_max: int = 400,
     return table
 
 
+def _truncation_nodes(j: BlockJacobiMatrix, t: np.ndarray,
+                      lo: float = -np.inf, hi: float = np.inf,
+                      scale: float | None = None, rot=None):
+    """Distinct eigenvalues of ``t`` in [lo, hi], with their eigenvectors.
+
+    ``t`` is an n-block truncation of ``j``, its last block maybe replaced
+    and held in the basis ``rot``.  Eigenvalues within NODE_MERGE_FACTOR *
+    ``scale`` (default: the largest |eigenvalue|) of each other are one
+    node, their mean.  With x stacking D_0..D_{n-2}, rot^H D_{n-1} at a
+    node, x c is an eigenvector exactly when c is a null direction Y of the
+    residual node x[-p:] - t[-p:] @ x.  Returns the nodes and per node x,
+    that residual, Y and the Gram matrix of x Y.
+    """
+    p = j.p
+    n = t.shape[0] // p
+    h = mk.hermitian_part(t)
+    if rot is not None:     # a replaced last block may be huge: order it first
+        h = h[::-1, ::-1]
+    w = np.linalg.eigvalsh(h if h.imag.any() else h.real)
+    scale = np.abs(w).max() if scale is None else scale
+    tol = NODE_MERGE_FACTOR * scale
+    clusters = [c for c in np.split(w, np.flatnonzero(np.diff(w) > tol) + 1)
+                if lo - tol <= c.mean() <= hi + tol]
+    nodes = np.array([c.mean() for c in clusters])
+    x = np.concatenate(list(first_kind_values(j, nodes, n - 1)), axis=1)
+    if rot is not None:
+        x[:, -p:] = rot.conj().T @ x[:, -p:]
+    resid = nodes[:, None, None] * x[:, -p:] - t[-p:] @ x
+    # rows of a huge replaced block would swamp the others' null directions
+    rows = np.maximum(1.0, np.abs(t.diagonal()[-p:]) / (scale or 1.0))[:, None]
+    ys, grams = [], []
+    for i, c in enumerate(clusters):
+        if p == 1:
+            y = np.ones((1, 1), dtype=complex)
+        else:
+            _, _, vh = np.linalg.svd(resid[i] / rows)
+            y = vh[p - min(c.size, p):, :].conj().T   # null directions
+        v = x[i] @ y                                  # eigenvectors x Y
+        ys.append(y)
+        grams.append(mk.hermitian_part(v.conj().T @ v))
+    return nodes, x, resid, ys, grams
+
+
 def gauss_quadrature(j: BlockJacobiMatrix, n: int) -> StepMeasure:
     """Block Gauss rule exact on moments S_0 .. S_{2n-1}, D_0 = I.
 
-    Reads only truncate(J, n).  Nodes are its distinct eigenvalues,
-    clustered within NODE_MERGE_FACTOR * |truncation|.  With x stacking
-    D_0..D_{n-1} at a node, x c is an eigenvector exactly when c is a null
-    direction of the residual of the truncation's last block row,
-
-        node D_{n-1} - A_{n-1,n-2} D_{n-2} - A_{n-1,n-1} D_{n-1}
-            = A_{n-1,n} D_n(node),
-
-    and with Y a basis of those directions the block Christoffel formula
-    gives the weight
+    Reads only truncate(J, n).  Nodes are its distinct eigenvalues, found
+    with the eigenvector null directions Y of each by ``_truncation_nodes``
+    (the residual of the last block row is A_{n-1,n} D_n(node)); the block
+    Christoffel formula gives the weight
 
         W = Y (Y^H K_{n-1}(node) Y)^{-1} Y^H,   K_{n-1} = x^H x,
 
@@ -313,31 +350,9 @@ def gauss_quadrature(j: BlockJacobiMatrix, n: int) -> StepMeasure:
     if n < 1:
         raise InvalidInputError("quadrature needs at least one block")
     p = j.p
-    t = truncate(j, n)
-    w = np.linalg.eigvalsh(mk.hermitian_part(t))
-    tol = NODE_MERGE_FACTOR * mk.spectral_norm(t)
-    nodes: list[float] = []
-    sizes: list[int] = []
-    start = 0
-    for stop in range(1, len(w) + 1):
-        if stop == len(w) or w[stop] - w[stop - 1] > tol:
-            nodes.append(float(np.mean(w[start:stop])))
-            sizes.append(stop - start)
-            start = stop
-    # x[i] stacks D_0..D_{n-1} at node i
-    x = np.concatenate(list(first_kind_values(j, nodes, n - 1)), axis=1)
-    resid = np.array(nodes)[:, None, None] * x[:, -p:] - t[-p:] @ x
-    weights = []
-    for i, size in enumerate(sizes):
-        if p == 1:
-            y = np.ones((1, 1), dtype=complex)
-        else:
-            _, _, vh = np.linalg.svd(resid[i])
-            y = vh[p - min(size, p):, :].conj().T   # null directions
-        v = x[i] @ y                                # eigenvectors x Y
-        gram = mk.hermitian_part(v.conj().T @ v)
-        weights.append(mk.hermitian_part(y @ np.linalg.inv(gram)
-                                         @ y.conj().T))
-    measure = StepMeasure(p, np.array(nodes),
+    nodes, _, _, ys, grams = _truncation_nodes(j, truncate(j, n))
+    weights = [mk.hermitian_part(y @ np.linalg.inv(g) @ y.conj().T)
+               for y, g in zip(ys, grams)]
+    measure = StepMeasure(p, nodes,
                           np.array(weights).reshape(len(nodes), p, p))
     return normalize(measure)

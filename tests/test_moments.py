@@ -2,10 +2,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from blockmoment import (MatrixPoly, MomentSequence, StepMeasure, form,
-                         generate_first_kind, hankel_positive,
-                         jacobi_from_moments, moments_from_jacobi,
-                         moments_of_measure, moments_oracle)
+from blockmoment import (BlockJacobiMatrix, MatrixPoly, MomentSequence,
+                         StepMeasure, form, generate_first_kind,
+                         hankel_positive, jacobi_from_moments,
+                         moments_from_jacobi, moments_of_measure,
+                         moments_oracle)
 from blockmoment import matkernel as mk
 from blockmoment.errors import (IllConditionedError, InvalidInputError,
                                 OutOfRangeError)
@@ -108,11 +109,33 @@ def test_moments_match_a_60_digit_reference(ind, ds, rng):
 
 
 def test_oracle_out_of_range():
-    from blockmoment import BlockJacobiMatrix
     finite = BlockJacobiMatrix(1, (np.zeros((1, 1)),) * 2,
                                (np.array([[1.0]]),))
     with pytest.raises(OutOfRangeError):
         moments_oracle(finite, 5)
+
+
+def test_odd_moment_reads_blocks_up_to_half_its_order(rng):
+    # S_1 = A_00 needs no A_01
+    for a in (0.0, 0.5):
+        one = BlockJacobiMatrix(1, (np.array([[a]]),), ())
+        s = moments_from_jacobi(one, 1)
+        assert np.array_equal(s.S[1], np.array([[a]], dtype=complex))
+    # S_{2k+1} reads blocks 0..k: a defect in block k + 1 (a non-Hermitian
+    # diagonal) refuses S_{2k+2} but not S_{2k+1}
+    for p, k in ((1, 2), (2, 3)):
+        j = random_regular(p, 8, rng, scale=1.0)
+        diag = list(j.diag)
+        diag[k + 1] = (diag[k + 1] + np.triu(np.ones((p, p)), 1)
+                       + 1j * np.eye(p))
+        bad = BlockJacobiMatrix(p, tuple(diag), j.offdiag)
+        got = moments_from_jacobi(bad, 2 * k + 1).S
+        want = moments_from_jacobi(j, 2 * k + 1).S
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert rel_err(got[-1], moments_oracle(j, 2 * k + 1)) < 1e-12
+        with pytest.raises(InvalidInputError,
+                           match=f"block {k + 1} not-hermitian"):
+            moments_from_jacobi(bad, 2 * k + 2)
 
 
 def test_hankel_positive_ch(ch):
@@ -242,8 +265,13 @@ def test_recovered_matrix_holds_only_what_the_data_determines(rng):
             oracle = d0r_inv @ moments_oracle(j, m) @ d0r_inv.conj().T
             assert rel_err(back.S[m], s.S[m]) < 1e-8
             assert rel_err(oracle, s.S[m]) < 1e-8
+        # S_{2n+1} reads the zero pad A_nn on both routes; S_{2n+2} needs
+        # A_{n,n+1}, which is not stored
+        odd = moments_from_jacobi(j, 2 * n + 1, d0r).S[-1]
+        assert rel_err(odd, d0r_inv @ moments_oracle(j, 2 * n + 1)
+                       @ d0r_inv.conj().T) < 1e-8
         with pytest.raises(OutOfRangeError):
-            moments_from_jacobi(j, 2 * n + 1, d0r)
+            moments_from_jacobi(j, 2 * n + 2, d0r)
 
 
 def test_invert_rejects_nonpositive():

@@ -2,7 +2,7 @@ import inspect
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockmoment import (BlockJacobiMatrix, Determinacy, DeterminacyClass,
@@ -509,17 +509,79 @@ def test_extension_spectrum_u_minus_one_is_g2_zeros(ind, ind_cls):
         assert abs(q.g2[0, 0]) < 1e-7 * scale
 
 
+def ci2_with_unitary():
+    """A p = 2 CI fixture, a random unitary U and the fixture's class."""
+    j = ci_matrix(np.random.default_rng(5), 2, 420, rule=True)
+    cls = DeterminacyClass(Determinacy.COMPLETELY_INDETERMINATE, 2, 2)
+    return j, random_unitary(2, np.random.default_rng(6)), cls
+
+
+def assert_roots_zero_the_bracket(j, u, roots, n_max=nevanlinna.SERIES_N_MAX):
+    """Sorted, distinct, and each a zero of the same-depth bracket."""
+    assert roots == sorted(roots) and np.all(np.diff(roots) > 0)
+    for r in roots:
+        b = extension_bracket(j, u, [r], n_max=n_max)[0]
+        s = np.linalg.svd(b, compute_uv=False)
+        nearby = extension_bracket(j, u, [r - 0.01, r + 0.01], n_max=n_max)
+        scale = max(np.linalg.svd(nearby, compute_uv=False).max(),
+                    s[0], 1e-300)
+        assert s[-1] < 1e-8 * scale
+
+
 def test_extension_root_residuals(ind, ind_cls):
-    for u in (np.eye(1), -np.eye(1), 1j * np.eye(1)):
-        roots = extension_spectrum(ind, u, (-10, 10), determinacy=ind_cls)
-        assert roots == sorted(roots)
-        for r in roots:
-            b = extension_bracket(ind, u, [r])[0]
-            s = np.linalg.svd(b, compute_uv=False)
-            nearby = extension_bracket(ind, u, [r - 0.01, r + 0.01])
-            scale = max(np.linalg.svd(nearby, compute_uv=False).max(),
-                        s[0], 1e-300)
-            assert s[-1] < 1e-8 * scale
+    # U = e^{i pi} in floating point leaves X_400 = D_400(0)(1 + U) at
+    # 1e-16 of its terms, and e^{i(pi - 1e-6)} makes it small but not
+    # negligible
+    us = [np.eye(1), -np.eye(1), 1j * np.eye(1),
+          np.exp(1j * np.pi) * np.eye(1),
+          np.exp(1j * (np.pi - 1e-6)) * np.eye(1)]
+    for j, u, cls in [(ind, u, ind_cls) for u in us] + [ci2_with_unitary()]:
+        roots = extension_spectrum(j, u, (-10, 10), determinacy=cls)
+        assert len(roots) >= 3
+        assert_roots_zero_the_bracket(j, u, roots)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([1, 2, 3]), n_max=st.integers(0, 40),
+       zero_diagonal=st.booleans(),
+       u_kind=st.sampled_from(["random", "I", "-I", "alternating", "near",
+                               "inexact"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(p=2, n_max=0, zero_diagonal=True, u_kind="-I", seed=0)
+@example(p=2, n_max=1, zero_diagonal=True, u_kind="I", seed=0)
+@example(p=3, n_max=2, zero_diagonal=True, u_kind="-I", seed=0)
+@example(p=3, n_max=2, zero_diagonal=False, u_kind="random", seed=0)
+@example(p=2, n_max=0, zero_diagonal=True, u_kind="alternating", seed=0)
+@example(p=3, n_max=7, zero_diagonal=True, u_kind="alternating", seed=0)
+@example(p=2, n_max=31, zero_diagonal=True, u_kind="near", seed=5)
+@example(p=3, n_max=27, zero_diagonal=True, u_kind="near", seed=0)
+@example(p=1, n_max=1, zero_diagonal=True, u_kind="inexact", seed=0)
+def test_extension_spectrum_roots_zero_the_same_depth_bracket(
+        p, n_max, zero_diagonal, u_kind, seed):
+    # with a zero diagonal D_k(0) vanishes at odd k and E_k(0) at even k,
+    # so X_{n-1} = D(0)(I+U) + i E(0)(I-U) is zero for U = I at odd n_max
+    # and for U = -I at even n_max, singular but not zero for
+    # U = diag(1, -1, 1), and nearly singular when an eigenvalue of U is
+    # within 1e-13 of 1, or when U = (1 - 1e-15) I is unitary only to
+    # rounding
+    rng = np.random.default_rng(seed)
+    ci = ci_matrix(rng, p, 1, rule=True)
+
+    def rule(k):
+        a, b = ci.generator(k)
+        return (0.0 * a if zero_diagonal else a), b
+
+    j = BlockJacobiMatrix(p, (rule(0)[0],), (), rule)
+    v = random_unitary(p, rng)
+    near = np.exp(1j * np.append(1e-13, rng.uniform(0.0, 2 * np.pi, p - 1)))
+    u = {"random": random_unitary(p, rng), "I": np.eye(p), "-I": -np.eye(p),
+         "alternating": np.diag((-1.0) ** np.arange(p)),
+         "near": (v * near) @ v.conj().T,
+         "inexact": (1.0 - 1e-15) * np.eye(p)}[u_kind]
+    cls = DeterminacyClass(Determinacy.COMPLETELY_INDETERMINATE, p, p)
+    roots = extension_spectrum(j, u, (-10, 10), n_max=n_max,
+                               determinacy=cls)
+    assert_roots_zero_the_bracket(j, u, roots, n_max=n_max)
 
 
 def test_extension_spectrum_contains_zero_for_u_one(ind, ind_cls):
@@ -550,17 +612,21 @@ def test_extension_matches_fine_scan(ind, ind_cls):
 
 
 def test_pole_blowup_at_roots(ind, ind_cls):
-    u = 1j * np.eye(1)
-    roots = extension_spectrum(ind, u, (-10, 10), determinacy=ind_cls)
-    for r in roots:
-        m = transform_from_V(ind, complex(r, 1e-6), u, determinacy=ind_cls)
-        assert mk.spectral_norm(m) > 1e3
+    # the poles come from the quartet, independently of the eigenvalues
+    for j, u, cls in ((ind, 1j * np.eye(1), ind_cls), ci2_with_unitary()):
+        roots = extension_spectrum(j, u, (-10, 10), determinacy=cls)
+        assert len(roots) >= 3
+        for r in roots:
+            m = transform_from_V(j, complex(r, 1e-6), u, determinacy=cls)
+            assert mk.spectral_norm(m) > 1e3
 
 
 def test_extension_spectrum_double_roots_are_found_once(ind, ind_cls):
-    # the direct sum of two ind copies: with U = I every root of ind's
-    # U = 1 spectrum is a double root, where |det| touches zero without a
-    # sign change
+    # on the direct sum of two ind copies, U = diag(u1, u2) gives the union
+    # of ind's spectra for u1 and u2.  With U = I every root is double,
+    # where |det| touches zero without a sign change, and is returned once;
+    # with U = diag(1, -1), X_400 = diag(2 D_400(0), 0) is singular but not
+    # zero, and one direction of x_400 is held at zero
     def rule(k):
         return np.zeros((2, 2)), float((k + 1) ** 2) * np.eye(2)
 
@@ -568,36 +634,16 @@ def test_extension_spectrum_double_roots_are_found_once(ind, ind_cls):
     twice = BlockJacobiMatrix(2, tuple(rule(k)[0] for k in range(n)),
                               tuple(rule(k)[1] for k in range(n - 1)), rule)
     cls = DeterminacyClass(Determinacy.COMPLETELY_INDETERMINATE, 2, 2)
-    want = extension_spectrum(ind, np.eye(1), (-10, 10), determinacy=ind_cls)
-    got = extension_spectrum(twice, np.eye(2), (-10, 10), determinacy=cls)
-    assert len(want) >= 3
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert abs(g - w) <= 1e-12 * (1.0 + abs(w))
-
-
-def test_extension_spectrum_refines_all_minima_in_one_batched_pass(
-        monkeypatch, ind, ind_cls):
-    # one grid call, the two opening probes and 72 golden-section steps
-    # over every minimum at once, and one acceptance call
-    calls = []
-    bracket_values = nevanlinna._bracket_values
-
-    def counted(j, u, lam, *args):
-        calls.append(lam.size)
-        return bracket_values(j, u, lam, *args)
-
-    monkeypatch.setattr(nevanlinna, "_bracket_values", counted)
-    ci = ci_matrix(np.random.default_rng(5), 2, 420, rule=True)
-    cls = DeterminacyClass(Determinacy.COMPLETELY_INDETERMINATE, 2, 2)
-    for j, u, c in ((ind, np.eye(1), ind_cls),
-                    (ci, random_unitary(2, np.random.default_rng(6)), cls)):
-        calls.clear()
-        roots = extension_spectrum(j, u, (-10, 10), determinacy=c)
-        assert len(calls) == 1 + 2 + 72 + 1
-        assert calls[0] == 2001 and set(calls[1:]) == {calls[1]}
-        assert calls[1] >= 5                      # minima refined together
-        assert len(roots) >= 3
+    one = {s: extension_spectrum(ind, s * np.eye(1), (-10, 10),
+                                 determinacy=ind_cls) for s in (1.0, -1.0)}
+    for signs, want in (((1.0, 1.0), one[1.0]),
+                        ((1.0, -1.0), sorted(one[1.0] + one[-1.0]))):
+        got = extension_spectrum(twice, np.diag(signs), (-10, 10),
+                                 determinacy=cls)
+        assert len(want) >= 3
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * (1.0 + abs(w))
 
 
 def non_regular_matrix(p, case):

@@ -285,7 +285,7 @@ def test_quadrature_for_another_d0_is_the_congruent_rule(p, n, seed):
 @pytest.mark.parametrize("k", [1, 3])
 def test_refusal_follows_the_blocks_each_result_reads(p, k):
     # the only defect is a singular A_{k,k+1}: Gauss rules of up to k + 1
-    # nodes and moments up to S_2k never read it
+    # nodes and moments up to S_{2k+1} never read it
     diag, off = seeded_blocks(p, 7 * k + p, 8)
     regular = BlockJacobiMatrix(p, tuple(diag[:k + 1]), tuple(off[:k]))
     off[k] = np.zeros((p, p))
@@ -294,12 +294,12 @@ def test_refusal_follows_the_blocks_each_result_reads(p, k):
         q, want = gauss_quadrature(j, n), gauss_quadrature(regular, n)
         assert np.array_equal(q.nodes, want.nodes)
         assert np.array_equal(q.weights, want.weights)
-    for n_max in range(2 * k + 1):
+    for n_max in range(2 * k + 2):
         got = moments_from_jacobi(j, n_max).S
         want = moments_from_jacobi(regular, n_max).S
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
     for call in (lambda: gauss_quadrature(j, k + 2),
-                 lambda: moments_from_jacobi(j, 2 * k + 1)):
+                 lambda: moments_from_jacobi(j, 2 * k + 2)):
         with pytest.raises(InvalidInputError,
                            match=f"block {k} singular-offdiag"):
             call()

@@ -99,7 +99,7 @@ def _cmd_moments(ns):
         s = moments_of_measure(t, ns.n)
     doc = serialize.moments_to_doc(s)
     lines = [f"moments S_0..S_{s.order} (p={s.p})"]
-    lines += [f"S_{i}: {serialize.block_to_doc(b)}" for i, b in enumerate(s.S)]
+    lines += [f"S_{i}: {b}" for i, b in enumerate(serialize.block_to_doc(s.S))]
     return doc, lines
 
 
@@ -129,17 +129,11 @@ def _cmd_check_positivity(ns):
 
 
 def _samples_from_file(path: str):
-    raw = _load_json(path, "--samples")
-    if not isinstance(raw, list):
+    a = serialize.floats_from_doc(_load_json(path, "--samples"), "--samples")
+    if a.shape != (0,) and (a.ndim != 2 or a.shape[1] != 2):
         raise InvalidInputError("--samples: expected a JSON list of "
                                 "[re, im] pairs")
-    out = []
-    for i, pair in enumerate(raw):
-        if (not isinstance(pair, list)) or len(pair) != 2:
-            raise InvalidInputError(
-                f"--samples: entry {i} is not an [re, im] pair")
-        out.append(complex(float(pair[0]), float(pair[1])))
-    return out
+    return [complex(x, y) for x, y in a.reshape(-1, 2).tolist()]
 
 
 def _cmd_classify(ns):

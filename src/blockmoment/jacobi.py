@@ -7,7 +7,11 @@ nonsingular.  Sub-diagonal blocks are implicit: A_{k+1,k} = A_{k,k+1}^H.
 Infinite matrices are represented by a finite stored prefix of blocks plus
 an optional generator rule producing block ``k`` on demand; every algorithm
 downstream works on an explicit finite working length obtained through
-:meth:`BlockJacobiMatrix.prefix`.
+:meth:`BlockJacobiMatrix.prefix`, the one caller of a generator rule.
+
+A block sequence -- here, in moment sequences, polynomial coefficients and
+measure weights -- is one read-only complex (m, p, p) array built by
+:func:`block_stack`.
 """
 
 from dataclasses import dataclass, field
@@ -25,45 +29,66 @@ BlockRule = Callable[[int], tuple[np.ndarray, np.ndarray]]
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=complex)
-    out.setflags(write=False)
-    return out
+    a.setflags(write=False)
+    return a
 
 
-@dataclass(frozen=True)
+def block_stack(blocks, p: int, what: str = "blocks") -> np.ndarray:
+    """Read-only complex (m, p, p) copy of a sequence of p x p blocks.
+
+    An empty sequence gives shape (0, p, p).  Anything else that is not of
+    shape (m, p, p) -- ragged blocks, p = 1 scalars -- or has a non-finite
+    entry raises InvalidInputError naming ``what``.
+    """
+    try:
+        a = np.array(blocks, dtype=complex)
+    except (ValueError, TypeError) as e:
+        raise InvalidInputError(f"{what}: not a stack of {p} x {p} complex "
+                                f"blocks ({e})") from None
+    if a.shape == (0,):
+        a = a.reshape(0, p, p)
+    if a.ndim != 3 or a.shape[1:] != (p, p):
+        raise InvalidInputError(
+            f"{what}: expected shape (m, {p}, {p}), got {a.shape}")
+    if not np.isfinite(a).all():
+        raise InvalidInputError(f"{what}: non-finite entries")
+    return _freeze(a)
+
+
+@dataclass(frozen=True, eq=False)
 class BlockJacobiMatrix:
     """Stored prefix of a regular block Jacobi matrix.
+
+    Block sequences are read-only complex stacks (see :func:`block_stack`);
+    tuples of blocks are accepted as input.  ``==`` is identity.
 
     Parameters
     ----------
     p : int
         Block dimension.
-    diag : tuple of (p, p) arrays
+    diag : (N, p, p) array
         Diagonal blocks A_{k,k}, k = 0 .. N-1.
-    offdiag : tuple of (p, p) arrays
+    offdiag : (N-1, p, p) array
         Super-diagonal blocks A_{k,k+1}, k = 0 .. N-2.
     generator : callable, optional
         Rule ``k -> (A_{k,k}, A_{k,k+1})`` extending the prefix on demand.
         Must be pure and reentrant.
     memo : dict
         Data derived from the blocks by other modules (the recurrence plan
-        of the pointwise evaluations); it lives as long as this instance and
-        is not compared.
+        of the pointwise evaluations); it lives as long as this instance.
     """
 
     p: int
-    diag: tuple
-    offdiag: tuple
-    generator: BlockRule | None = field(default=None, compare=False)
-    memo: dict = field(default_factory=dict, init=False, repr=False,
-                       compare=False)
+    diag: np.ndarray
+    offdiag: np.ndarray
+    generator: BlockRule | None = None
+    memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.p < 1:
             raise InvalidInputError("block dimension must be >= 1")
-        diag = tuple(_freeze(mk.as_complex_matrix(b, self.p)) for b in self.diag)
-        offdiag = tuple(_freeze(mk.as_complex_matrix(b, self.p))
-                        for b in self.offdiag)
+        diag = block_stack(self.diag, self.p, "diagonal blocks")
+        offdiag = block_stack(self.offdiag, self.p, "off-diagonal blocks")
         if len(diag) < 1:
             raise InvalidInputError("need at least one diagonal block")
         if len(offdiag) != len(diag) - 1:
@@ -78,7 +103,12 @@ class BlockJacobiMatrix:
         return len(self.diag)
 
     def prefix(self, n: int) -> "BlockJacobiMatrix":
-        """Materialize exactly ``n`` diagonal blocks (extending if needed)."""
+        """Materialize exactly ``n`` diagonal blocks (extending if needed).
+
+        Extending N stored blocks calls the generator rule once for each
+        index it reads, k = N-1 .. n-1: A_{k,k} for k >= N and A_{k,k+1}
+        for k <= n-2.
+        """
         if n < 1:
             raise InvalidInputError("prefix length must be >= 1")
         if n <= self.n_blocks:
@@ -88,15 +118,10 @@ class BlockJacobiMatrix:
             raise OutOfRangeError(
                 f"requested {n} blocks but only {self.n_blocks} are stored "
                 "and no generator rule is attached")
-        diag = list(self.diag)
-        offdiag = list(self.offdiag)
-        for k in range(self.n_blocks - 1, n):
-            dblk, oblk = self.generator(k)
-            if k >= len(diag):
-                diag.append(mk.as_complex_matrix(dblk, self.p))
-            if k <= n - 2 and k >= len(offdiag):
-                offdiag.append(mk.as_complex_matrix(oblk, self.p))
-        return BlockJacobiMatrix(self.p, tuple(diag), tuple(offdiag),
+        rows = map(self.generator, range(self.n_blocks - 1, n))
+        d, o = (block_stack(x, self.p, "generator blocks") for x in zip(*rows))
+        return BlockJacobiMatrix(self.p, np.concatenate((self.diag, d[1:])),
+                                 np.concatenate((self.offdiag, o[:-1])),
                                  self.generator)
 
 
@@ -120,15 +145,12 @@ def validate_regular(j: BlockJacobiMatrix) -> RegularityReport:
     Violations are reported, not raised; the first one in scan order
     (block 0 diagonal, block 0 off-diagonal, block 1 diagonal, ...) wins.
     """
-    diag = np.array(j.diag).reshape(-1, j.p, j.p)
-    off = np.array(j.offdiag, dtype=complex).reshape(-1, j.p, j.p)
-    defect = np.abs(diag - np.conj(np.swapaxes(diag, 1, 2))).max(axis=(1, 2))
-    scale = 1.0 + np.abs(diag).max(axis=(1, 2))
-    s = np.linalg.svd(off, compute_uv=False)
+    defect, not_hermitian = mk.hermitian_defects(j.diag)
+    s = np.linalg.svd(j.offdiag, compute_uv=False)
     # entry 2k is diagonal block k, entry 2k + 1 off-diagonal block k
     bad = np.zeros(2 * j.n_blocks, dtype=bool)
-    bad[0::2] = defect > mk.HERMITIAN_TOL * scale
-    bad[1:2 * len(off):2] = s[:, -1] <= REG_TOL * np.maximum(1.0, s[:, 0])
+    bad[0::2] = not_hermitian
+    bad[1:2 * len(s):2] = s[:, -1] <= REG_TOL * np.maximum(1.0, s[:, 0])
     if not bad.any():
         return RegularityReport(True, None)
     k, is_off = divmod(int(np.argmax(bad)), 2)
@@ -141,14 +163,13 @@ def truncate(j: BlockJacobiMatrix, n: int) -> np.ndarray:
     """Dense Hermitian n*p x n*p section with blocks A_{i,k}, i,k < n."""
     jp = j if 1 <= n <= j.n_blocks else j.prefix(n)
     p = jp.p
-    out = np.zeros((n * p, n * p), dtype=complex)
-    for k in range(n):
-        out[k * p:(k + 1) * p, k * p:(k + 1) * p] = jp.diag[k]
-    for k in range(n - 1):
-        blk = jp.offdiag[k]
-        out[k * p:(k + 1) * p, (k + 1) * p:(k + 2) * p] = blk
-        out[(k + 1) * p:(k + 2) * p, k * p:(k + 1) * p] = blk.conj().T
-    return out
+    off = jp.offdiag[:n - 1]
+    k = np.arange(n)
+    out = np.zeros((n, p, n, p), dtype=complex)  # out[i, :, k, :] = A_{i,k}
+    out[k, :, k, :] = jp.diag[:n]
+    out[k[:-1], :, k[1:], :] = off
+    out[k[1:], :, k[:-1], :] = np.conj(np.swapaxes(off, 1, 2))
+    return out.reshape(n * p, n * p)
 
 
 def from_scalar_band(entries, p: int) -> BlockJacobiMatrix:
@@ -179,10 +200,9 @@ def from_scalar_band(entries, p: int) -> BlockJacobiMatrix:
             raise InvalidInputError(
                 f"extreme-diagonal entry ({i},{i + p}) is zero; "
                 "matrix is not a regular reblocking candidate")
-    nb = n // p
-    diag = tuple(a[k * p:(k + 1) * p, k * p:(k + 1) * p] for k in range(nb))
-    offdiag = tuple(a[k * p:(k + 1) * p, (k + 1) * p:(k + 2) * p]
-                    for k in range(nb - 1))
+    blocks = a.reshape(n // p, p, n // p, p)
+    k = np.arange(n // p)
+    diag, offdiag = blocks[k, :, k, :], blocks[k[:-1], :, k[1:], :]
     j = BlockJacobiMatrix(p, diag, offdiag)
     report = validate_regular(j)
     if not report.ok:
@@ -204,9 +224,8 @@ def from_scalar_band(entries, p: int) -> BlockJacobiMatrix:
 
 
 def _materialize(p: int, rule: BlockRule, n_blocks: int) -> BlockJacobiMatrix:
-    diag = tuple(rule(k)[0] for k in range(n_blocks))
-    offdiag = tuple(rule(k)[1] for k in range(n_blocks - 1))
-    return BlockJacobiMatrix(p, diag, offdiag, rule)
+    # every fixture has A_00 = 0; the rest comes from prefix() and the rule
+    return BlockJacobiMatrix(p, np.zeros((1, p, p)), (), rule).prefix(n_blocks)
 
 
 def ch_fixture(n_blocks: int = 36) -> BlockJacobiMatrix:

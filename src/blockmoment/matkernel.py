@@ -42,23 +42,20 @@ def _require_finite(x, what: str):
     return x
 
 
-def hermitian_defect(a) -> float:
-    """max |a_ij - conj(a_ji)|."""
-    m = np.asarray(a, dtype=complex)
-    return float(np.abs(m - m.conj().T).max())
-
-
-def is_hermitian(a) -> bool:
-    m = np.asarray(a, dtype=complex)
-    scale = 1.0 + (float(np.abs(m).max()) if m.size else 0.0)
-    return hermitian_defect(m) <= HERMITIAN_TOL * scale
+def hermitian_defects(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-block defects max |a_ij - conj(a_ji)| of an (m, p, p) stack, and
+    which blocks are not Hermitian: defect > HERMITIAN_TOL (1 + max |a_ij|).
+    """
+    defect = np.abs(s - np.conj(np.swapaxes(s, 1, 2))).max(axis=(1, 2))
+    return defect, defect > HERMITIAN_TOL * (1.0 + np.abs(s).max(axis=(1, 2)))
 
 
 def require_hermitian(a, what: str = "matrix") -> np.ndarray:
     m = as_complex_matrix(a)
-    if not is_hermitian(m):
+    defect, bad = hermitian_defects(m[None])
+    if bad[0]:
         raise InvalidInputError(
-            f"{what} is not Hermitian (defect {hermitian_defect(m):.3e})")
+            f"{what} is not Hermitian (defect {defect[0]:.3e})")
     return m
 
 

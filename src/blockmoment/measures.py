@@ -16,6 +16,7 @@ import numpy as np
 
 from . import matkernel as mk
 from .errors import InvalidInputError, InvalidMeasureError, PoleError
+from .jacobi import _freeze, block_stack
 
 
 @dataclass(frozen=True)
@@ -24,24 +25,17 @@ class StepMeasure:
 
     p: int
     nodes: np.ndarray       # (m,), float
-    weights: np.ndarray     # (m, p, p), complex
+    weights: np.ndarray     # (m, p, p), complex, see jacobi.block_stack
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float).reshape(-1)
-        weights = np.asarray(self.weights, dtype=complex)
-        if weights.size == 0:
-            weights = np.zeros((0, self.p, self.p), dtype=complex)
-        if weights.shape != (nodes.size, self.p, self.p):
+        nodes = np.array(self.nodes, dtype=float).reshape(-1)
+        weights = block_stack(self.weights, self.p, "weights")
+        if len(weights) != nodes.size:
             raise InvalidInputError(
-                f"weights must have shape ({nodes.size}, {self.p}, {self.p}), "
-                f"got {weights.shape}")
-        if nodes.size and not np.isfinite(nodes).all():
+                f"{nodes.size} nodes but {len(weights)} weights")
+        if not np.isfinite(nodes).all():
             raise InvalidInputError("nodes must be finite")
-        if weights.size and not np.isfinite(weights).all():
-            raise InvalidInputError("weights must be finite")
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "nodes", _freeze(nodes))
         object.__setattr__(self, "weights", weights)
 
     @property
@@ -79,9 +73,8 @@ def normalize(t: StepMeasure) -> StepMeasure:
             out_weights.append(np.array(w))
     keep = [i for i, w in enumerate(out_weights)
             if mk.spectral_norm(w) > 0.0]
-    return StepMeasure(t.p, np.array([out_nodes[i] for i in keep]),
-                       np.array([out_weights[i] for i in keep]).reshape(
-                           len(keep), t.p, t.p))
+    return StepMeasure(t.p, [out_nodes[i] for i in keep],
+                       [out_weights[i] for i in keep])
 
 
 def cumulative(t: StepMeasure, lam: float) -> np.ndarray:

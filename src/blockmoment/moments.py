@@ -23,29 +23,33 @@ import numpy as np
 
 from . import matkernel as mk
 from .errors import IllConditionedError, InvalidInputError, OutOfRangeError
-from .jacobi import BlockJacobiMatrix, truncate
+from .jacobi import BlockJacobiMatrix, block_stack, truncate
 from .measures import StepMeasure
 from .polys import _recurrence, _require_nonsingular
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentSequence:
-    """S_0 .. S_m, Hermitian p x p moment matrices."""
+    """S_0 .. S_m, Hermitian p x p moment matrices.
+
+    ``S`` is one read-only complex (m+1, p, p) stack (see
+    :func:`~blockmoment.jacobi.block_stack`); a tuple of blocks is accepted
+    as input.  ``==`` is identity.
+    """
 
     p: int
-    S: tuple
+    S: np.ndarray
 
     def __post_init__(self):
-        blocks = []
-        for i, s in enumerate(self.S):
-            m = mk.require_hermitian(mk.as_complex_matrix(s, self.p),
-                                     what=f"moment S_{i}")
-            m = np.array(m)
-            m.setflags(write=False)
-            blocks.append(m)
-        if not blocks:
+        s = block_stack(self.S, self.p, "moments")
+        if not len(s):
             raise InvalidInputError("need at least S_0")
-        object.__setattr__(self, "S", tuple(blocks))
+        defect, bad = mk.hermitian_defects(s)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise InvalidInputError(
+                f"moment S_{i} is not Hermitian (defect {defect[i]:.3e})")
+        object.__setattr__(self, "S", s)
 
     @property
     def order(self) -> int:
@@ -80,7 +84,7 @@ def block_hankel(s: MomentSequence, n: int) -> np.ndarray:
             "is available")
     m = (n + 1) * s.p
     index = np.add.outer(range(n + 1), range(n + 1))
-    return np.stack(s.S)[index].transpose(0, 2, 1, 3).reshape(m, m)
+    return s.S[index].transpose(0, 2, 1, 3).reshape(m, m)
 
 
 def hankel_positive(s: MomentSequence) -> PositivityReport:

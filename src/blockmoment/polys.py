@@ -18,8 +18,9 @@ The symbolic polynomials (``generate_first_kind`` here, the second kind in
 :mod:`nevanlinna`) and every pointwise evaluation (first-kind values,
 kernel sums, quadrature weights, the quartet, transform and bracket series)
 run on one recurrence plan: the stacked B_k^{-1}, B_k^{-1} A_kk,
-B_k^{-1} A_{k,k-1}, B_k = A_{k,k+1}, built from one ``prefix()`` and kept
-on the matrix, so a call needs no ``prefix()`` and no inverse per step.
+B_k^{-1} A_{k,k-1}, B_k = A_{k,k+1}, built from one ``prefix()`` per build
+and kept on the matrix, so a call served by it needs no ``prefix()`` and no
+inverse per step.
 Regularity is checked where the plan is built, over the blocks it reads,
 once per build.  Pointwise, the states D_k, E_k of all points advance
 together as the columns of one (p, W) matrix, one small GEMM per step,
@@ -39,12 +40,8 @@ import numpy as np
 
 from . import matkernel as mk
 from .errors import (InvalidInputError, NumericalFailureError, OutOfRangeError)
-from .jacobi import REG_TOL, BlockJacobiMatrix, validate_regular
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+from .jacobi import (REG_TOL, BlockJacobiMatrix, _freeze, block_stack,
+                     validate_regular)
 
 
 @dataclass(frozen=True)
@@ -60,16 +57,10 @@ class MatrixPoly:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.array(self.coeffs, dtype=complex)
-        if c.ndim != 3 or c.shape[1] != self.p or c.shape[2] != self.p:
-            raise InvalidInputError(
-                f"coefficients must have shape (m, {self.p}, {self.p}), "
-                f"got {c.shape}")
-        if c.shape[0] < 1:
-            c = np.zeros((1, self.p, self.p), dtype=complex)
-        if not np.isfinite(c).all():
-            raise InvalidInputError("polynomial has non-finite coefficients")
-        object.__setattr__(self, "coeffs", _freeze(c))
+        c = block_stack(self.coeffs, self.p, "polynomial coefficients")
+        if not len(c):
+            c = _freeze(np.zeros((1, self.p, self.p), dtype=complex))
+        object.__setattr__(self, "coeffs", c)
 
     @classmethod
     def zero(cls, p: int) -> "MatrixPoly":
@@ -246,7 +237,6 @@ def _recurrence(j: BlockJacobiMatrix, n: int):
     rec = j.memo.get("recurrence")
     if rec is not None and len(rec[0]) >= n:
         return rec
-    p = j.p
     jp = j.prefix(n + 1)
     report = validate_regular(jp)
     if not report.ok:
@@ -254,16 +244,14 @@ def _recurrence(j: BlockJacobiMatrix, n: int):
         raise InvalidInputError(
             f"matrix is not a regular block Jacobi matrix: block {k} "
             f"{kind} (magnitude {mag:.3e})")
-    off = _freeze(np.array(jp.offdiag, dtype=complex).reshape(n, p, p))
-    diag = _freeze(np.array(jp.diag, dtype=complex).reshape(n + 1, p, p))
+    diag, off = jp.diag, jp.offdiag
     b_inv = np.linalg.inv(off)
     sub = np.zeros_like(off)
     sub[1:] = np.conj(np.swapaxes(off[:-1], 1, 2))         # A_{k,k-1}
-    plan = np.concatenate([-(b_inv @ sub), b_inv, -(b_inv @ diag[:n])],
-                          axis=2)
-    plan.setflags(write=False)
+    plan = _freeze(np.concatenate([-(b_inv @ sub), b_inv,
+                                   -(b_inv @ diag[:n])], axis=2))
     b = a = ac = None
-    if p == 1:
+    if j.p == 1:
         b, a, ac = (diag.ravel().tolist(), off.ravel().tolist(),
                     off.ravel().conj().tolist())
     rec = (plan, diag, off, b, a, ac)

@@ -12,6 +12,11 @@ of such pairs.  Documents:
 separators, shortest round-trip decimals (Python float repr), and a trailing
 newline.  Doubles survive a dump/load round trip bit-exactly.
 
+A list of blocks is written from, and read into, one (m, p, p) stack (see
+:func:`~blockmoment.jacobi.block_stack`); a single block is the one-element
+case.  Non-numbers, ragged lists and wrong shapes raise InvalidInputError
+naming the field.
+
 Generator rules attached to a BlockJacobiMatrix are not serializable; only
 the stored prefix travels through a document.
 """
@@ -21,7 +26,7 @@ import json
 import numpy as np
 
 from .errors import InvalidInputError
-from .jacobi import BlockJacobiMatrix
+from .jacobi import BlockJacobiMatrix, block_stack
 from .measures import StepMeasure
 from .moments import MomentSequence
 from .polys import MatrixPoly
@@ -40,20 +45,39 @@ def loads(text: str):
 
 
 def block_to_doc(m) -> list:
+    """Render one block, or a whole stack of blocks, as [re, im] pairs."""
     a = np.asarray(m, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in a]
+    return np.stack((a.real, a.imag), axis=-1).tolist()
+
+
+def floats_from_doc(doc, what: str) -> np.ndarray:
+    """Float array of a nested list; non-numbers and ragged lists raise
+    InvalidInputError naming ``what``."""
+    try:
+        return np.asarray(doc, dtype=float)
+    except (ValueError, TypeError) as e:
+        raise InvalidInputError(f"{what}: not an array of numbers ({e})") \
+            from None
+
+
+def blocks_from_doc(doc, p: int | None = None,
+                    what: str = "blocks") -> np.ndarray:
+    """Read-only (m, p, p) stack from a list of blocks of [re, im] pairs.
+
+    ``p`` defaults to the size of the blocks read; wrong shapes raise
+    InvalidInputError naming ``what``.
+    """
+    a = floats_from_doc(doc, what)
+    if a.size:
+        if a.shape[-1:] != (2,):
+            raise InvalidInputError(
+                f"{what}: expected [re, im] pairs, got shape {a.shape}")
+        a = a[..., 0] + 1j * a[..., 1]
+    return block_stack(a, a.shape[-1] if p is None else p, what)
 
 
 def block_from_doc(doc, p: int | None = None, what: str = "block") -> np.ndarray:
-    a = np.asarray(doc, dtype=float)
-    if a.ndim != 3 or a.shape[0] != a.shape[1] or a.shape[2] != 2:
-        raise InvalidInputError(
-            f"{what}: expected a p x p array of [re, im] pairs, "
-            f"got shape {a.shape}")
-    if p is not None and a.shape[0] != p:
-        raise InvalidInputError(
-            f"{what}: expected block dimension {p}, got {a.shape[0]}")
-    return a[..., 0] + 1j * a[..., 1]
+    return blocks_from_doc([doc], p, what)[0]
 
 
 def _require_keys(doc, keys, what: str) -> None:
@@ -66,7 +90,7 @@ def _require_keys(doc, keys, what: str) -> None:
 
 def _read_p(doc, what: str) -> int:
     p = doc["p"]
-    if not isinstance(p, int) or p < 1:
+    if isinstance(p, bool) or not isinstance(p, int) or p < 1:
         raise InvalidInputError(f"{what} document: p must be a positive "
                                 f"integer, got {p!r}")
     return p
@@ -76,8 +100,8 @@ def jacobi_to_doc(j: BlockJacobiMatrix) -> dict:
     return {
         "p": int(j.p),
         "n_blocks": int(j.n_blocks),
-        "diag": [block_to_doc(b) for b in j.diag],
-        "offdiag": [block_to_doc(b) for b in j.offdiag],
+        "diag": block_to_doc(j.diag),
+        "offdiag": block_to_doc(j.offdiag),
     }
 
 
@@ -85,63 +109,43 @@ def jacobi_from_doc(doc) -> BlockJacobiMatrix:
     _require_keys(doc, ("p", "n_blocks", "diag", "offdiag"), "jacobi")
     p = _read_p(doc, "jacobi")
     n = doc["n_blocks"]
-    diag = [block_from_doc(b, p, f"jacobi diag[{i}]")
-            for i, b in enumerate(doc["diag"])]
-    offdiag = [block_from_doc(b, p, f"jacobi offdiag[{i}]")
-               for i, b in enumerate(doc["offdiag"])]
+    diag = blocks_from_doc(doc["diag"], p, "jacobi diag")
+    offdiag = blocks_from_doc(doc["offdiag"], p, "jacobi offdiag")
     if len(diag) != n:
         raise InvalidInputError(
             f"jacobi document: n_blocks={n} but {len(diag)} diagonal blocks")
-    if len(offdiag) != max(n - 1, 0):
-        raise InvalidInputError(
-            f"jacobi document: expected {max(n - 1, 0)} off-diagonal blocks, "
-            f"got {len(offdiag)}")
-    return BlockJacobiMatrix(p, tuple(diag), tuple(offdiag))
+    return BlockJacobiMatrix(p, diag, offdiag)
 
 
 def poly_to_doc(poly: MatrixPoly) -> dict:
-    return {"p": int(poly.p),
-            "coeffs": [block_to_doc(c) for c in poly.coeffs]}
+    return {"p": int(poly.p), "coeffs": block_to_doc(poly.coeffs)}
 
 
 def poly_from_doc(doc) -> MatrixPoly:
     _require_keys(doc, ("p", "coeffs"), "matrixpoly")
     p = _read_p(doc, "matrixpoly")
-    coeffs = [block_from_doc(c, p, f"matrixpoly coeffs[{i}]")
-              for i, c in enumerate(doc["coeffs"])]
-    if not coeffs:
-        coeffs = [np.zeros((p, p), dtype=complex)]
-    return MatrixPoly(p, np.array(coeffs))
+    return MatrixPoly(p, blocks_from_doc(doc["coeffs"], p,
+                                         "matrixpoly coeffs"))
 
 
 def moments_to_doc(s: MomentSequence) -> dict:
-    return {"p": int(s.p), "S": [block_to_doc(b) for b in s.S]}
+    return {"p": int(s.p), "S": block_to_doc(s.S)}
 
 
 def moments_from_doc(doc) -> MomentSequence:
     _require_keys(doc, ("p", "S"), "moments")
     p = _read_p(doc, "moments")
-    blocks = [block_from_doc(b, p, f"moments S[{i}]")
-              for i, b in enumerate(doc["S"])]
-    if not blocks:
-        raise InvalidInputError("moments document: need at least S_0")
-    return MomentSequence(p, tuple(blocks))
+    return MomentSequence(p, blocks_from_doc(doc["S"], p, "moments S"))
 
 
 def measure_to_doc(t: StepMeasure) -> dict:
     return {"p": int(t.p),
-            "nodes": [float(x) for x in t.nodes],
-            "weights": [block_to_doc(w) for w in t.weights]}
+            "nodes": t.nodes.tolist(),
+            "weights": block_to_doc(t.weights)}
 
 
 def measure_from_doc(doc) -> StepMeasure:
     _require_keys(doc, ("p", "nodes", "weights"), "measure")
     p = _read_p(doc, "measure")
-    nodes = doc["nodes"]
-    weights = [block_from_doc(w, p, f"measure weights[{i}]")
-               for i, w in enumerate(doc["weights"])]
-    if len(nodes) != len(weights):
-        raise InvalidInputError(
-            f"measure document: {len(nodes)} nodes vs {len(weights)} weights")
-    return StepMeasure(p, np.array(nodes, dtype=float),
-                       np.array(weights).reshape(len(weights), p, p))
+    return StepMeasure(p, floats_from_doc(doc["nodes"], "measure nodes"),
+                       blocks_from_doc(doc["weights"], p, "measure weights"))

@@ -349,10 +349,7 @@ def gauss_quadrature(j: BlockJacobiMatrix, n: int) -> StepMeasure:
     """
     if n < 1:
         raise InvalidInputError("quadrature needs at least one block")
-    p = j.p
     nodes, _, _, ys, grams = _truncation_nodes(j, truncate(j, n))
     weights = [mk.hermitian_part(y @ np.linalg.inv(g) @ y.conj().T)
                for y, g in zip(ys, grams)]
-    measure = StepMeasure(p, nodes,
-                          np.array(weights).reshape(len(nodes), p, p))
-    return normalize(measure)
+    return normalize(StepMeasure(j.p, nodes, weights))

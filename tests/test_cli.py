@@ -93,6 +93,34 @@ def test_exit_1_on_non_finite_points_and_negative_series_lengths(argv,
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def _jacobi_doc(p, diag):
+    return {"p": p, "n_blocks": 2, "diag": diag,
+            "offdiag": [[[[1.0, 0.0]]]]}
+
+
+@pytest.mark.parametrize("argv,doc", [
+    (["classify", "--jacobi", "DOC"],
+     _jacobi_doc(1, [[[["x", 0]]], [[[0, 0]]]])),
+    (["classify", "--jacobi", "DOC"],
+     _jacobi_doc(1, [[[0, 0, 1], [1]], [[[0, 0]]]])),
+    (["classify", "--jacobi", "DOC"], _jacobi_doc(1, 5)),
+    (["moments", "--measure", "DOC", "--n", "2"],
+     {"p": 1, "nodes": ["a"], "weights": [[[[1.0, 0.0]]]]}),
+    (["classify", "--jacobi", "ch.json", "--samples", "DOC"], [[1, "x"]]),
+    (["quad", "--jacobi", "DOC", "--n", "1"],
+     _jacobi_doc(True, [[[[0, 0]]], [[[0, 0]]]])),
+], ids=["non-numeric-block", "ragged-block", "number-for-blocks",
+        "non-numeric-node", "non-numeric-sample", "bool-p"])
+def test_exit_1_on_malformed_numbers_in_documents(argv, doc, tmp_path,
+                                                  capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = [str(path) if a == "DOC" else a for a in argv]
+    code, out, err = run_capture(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_exit_2_on_refusal_and_indecision(capsys):
     # determinate fixture: the V-parametrization is refused
     code, _, err = run_capture(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockmoment import (BlockJacobiMatrix, from_scalar_band, truncate,
                          validate_regular)
@@ -149,8 +151,8 @@ def test_json_round_trip_bit_exact(rng):
     doc = jacobi_to_doc(j)
     text = dumps(doc)
     j2 = jacobi_from_doc(loads(text))
-    for a, b in zip(j.diag + j.offdiag, j2.diag + j2.offdiag):
-        assert np.array_equal(a, b)  # bit-exact doubles
+    assert np.array_equal(j.diag, j2.diag)  # bit-exact doubles
+    assert np.array_equal(j.offdiag, j2.offdiag)
     assert dumps(jacobi_to_doc(j2)) == text
 
 
@@ -159,3 +161,64 @@ def test_jacobi_doc_validation():
         jacobi_from_doc({"p": 1, "n_blocks": 2, "diag": [], "offdiag": []})
     with pytest.raises(InvalidInputError):
         jacobi_from_doc([1, 2, 3])
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([1, 2, 3]), n_stored=st.integers(1, 8),
+       extra=st.integers(-8, 10), seed=st.integers(0, 2 ** 32 - 1))
+def test_block_storage(p, n_stored, extra, seed):
+    rng = np.random.default_rng(seed)
+
+    def blocks(m):
+        shape = (m, p, p)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    rule_diag, rule_off = blocks(n_stored + 10), blocks(n_stored + 10)
+    diag, off = blocks(n_stored), blocks(n_stored - 1)
+    calls = []
+
+    def rule(k):
+        calls.append(k)
+        return rule_diag[k], rule_off[k]
+
+    j = BlockJacobiMatrix(p, tuple(diag), off, rule)
+    n = max(1, n_stored + extra)
+    jp = j.prefix(n)
+    # one rule call for each index read
+    assert calls == (list(range(n_stored - 1, n)) if n > n_stored else [])
+    # stored blocks first, then the rule's
+    assert np.array_equal(
+        jp.diag, np.concatenate((diag, rule_diag[n_stored:n]))[:n])
+    assert np.array_equal(
+        jp.offdiag,
+        np.concatenate((off, rule_off[n_stored - 1:n - 1]))[:n - 1])
+    dense = np.zeros((n * p, n * p), dtype=complex)
+    for k in range(n):
+        dense[k * p:(k + 1) * p, k * p:(k + 1) * p] = jp.diag[k]
+    for k in range(n - 1):
+        dense[k * p:(k + 1) * p, (k + 1) * p:(k + 2) * p] = jp.offdiag[k]
+        dense[(k + 1) * p:(k + 2) * p, k * p:(k + 1) * p] = \
+            jp.offdiag[k].conj().T
+    assert np.array_equal(truncate(j, n), dense)
+
+    j2 = jacobi_from_doc(loads(dumps(jacobi_to_doc(j))))
+    assert np.array_equal(j2.diag, j.diag)
+    assert np.array_equal(j2.offdiag, j.offdiag)
+    assert j == j and j2 != j  # identity, not contents
+
+    with pytest.raises(ValueError):
+        j.diag[0, 0, 0] = 1.0
+    want_diag, want_off = diag.copy(), off.copy()
+    diag += 1.0
+    off += 1.0
+    assert np.array_equal(j.diag, want_diag)
+    assert np.array_equal(j.offdiag, want_off)
+
+    non_finite = diag.copy()
+    non_finite[-1, -1, 0] = np.nan
+    for bad in (diag[..., 0], tuple(diag[:, 0, 0]), non_finite,
+                (diag[0], diag[0][:, :-1])):
+        with pytest.raises(InvalidInputError):
+            BlockJacobiMatrix(p, bad, off)
+    with pytest.raises(InvalidInputError):
+        BlockJacobiMatrix(p + 1, diag, off)

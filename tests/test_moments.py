@@ -339,6 +339,21 @@ def test_moment_sequence_validation():
         MomentSequence(2, (np.array([[0, 1], [0, 0]]),))
 
 
+def test_moment_sequence_is_one_read_only_stack(rng):
+    blocks = [random_hermitian(2, rng) for _ in range(3)]
+    s = MomentSequence(2, tuple(blocks))
+    assert s.S.shape == (3, 2, 2) and s.S.dtype == complex
+    with pytest.raises(ValueError):
+        s.S[0, 0, 0] = 1.0
+    blocks[0][0, 0] += 1.0  # the caller's input is copied
+    assert s.S[0, 0, 0] != blocks[0][0, 0]
+    same = MomentSequence(2, s.S)
+    assert s == s and s != same and len({s, same}) == 2  # identity
+    for bad in ([[1.0], [2.0]], [np.eye(2), np.eye(3)], [np.eye(2) * np.nan]):
+        with pytest.raises(InvalidInputError):
+            MomentSequence(2, bad)
+
+
 def test_random_hermitian_moments_need_not_be_positive(rng):
     # sanity: hankel_positive actually discriminates
     s = MomentSequence(2, (np.eye(2), random_hermitian(2, rng),

@@ -60,8 +60,9 @@ def require_hermitian(a, what: str = "matrix") -> np.ndarray:
 
 
 def hermitian_part(a) -> np.ndarray:
+    """(A + A^H) / 2 over the last two axes, so a stack takes one call."""
     m = np.asarray(a, dtype=complex)
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
 
 
 def spectral_norm(c) -> float:

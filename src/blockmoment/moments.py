@@ -144,9 +144,9 @@ def moments_from_jacobi(j: BlockJacobiMatrix, n_max: int,
         dst[1:top + 1] += np.conj(np.swapaxes(off[:top], 1, 2)) @ src[:top]
         dst[:i] += off[:i] @ src[1:]
     cols = w.reshape(n_max - h + 1, (h + 1) * p, p)
-    return MomentSequence(p, tuple(
-        mk.hermitian_part(cols[n // 2].conj().T @ cols[n - n // 2])
-        for n in range(n_max + 1)))
+    n = np.arange(n_max + 1)
+    return MomentSequence(p, mk.hermitian_part(
+        np.conj(np.swapaxes(cols[n // 2], 1, 2)) @ cols[n - n // 2]))
 
 
 def moments_oracle(j: BlockJacobiMatrix, n: int) -> np.ndarray:
@@ -231,9 +231,6 @@ def moments_of_measure(t: StepMeasure, n_max: int) -> MomentSequence:
     """S_n = sum_j lam_j^n W_j for n = 0..n_max."""
     if n_max < 0:
         raise InvalidInputError("n_max must be >= 0")
-    out = []
-    for n in range(n_max + 1):
-        powers = t.nodes.astype(complex) ** n
-        out.append(mk.hermitian_part(
-            (powers[:, None, None] * t.weights).sum(axis=0)))
-    return MomentSequence(t.p, tuple(out))
+    powers = t.nodes.astype(complex) ** np.arange(n_max + 1)[:, None]
+    return MomentSequence(t.p, mk.hermitian_part(
+        (powers[:, :, None, None] * t.weights).sum(axis=1)))

@@ -44,13 +44,13 @@ from .jacobi import (REG_TOL, BlockJacobiMatrix, _freeze, block_stack,
                      validate_regular)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixPoly:
     """Matrix polynomial with stacked coefficients.
 
     ``coeffs[i]`` multiplies lam^i.  Trailing zero coefficients are allowed;
     the degree is the index of the last nonzero coefficient (-1 for the zero
-    polynomial).
+    polynomial).  ``==`` is identity.
     """
 
     p: int
@@ -131,7 +131,7 @@ class OrthoBasis:
     jacobi: BlockJacobiMatrix
     d0: np.ndarray
     polys: tuple
-    lead_inv: tuple  # cached inverses of the (nondegenerate) leading coeffs
+    lead_inv: np.ndarray  # (n+1, p, p) inverses of the leading coeffs
 
     @property
     def p(self) -> int:
@@ -173,7 +173,7 @@ def generate_first_kind(j: BlockJacobiMatrix, n: int,
                                     "numerically") from None
     return OrthoBasis(j, _freeze(np.array(d0)),
                       tuple(MatrixPoly(p, x[k, :k + 1]) for k in range(n + 1)),
-                      tuple(_freeze(m) for m in lead_inv))
+                      _freeze(lead_inv))
 
 
 def expand(poly: MatrixPoly, basis: OrthoBasis) -> list[np.ndarray]:

@@ -31,6 +31,8 @@ GROWTH_FACTOR = 1.5
 VALUE_CAP = 1e12
 NODE_MERGE_FACTOR = 1e-9
 OVERFLOW_GUARD = 1e120
+GROWTH_N_MAX = 400
+GROWTH_SERIES_TOL = 1e-12
 
 # spread across each open half-plane so rank constancy is exercised, not
 # assumed
@@ -258,16 +260,16 @@ DEFAULT_GROWTH_DIRECTIONS = (1.0 + 0j,
                              np.exp(3j * np.pi / 4))
 
 
-def growth_diagnostic(j: BlockJacobiMatrix, radii, n_max: int = 400,
-                      series_tol: float = 1e-12) -> list:
+def growth_diagnostic(j: BlockJacobiMatrix, radii) -> list:
     """Table of (r, max over directions d of log |K(r d)| / r).
 
-    The directions d are DEFAULT_GROWTH_DIRECTIONS.  Only meaningful when
+    The directions d are DEFAULT_GROWTH_DIRECTIONS; each kernel sum runs
+    to GROWTH_SERIES_TOL or GROWTH_N_MAX terms.  Only meaningful when
     the kernel series converges everywhere, i.e. in the completely
     indeterminate case; refused otherwise.  The ratio table is reported as
     a diagnostic; no limit is asserted.
     """
-    n_terms = _available_terms(j, n_max)
+    n_terms = _available_terms(j, GROWTH_N_MAX)
     _ensure_completely_indeterminate(j)
     table = []
     for r in radii:
@@ -276,7 +278,7 @@ def growth_diagnostic(j: BlockJacobiMatrix, radii, n_max: int = 400,
             raise InvalidInputError("radii must be positive")
         best = -np.inf
         for d in DEFAULT_GROWTH_DIRECTIONS:
-            k = _kernel_sum(j, r * d, n_terms, series_tol)
+            k = _kernel_sum(j, r * d, n_terms, GROWTH_SERIES_TOL)
             best = max(best, float(np.log(mk.spectral_norm(k))) / r)
         table.append((r, best))
     return table

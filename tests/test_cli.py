@@ -109,8 +109,16 @@ def _jacobi_doc(p, diag):
     (["classify", "--jacobi", "ch.json", "--samples", "DOC"], [[1, "x"]]),
     (["quad", "--jacobi", "DOC", "--n", "1"],
      _jacobi_doc(True, [[[[0, 0]]], [[[0, 0]]]])),
+    (["moments", "--measure", "DOC", "--n", "2"],
+     {"p": 1, "nodes": [0.0], "weights": [[[[-1.0, 0.0]]]]}),
+    (["moments", "--measure", "DOC", "--n", "2"],
+     {"p": 1, "nodes": [[0.5], [-0.5]],
+      "weights": [[[[1.0, 0.0]]], [[[1.0, 0.0]]]]}),
+    (["moments", "--measure", "DOC", "--n", "2"],
+     {"p": 1, "nodes": 3.0, "weights": [[[[1.0, 0.0]]]]}),
 ], ids=["non-numeric-block", "ragged-block", "number-for-blocks",
-        "non-numeric-node", "non-numeric-sample", "bool-p"])
+        "non-numeric-node", "non-numeric-sample", "bool-p",
+        "negative-weight", "nested-nodes", "scalar-nodes"])
 def test_exit_1_on_malformed_numbers_in_documents(argv, doc, tmp_path,
                                                   capsys):
     path = tmp_path / "doc.json"

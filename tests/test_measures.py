@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from blockmoment import (StepMeasure, cumulative, gauss_quadrature, normalize,
-                         stieltjes_transform)
+from blockmoment import (MatrixPoly, StepMeasure, cumulative, gauss_quadrature,
+                         normalize, stieltjes_transform)
+from blockmoment import matkernel as mk
 from blockmoment.errors import (InvalidInputError, InvalidMeasureError,
                                 PoleError)
 from blockmoment.serialize import dumps, measure_from_doc, measure_to_doc, loads
@@ -35,9 +38,73 @@ def test_normalize_drops_zero_weights_and_is_idempotent():
 
 
 def test_normalize_rejects_negative_weight():
-    t = StepMeasure(1, np.array([0.0]), np.array([[[-1.0]]]))
+    # the weight is refused where the measure is made, before normalize
     with pytest.raises(InvalidMeasureError):
-        normalize(t)
+        normalize(StepMeasure(1, np.array([0.0]), np.array([[[-1.0]]])))
+
+
+def test_construction_checks_every_weight():
+    good = np.eye(2)
+    skew = np.array([[1.0, 1.0], [0.0, 1.0]])
+    neg = np.diag([1.0, -1e-3])
+    with pytest.raises(InvalidInputError, match="weight 1 is not Hermitian"):
+        StepMeasure(2, [0.0, 1.0, 2.0], [good, skew, neg])
+    with pytest.raises(InvalidMeasureError,
+                       match="weight 2 has negative eigenvalue"):
+        StepMeasure(2, [0.0, 1.0, 2.0], [good, good, neg])
+    # negative only within PSD_TOL * (1 + ||W||): accepted as it is
+    tiny = np.diag([1.0, -mk.PSD_TOL])
+    t = StepMeasure(2, [0.0, 1.0], [good, tiny])
+    assert np.array_equal(t.weights[1], tiny)
+
+
+def _normalize_reference(nodes, weights):
+    """The documented rule, one node at a time: sort stably, merge a node
+    into the previous run when it is within tol of the previous node, keep
+    the run's first node, drop exactly zero sums."""
+    tol = 1e-12 * max(1.0, max(abs(x) for x in nodes))
+    runs = []
+    for x, w in sorted(zip(nodes, weights), key=lambda xw: xw[0]):
+        if runs and x - runs[-1][2] <= tol:
+            runs[-1][1] = runs[-1][1] + w
+            runs[-1][2] = x
+        else:
+            runs.append([x, w, x])
+    return [(x, w) for x, w, _ in runs if np.any(w != 0)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.sampled_from([1, 2]), data=st.data())
+def test_normalize_matches_the_run_merge_rule(p, data):
+    # nodes are a few bases plus multiples of 4e-13: exact duplicates, runs
+    # within tol and chains whose ends are farther apart than tol
+    size = data.draw(st.integers(1, 10))
+    nodes = [b + 4e-13 * k for b, k in data.draw(st.lists(
+        st.tuples(st.sampled_from([-1.5, 0.0, 0.25, 2.0]),
+                  st.integers(0, 8)), min_size=size, max_size=size))]
+    # integer entries keep every sum exact, whatever its order
+    ints = st.integers(-2, 2)
+    weights = []
+    for _ in nodes:
+        g = np.array(data.draw(st.lists(ints, min_size=2 * p * p,
+                                        max_size=2 * p * p)), dtype=float)
+        g = (g[:p * p] + 1j * g[p * p:]).reshape(p, p)
+        weights.append(g @ g.conj().T)
+    out = normalize(StepMeasure(p, nodes, weights))
+    ref = _normalize_reference(nodes, weights)
+    assert out.nodes.tolist() == [x for x, _ in ref]
+    assert np.array_equal(out.weights.reshape(-1, p, p),
+                          np.array([w for _, w in ref]).reshape(-1, p, p))
+    tol = 1e-12 * max(1.0, np.abs(nodes).max())
+    assert (np.diff(out.nodes) > tol).all()
+
+
+def test_eq_is_identity_and_hash_works():
+    for make in (lambda: MatrixPoly(1, np.ones((2, 1, 1))),
+                 lambda: StepMeasure(1, [0.0], [[[1.0]]])):
+        a, b = make(), make()
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 def test_cumulative_left_continuity(ch):
@@ -106,3 +173,7 @@ def test_measure_validation():
         StepMeasure(1, np.array([0.0]), np.zeros((2, 1, 1)))
     with pytest.raises(InvalidInputError):
         StepMeasure(1, np.array([np.inf]), np.ones((1, 1, 1)))
+    # nodes are one-dimensional: nested or scalar nodes are not flattened
+    for nodes, m in (([[0.5], [-0.5]], 2), (3.0, 1)):
+        with pytest.raises(InvalidInputError, match="finite 1-d"):
+            StepMeasure(1, nodes, np.ones((m, 1, 1)))

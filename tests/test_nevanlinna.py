@@ -348,6 +348,7 @@ def test_series_kernel_and_quadrature_entry_points_take_no_d0():
         assert "d0" not in params(fn), fn.__name__
     for fn in (extension_bracket, extension_spectrum):
         assert not {"d0", "series_tol"} & params(fn), fn.__name__
+    assert not {"n_max", "series_tol"} & params(growth_diagnostic)
     for fn in (generate_first_kind, moments_from_jacobi):
         assert "d0" in params(fn), fn.__name__
     # the engine runs on the fixed seeds D_0 = I and E_1 = B_0^{-1}
@@ -739,8 +740,7 @@ def test_negative_series_length_is_refused(ind, ind_cls):
              lambda: extension_bracket(ind, eye, [0.5], n_max=-1),
              lambda: extension_bracket(ind, eye, [0.5, 1.5], n_max=-1),
              lambda: extension_spectrum(ind, eye, (-1.0, 1.0), n_max=-3,
-                                        determinacy=ind_cls),
-             lambda: growth_diagnostic(ind, [1.0], n_max=-1))
+                                        determinacy=ind_cls))
     for call in calls:
         with pytest.raises(InvalidInputError, match="n_max must be >= 0"):
             call()

@@ -175,8 +175,7 @@ def test_growth_diagnostic_empty_radii(ind):
 
 
 def test_growth_diagnostic_decreasing(ind):
-    table = growth_diagnostic(ind, [2.0, 4.0, 8.0, 16.0], n_max=2000,
-                              series_tol=1e-11)
+    table = growth_diagnostic(ind, [2.0, 4.0, 8.0, 16.0])
     values = [v for _, v in table]
     assert all(a > b for a, b in zip(values, values[1:]))
 

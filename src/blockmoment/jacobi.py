@@ -36,10 +36,14 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 def block_stack(blocks, p: int, what: str = "blocks") -> np.ndarray:
     """Read-only complex (m, p, p) copy of a sequence of p x p blocks.
 
-    An empty sequence gives shape (0, p, p).  Anything else that is not of
-    shape (m, p, p) -- ragged blocks, p = 1 scalars -- or has a non-finite
-    entry raises InvalidInputError naming ``what``.
+    An empty sequence gives shape (0, p, p).  A block dimension ``p`` that
+    is not an integer >= 1, and anything that is not of shape (m, p, p) --
+    ragged blocks, p = 1 scalars -- or has a non-finite entry, raises
+    InvalidInputError naming ``what``.
     """
+    if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 1:
+        raise InvalidInputError(
+            f"{what}: block dimension p must be an integer >= 1, got {p!r}")
     try:
         a = np.array(blocks, dtype=complex)
     except (ValueError, TypeError) as e:
@@ -85,8 +89,6 @@ class BlockJacobiMatrix:
     memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        if self.p < 1:
-            raise InvalidInputError("block dimension must be >= 1")
         diag = block_stack(self.diag, self.p, "diagonal blocks")
         offdiag = block_stack(self.offdiag, self.p, "off-diagonal blocks")
         if len(diag) < 1:

@@ -39,17 +39,22 @@ import numpy as np
 from . import matkernel as mk
 from .errors import (HalfPlaneError, InvalidInputError,
                      NumericalFailureError, OutOfRangeError, PoleError)
-from .jacobi import BlockJacobiMatrix, truncate
+from .jacobi import BlockJacobiMatrix
 from .polys import (MatrixPoly, OrthoBasis, _available_terms, _coefficients,
-                    _scalar_series, _series, _state_chunks)
+                    _recurrence, _scalar_series, _series, _state_chunks)
 # classify is re-exported next to the entry points whose ``determinacy``
 # argument it computes
-from .spectral import (DeterminacyClass, _ensure_completely_indeterminate,
-                       _truncation_nodes, classify, kernel_partial)
+from .spectral import (NODE_MERGE_FACTOR, DeterminacyClass,
+                       _ensure_completely_indeterminate, _merge, _node_step,
+                       classify, kernel_partial)
 
 SERIES_TOL = 1e-12
 SERIES_N_MAX = 400
 DEFAULT_GRID = 2000
+_SWEEP_POINTS = 16      # points counted per multisection pass
+_RAYLEIGH_STEPS = 64    # cap on a node's Rayleigh steps and bisections
+_EPS = np.finfo(float).eps
+_STEP_TOL = 4 * _EPS    # a step below it, relative to 1 + |root|, stops
 
 _CONTRACTION_SLACK = 1e-12
 
@@ -303,6 +308,196 @@ def extension_bracket(j: BlockJacobiMatrix, u, lams,
     return g1 @ (eye + u) + 1j * (g2 @ (eye - u))
 
 
+def _counts_below(diag, off, xs) -> np.ndarray:
+    """Number of eigenvalues below each of ``xs``, by Sylvester's law of
+    inertia, of the Hermitian block tridiagonal matrix T with diagonal
+    blocks ``diag`` (n, p, p) and super-diagonal blocks ``off``.
+
+    One block U D U^H sweep of T - x I for all points together, from the
+    last block up: each pivot P, less the Schur complement of the pivots
+    below it, adds its negative eigenvalues to the count and passes
+    T_{b-1,b} (P^{-1})_{bb} T_{b,b-1} on, b its first block.  At p = 1 the
+    pivots are the scalar Sturm sequence, and a pivot smaller than a tiny
+    pivmin is taken as -pivmin, a perturbation of T of that size.  At
+    p >= 2 the pivots are pairs of blocks, block 0 alone if one is left: a
+    block of a zero-diagonal matrix is often singular in some directions
+    near 0, a pair with a regular off-diagonal block is not (as with the
+    2 x 2 pivots of Bunch and Kaufman).  Each pivot is diagonalized in
+    reversed order, so that a huge replaced last block comes first and
+    the small eigenvalues stay accurate.  A point where a pivot is still
+    singular to rounding, such as 0 for some zero-diagonal matrices, is
+    counted 2^-40 max |T_{k,k+1}| above instead, far below any merge
+    tolerance.
+    """
+    n, p, _ = diag.shape
+    xs = np.asarray(xs, dtype=float)
+    scale = max(1.0, np.abs(off).max(initial=0.0))
+    pivmin = np.finfo(float).tiny * 4 * (p * scale) ** 2   # 1/pivot finite
+    if p == 1:
+        h, c2 = diag[:, 0, 0].real, np.abs(off[:, 0, 0]) ** 2
+        count = np.zeros(xs.size, dtype=int)
+        d = h[-1] - xs
+        for k in range(n - 1, -1, -1):
+            if k < n - 1:
+                d = (h[k] - xs) - c2[k] / d
+            d[np.abs(d) < pivmin] = -pivmin
+            count += d < 0
+        return count
+    count, singular = _pivot_sweep(diag, off, xs, pivmin, 16 * _EPS * scale)
+    if singular.any():
+        count[singular] = _pivot_sweep(diag, off,
+                                       xs[singular] + 2.0 ** -40 * scale,
+                                       pivmin, 0.0)[0]
+    return count
+
+
+def _pivot_sweep(diag, off, xs, pivmin, small):
+    """Counts of ``_counts_below`` at p >= 2, and whether a pivot had an
+    eigenvalue of magnitude at most ``small``."""
+    n, p, _ = diag.shape
+    shifted = diag[:, None] - xs[:, None, None] * np.eye(p)
+    first = np.arange(n - 2, -1, -2)                 # pairs (b, b + 1)
+    pairs = np.zeros((first.size, xs.size, 2 * p, 2 * p), dtype=complex)
+    pairs[..., :p, :p] = shifted[first]
+    pairs[..., :p, p:] = off[first, None]
+    pairs[..., p:, :p] = np.conj(np.swapaxes(off[first], 1, 2))[:, None]
+    pairs[..., p:, p:] = shifted[first + 1]
+    pivots = list(zip(first, pairs))
+    if n % 2:
+        pivots.append((0, shifted[0]))
+    count = np.zeros(xs.size, dtype=int)
+    singular = np.zeros(xs.size, dtype=bool)
+    s = 0.0
+    for b, piv in pivots:
+        piv[:, -p:, -p:] -= s
+        lam, v = np.linalg.eigh(piv[:, ::-1, ::-1])
+        singular |= (np.abs(lam) <= small).any(axis=1)
+        lam[np.abs(lam) < pivmin] = -pivmin
+        count += (lam < 0).sum(axis=1)
+        if b:
+            q = off[b - 1] @ v[:, ::-1][:, :p]         # rows of block b
+            s = (q / lam[:, None, :]) @ np.conj(np.swapaxes(q, 1, 2))
+    return count, singular
+
+
+def _isolate(count, lo, hi, clo, chi, tol):
+    """Split brackets [lo, hi), with the counts clo, chi below their ends,
+    by multisection.
+
+    Each pass counts at _SWEEP_POINTS points spread over the brackets
+    still to split, until each holds one eigenvalue or is narrower than
+    ``tol``.  Empty brackets are dropped.  Returns ascending lo, hi, clo,
+    chi.
+    """
+    while True:
+        keep = chi > clo
+        lo, hi, clo, chi = lo[keep], hi[keep], clo[keep], chi[keep]
+        split = (chi - clo > 1) & (hi - lo >= tol)
+        if not split.any():
+            return lo, hi, clo, chi
+        k = max(1, _SWEEP_POINTS // np.count_nonzero(split))
+        lo_s, hi_s = lo[split, None], hi[split, None]
+        pts = lo_s + (hi_s - lo_s) * (np.arange(1, k + 1) / (k + 1))
+        e = np.concatenate([lo_s, pts, hi_s], axis=1)
+        ce = np.concatenate([clo[split, None],
+                             count(pts.ravel()).reshape(pts.shape),
+                             chi[split, None]], axis=1)
+        lo = np.concatenate([lo[~split], e[:, :-1].ravel()])
+        hi = np.concatenate([hi[~split], e[:, 1:].ravel()])
+        clo = np.concatenate([clo[~split], ce[:, :-1].ravel()])
+        chi = np.concatenate([chi[~split], ce[:, 1:].ravel()])
+        order = np.argsort(lo)
+        lo, hi, clo, chi = lo[order], hi[order], clo[order], chi[order]
+
+
+def _vdot(a, b):
+    """sum(conj(a) * b) over the last two axes."""
+    return np.einsum("...ij,...ij->...", np.conj(a), b)
+
+
+def _refine(step, count, mu, lo, hi, clo, chi, slack):
+    """Rayleigh iteration kept inside each node's bracket.
+
+    ``step`` maps nodes to the next estimates and whether a residual
+    certifies an eigenvalue near each.  It is repeated until it stops
+    moving, a step below rounding, at most _RAYLEIGH_STEPS times.  A step
+    that leaves its bracket by more than ``slack`` (or rounding), or an
+    uncertified step that stops or is no shorter than the one before, is
+    replaced by a count bisection: the bracket is halved and the node
+    restarts at its middle.  Brackets are updated in place.  Returns the
+    nodes and whether each ended certified.
+    """
+    todo = np.ones(mu.size, dtype=bool)
+    certified = np.zeros(mu.size, dtype=bool)
+    last = np.full(mu.size, np.inf)
+    for _ in range(_RAYLEIGH_STEPS):
+        i = np.flatnonzero(todo)
+        if not i.size:
+            break
+        new, certified[i] = step(mu[i])
+        size = np.abs(new - mu[i])
+        moving = size > _STEP_TOL * (1.0 + np.abs(new))
+        edge = np.maximum(slack, _STEP_TOL * (1.0 + np.abs(new)))
+        out = ((new < lo[i] - edge) | (new > hi[i] + edge)
+               | ~(certified[i] | moving & (size < last[i])))
+        if out.any():
+            o = i[out]
+            mid = 0.5 * (lo[o] + hi[o])
+            c = count(mid)
+            left = c > clo[o]
+            hi[o], chi[o] = np.where(left, mid, hi[o]), np.where(left, c,
+                                                                 chi[o])
+            lo[o], clo[o] = np.where(left, lo[o], mid), np.where(left, clo[o],
+                                                                 c)
+            new[out] = 0.5 * (lo[o] + hi[o])
+            certified[o] = False
+        todo[i] = out | moving
+        last[i] = np.where(out, np.inf, size)
+        mu[i] = new
+    return mu, certified
+
+
+def _boundary_truncation(j, u, n_terms, a, b):
+    """The n = n_terms + 1 block truncation with its last block replaced.
+
+    Returns its diagonal and super-diagonal blocks, with the last block row
+    and column in the basis ``rot``; A_{n-2,n-1} rot before the directions
+    past the first r were decoupled (``full``); r; and the scale, the
+    largest row sum of |T_n| before the replacement, or |a|, |b| if larger.
+    The decoupled directions are parked at b + 1 + scale.
+    """
+    p = j.p
+    eye = np.eye(p)
+    states = np.concatenate([s.copy() for s in _state_chunks(
+        j, [0.0, 0.0], [False, True], n_terms)])
+    x = states[..., :p] @ (eye + u) + 1j * (states[..., p:] @ (eye - u))
+    n = n_terms + 1
+    _, diag, off, *_ = _recurrence(j, n_terms)
+    diag, off = diag[:n], off[:n - 1].copy()
+    rows = np.abs(diag).sum(axis=2)
+    rows[:-1] += np.abs(off).sum(axis=2)
+    rows[1:] += np.abs(off).sum(axis=1)
+    scale = max(rows.max(), abs(a), abs(b))
+    diag = mk.hermitian_part(diag)
+    a_prev = off[-1].copy() if n > 1 else np.zeros((0, p))  # A_{n-2,n-1}
+    prev = -x[n - 2].conj().T @ a_prev if n > 1 else -1j * (eye - u).conj().T
+    # a basis whose first r vectors span X_{n-1}; the rest is parked past b
+    w, sv, vh = np.linalg.svd(x[n - 1])
+    r = np.count_nonzero(sv > p * np.finfo(float).eps
+                         * np.abs(states[n - 1]).max())
+    rot = w if p > 1 else eye
+    last = mk.hermitian_part(
+        rot.conj().T @ (w[:, :r] / sv[:r]) @ vh[:r] @ prev @ rot)
+    last[r:], last[:, r:] = 0.0, 0.0
+    last[r:, r:] = (b + 1.0 + scale) * np.eye(p - r)
+    diag[-1] = last
+    full = a_prev @ rot
+    if n > 1:
+        off[-1] = full
+        off[-1][:, r:] = 0.0
+    return diag, off, full, rot, r, scale
+
+
 def extension_spectrum(j: BlockJacobiMatrix, u, interval, grid: int = DEFAULT_GRID,
                        n_max: int = SERIES_N_MAX,
                        determinacy: DeterminacyClass | None = None
@@ -315,8 +510,22 @@ def extension_spectrum(j: BlockJacobiMatrix, u, interval, grid: int = DEFAULT_GR
     0 -X_{n-1}^{-H} X_{n-2}^H A_{n-2,n-1} (X_0^{-H} (i(I-U))^H for n = 1),
     which reads only the blocks the bracket reads.  Where X_{n-1} vanishes
     to working precision so does the bracket's last term, and x_{n-1} is
-    held at zero.  One Rayleigh step per node on its recurrence
-    eigenvectors removes the eigensolver's error; ``grid`` is not used.
+    held at zero.
+
+    Only the eigenvalues near [a, b] are computed, from counts of the
+    eigenvalues below a point (``_counts_below``).  Multisection on
+    [a - tol, b + tol], tol = NODE_MERGE_FACTOR * scale, brackets them
+    until each bracket holds one eigenvalue or a cluster narrower than
+    tol.  From each bracket's middle a Rayleigh step on the recurrence
+    eigenvectors is repeated until it stops moving; a step that leaves the
+    bracket, or that stops where its residual certifies no eigenvalue
+    within tol, is replaced by a count bisection.  Nodes within tol of each
+    other are one node, so a double root is returned once; a node that
+    stands for more eigenvalues than a count finds within tol of it sends
+    the others back to be bracketed again.  A root within rounding of an
+    end of [a, b] is kept, moved onto that end.  No eigensolver sees more
+    than two blocks, and no matrix of the truncation's size is formed.
+    ``grid`` is not used.
     """
     a, b = mk._require_finite((float(interval[0]), float(interval[1])),
                               "interval end")
@@ -326,35 +535,98 @@ def extension_spectrum(j: BlockJacobiMatrix, u, interval, grid: int = DEFAULT_GR
     u = _require_unitary(u, p)
     n_terms = _available_terms(j, n_max)
     _ensure_completely_indeterminate(j, determinacy)
-    eye = np.eye(p)
-    states = np.concatenate([s.copy() for s in _state_chunks(
-        j, [0.0, 0.0], [False, True], n_terms)])
-    x = states[..., :p] @ (eye + u) + 1j * (states[..., p:] @ (eye - u))
-    n = n_terms + 1
-    t = truncate(j, n)
-    scale = max(np.abs(t).sum(axis=1).max(), abs(a), abs(b))
-    a_prev = t[-2 * p:-p, -p:].copy()                    # A_{n-2,n-1}
-    prev = -x[n - 2].conj().T @ a_prev if n > 1 else -1j * (eye - u).conj().T
-    # a basis whose first r vectors span X_{n-1}; the rest is parked past b
-    w, sv, vh = np.linalg.svd(x[n - 1])
-    r = np.count_nonzero(sv > p * np.finfo(float).eps
-                         * np.abs(states[n - 1]).max())
-    rot = w if p > 1 else eye
-    t[:, -p:] = t[:, -p:] @ rot
-    t[-p:] = rot.conj().T @ t[-p:]
-    t[-p:, -p:] = mk.hermitian_part(
-        rot.conj().T @ (w[:, :r] / sv[:r]) @ vh[:r] @ prev @ rot)
-    k = (n - 1) * p + r
-    t[k:], t[:, k:] = 0.0, 0.0
-    t[k:, k:] = (b + 1.0 + scale) * np.eye(p - r)
-    nodes, xs, resid, ys, grams = _truncation_nodes(j, t, a, b, scale, rot)
-    roots = []
-    for node, xi, res, y, g in zip(nodes, xs, resid, ys, grams):
-        # y^H x^H (t - node) x y; block row n - 2 sees the parked part
-        d, e = xi[-p:] @ y, xi[-2 * p:-p] @ y
-        num = -d.conj().T @ res @ y - e.conj().T @ a_prev @ rot[:, r:] @ d[r:]
-        roots.append(node + np.trace(np.linalg.solve(g, num)).real / len(g))
-    return [float(z) for z in roots if a <= z <= b]
+    diag, off, full, rot, r, scale = _boundary_truncation(j, u, n_terms, a, b)
+    n = len(diag)
+    last, sub = diag[-1], (off[-1].conj().T if n > 1 else None)
+    row = np.zeros((p, n * p), dtype=complex)       # the last block row
+    row[:, -p:] = last
+    if n > 1:
+        row[:, -2 * p:-p] = sub
+    tol = NODE_MERGE_FACTOR * scale
+
+    def count(pts):
+        return _counts_below(diag, off, pts)
+
+    # the replaced block diagonalized in reversed order, as in the counts
+    lw, lv = np.linalg.eigh(last[::-1, ::-1])
+    lv = lv[::-1]
+
+    def step(nodes):
+        """Rayleigh quotients at the nodes, and whether each is certified.
+
+        Two recurrence vectors per node, each along the null direction of
+        a residual: x y, whose residual sits in the last block row (and,
+        through the parked part, in row n - 2), and x' y' with the last
+        block solved, x'_{n-1} = -(t_{n-1,n-1} - node)^{-1} t_{n-1,n-2}
+        x_{n-2}, whose residual moves to block row n - 2, out of reach of
+        a huge replaced block.  The one with the smaller residual r
+        relative to its norm is used; ||r|| <= tol ||v|| certifies an
+        eigenvalue within tol of the node.
+        """
+        xs, resid, ys, _ = _node_step(j, row, nodes,
+                                      np.ones(nodes.size, dtype=int), scale,
+                                      rot)
+        d = xs[:, -p:]
+        y = np.stack(ys)
+        v = xs @ y
+        rows = (-full[:, r:] @ d[:, r:] @ y, -resid @ y)  # rows n - 2, n - 1
+        num = _vdot(v[:, -2 * p:-p], rows[0]) + _vdot(v[:, -p:], rows[1])
+        norm = _vdot(v, v).real
+        rel = (_vdot(rows[0], rows[0]) + _vdot(rows[1], rows[1])).real / norm
+        if n > 1:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                solved = lv @ ((lv.conj().T @ (-sub @ xs[:, -2 * p:-p]))
+                               / (lw - nodes[:, None])[..., None])
+            ok = np.isfinite(solved).all(axis=(1, 2))
+            solved[~ok] = 0.0
+            delta = solved - d
+            y = np.conj(np.swapaxes(np.linalg.svd(delta)[2][:, -1:], 1, 2))
+            v = np.concatenate([xs[:, :-p], solved], axis=1) @ y
+            r2 = full @ delta @ y
+            norm2 = _vdot(v, v).real
+            rel2 = np.where(ok, _vdot(r2, r2).real / norm2, np.inf)
+            better = rel2 < rel
+            num = np.where(better, _vdot(v[:, -2 * p:-p], r2), num)
+            norm = np.where(better, norm2, norm)
+            rel = np.where(better, rel2, rel)
+        return nodes + num.real / norm, rel <= tol ** 2
+
+    edges = np.linspace(a - tol, b + tol, _SWEEP_POINTS)
+    c = count(edges)
+    lo, hi, clo, chi = edges[:-1], edges[1:], c[:-1], c[1:]
+    # counts within tol of an eigenvalue may miss it by its multiplicity, so
+    # at first a node may settle up to tol outside its bracket; a node that
+    # then stands for more eigenvalues than lie within tol of it leaves the
+    # rest in its brackets beyond, which are searched again strictly
+    found, slack = [np.zeros(0)], tol
+    for _ in range(_RAYLEIGH_STEPS):
+        lo, hi, clo, chi = _isolate(count, lo, hi, clo, chi, tol)
+        if not lo.size:
+            break
+        mu, certified = _refine(step, count, 0.5 * (lo + hi), lo, hi, clo,
+                                chi, slack)
+        # a node no residual certifies is no root
+        mu, lo, hi, clo, chi = (v[certified] for v in (mu, lo, hi, clo, chi))
+        nodes, sizes, first = _merge(mu, chi - clo, tol)
+        found.append(nodes)
+        several = sizes > 1
+        if not several.any():
+            break
+        f = first[several]
+        e = np.append(first[1:], mu.size)[several] - 1
+        c = count(np.concatenate([mu[f] - tol, mu[e] + tol])).reshape(2, -1)
+        short = c[1] - c[0] < sizes[several]
+        f, e, (below, above) = f[short], e[short], c[:, short]
+        lo = np.concatenate([lo[f], mu[e] + tol])
+        hi = np.concatenate([mu[f] - tol, hi[e]])
+        clo = np.concatenate([clo[f], above])
+        chi = np.concatenate([below, chi[e]])
+        slack = 0.0
+    mu = np.sort(np.concatenate(found))
+    mu = _merge(mu, np.ones(mu.size), tol)[0]
+    keep = ((mu >= a - _STEP_TOL * (1.0 + abs(a)))
+            & (mu <= b + _STEP_TOL * (1.0 + abs(b))))
+    return [float(z) for z in np.clip(mu[keep], a, b)]
 
 
 # ---------------------------------------------------------------------------

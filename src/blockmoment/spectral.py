@@ -24,7 +24,8 @@ from .errors import (ClassificationUnavailableError, HalfPlaneError,
                      InvalidInputError, RefusedError)
 from .jacobi import BlockJacobiMatrix, truncate
 from .measures import StepMeasure, normalize
-from .polys import _available_terms, _series, first_kind_values
+from .polys import (_available_terms, _series, _state_chunks,
+                    first_kind_values)
 
 KERNEL_N_MAX = 200
 GROWTH_FACTOR = 1.5
@@ -284,56 +285,61 @@ def growth_diagnostic(j: BlockJacobiMatrix, radii) -> list:
     return table
 
 
-def _truncation_nodes(j: BlockJacobiMatrix, t: np.ndarray,
-                      lo: float = -np.inf, hi: float = np.inf,
-                      scale: float | None = None, rot=None):
-    """Distinct eigenvalues of ``t`` in [lo, hi], with their eigenvectors.
+def _merge(values, sizes, tol):
+    """The node merge rule on ascending ``values``: each value within
+    ``tol`` of the next joins its node, placed at the members' mean
+    weighted by ``sizes``.  Returns the nodes, their summed sizes and the
+    index of each node's first member."""
+    starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > tol)
+    if not len(values):
+        return values, sizes, starts
+    total = np.add.reduceat(sizes, starts)
+    return np.add.reduceat(values * sizes, starts) / total, total, starts
 
-    ``t`` is an n-block truncation of ``j``, its last block maybe replaced
-    and held in the basis ``rot``.  Eigenvalues within NODE_MERGE_FACTOR *
-    ``scale`` (default: the largest |eigenvalue|) of each other are one
-    node, their mean.  With x stacking D_0..D_{n-2}, rot^H D_{n-1} at a
-    node, x c is an eigenvector exactly when c is a null direction Y of the
-    residual node x[-p:] - t[-p:] @ x.  Returns the nodes and per node x,
-    that residual, Y and the Gram matrix of x Y.
+
+def _node_step(j: BlockJacobiMatrix, row, nodes, sizes, scale, rot=None):
+    """Recurrence eigenvectors of an n-block truncation at its nodes.
+
+    The truncation is that of ``j`` with last block row ``row`` (p, n p),
+    its last block maybe replaced and held in the basis ``rot``.  With x
+    stacking D_0..D_{n-2}, rot^H D_{n-1} at a node, x c is an eigenvector
+    exactly when c is a null direction Y of the residual node x[-p:] -
+    row @ x; a node of size m takes the min(m, p) smallest singular
+    directions.  Returns per node x, that residual, Y and the Gram matrix
+    of x Y.
     """
     p = j.p
-    n = t.shape[0] // p
-    h = mk.hermitian_part(t)
-    if rot is not None:     # a replaced last block may be huge: order it first
-        h = h[::-1, ::-1]
-    w = np.linalg.eigvalsh(h if h.imag.any() else h.real)
-    scale = np.abs(w).max() if scale is None else scale
-    tol = NODE_MERGE_FACTOR * scale
-    clusters = [c for c in np.split(w, np.flatnonzero(np.diff(w) > tol) + 1)
-                if lo - tol <= c.mean() <= hi + tol]
-    nodes = np.array([c.mean() for c in clusters])
-    x = np.concatenate(list(first_kind_values(j, nodes, n - 1)), axis=1)
+    n = row.shape[1] // p
+    m = len(nodes)
+    x = np.concatenate([s.copy() for s in _state_chunks(
+        j, nodes, np.zeros(m, dtype=bool), n - 1)])
+    x = x.reshape(n, p, m, p).transpose(2, 0, 1, 3).reshape(m, n * p, p)
     if rot is not None:
         x[:, -p:] = rot.conj().T @ x[:, -p:]
-    resid = nodes[:, None, None] * x[:, -p:] - t[-p:] @ x
+    resid = nodes[:, None, None] * x[:, -p:] - row @ x
     # rows of a huge replaced block would swamp the others' null directions
-    rows = np.maximum(1.0, np.abs(t.diagonal()[-p:]) / (scale or 1.0))[:, None]
-    ys, grams = [], []
-    for i, c in enumerate(clusters):
-        if p == 1:
-            y = np.ones((1, 1), dtype=complex)
-        else:
-            _, _, vh = np.linalg.svd(resid[i] / rows)
-            y = vh[p - min(c.size, p):, :].conj().T   # null directions
-        v = x[i] @ y                                  # eigenvectors x Y
-        ys.append(y)
-        grams.append(mk.hermitian_part(v.conj().T @ v))
-    return nodes, x, resid, ys, grams
+    rows = np.maximum(1.0, np.abs(row[:, -p:].diagonal())
+                      / (scale or 1.0))[:, None]
+    if p == 1:
+        ys = [np.ones((1, 1), dtype=complex)] * m
+    else:
+        vh = np.linalg.svd(resid / rows)[2]
+        ys = [vh[i, p - min(k, p):].conj().T              # null directions
+              for i, k in enumerate(sizes)]
+    vs = [xi @ y for xi, y in zip(x, ys)]             # eigenvectors x Y
+    grams = [mk.hermitian_part(v.conj().T @ v) for v in vs]
+    return x, resid, ys, grams
 
 
 def gauss_quadrature(j: BlockJacobiMatrix, n: int) -> StepMeasure:
     """Block Gauss rule exact on moments S_0 .. S_{2n-1}, D_0 = I.
 
-    Reads only truncate(J, n).  Nodes are its distinct eigenvalues, found
-    with the eigenvector null directions Y of each by ``_truncation_nodes``
-    (the residual of the last block row is A_{n-1,n} D_n(node)); the block
-    Christoffel formula gives the weight
+    Reads only truncate(J, n).  Nodes are its distinct eigenvalues, from
+    one dense ``eigvalsh`` and the merge rule of ``_merge`` at
+    NODE_MERGE_FACTOR times the largest |eigenvalue|, with the eigenvector
+    null directions Y of each from ``_node_step`` (the residual of the
+    last block row is A_{n-1,n} D_n(node)); the block Christoffel formula
+    gives the weight
 
         W = Y (Y^H K_{n-1}(node) Y)^{-1} Y^H,   K_{n-1} = x^H x,
 
@@ -351,7 +357,13 @@ def gauss_quadrature(j: BlockJacobiMatrix, n: int) -> StepMeasure:
     """
     if n < 1:
         raise InvalidInputError("quadrature needs at least one block")
-    nodes, _, _, ys, grams = _truncation_nodes(j, truncate(j, n))
+    t = truncate(j, n)
+    h = mk.hermitian_part(t)
+    w = np.linalg.eigvalsh(h if h.imag.any() else h.real)
+    scale = np.abs(w).max()
+    nodes, sizes, _ = _merge(w, np.ones(w.size, dtype=int),
+                             NODE_MERGE_FACTOR * scale)
+    _, _, ys, grams = _node_step(j, t[-j.p:], nodes, sizes, scale)
     weights = [mk.hermitian_part(y @ np.linalg.inv(g) @ y.conj().T)
                for y, g in zip(ys, grams)]
     return normalize(StepMeasure(j.p, nodes, weights))

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockmoment import (BlockJacobiMatrix, from_scalar_band, truncate,
+from blockmoment import (BlockJacobiMatrix, MatrixPoly, MomentSequence,
+                         StepMeasure, from_scalar_band, truncate,
                          validate_regular)
 from blockmoment.errors import InvalidInputError, OutOfRangeError
 from blockmoment.serialize import dumps, jacobi_from_doc, jacobi_to_doc, loads
@@ -222,3 +223,15 @@ def test_block_storage(p, n_stored, extra, seed):
             BlockJacobiMatrix(p, bad, off)
     with pytest.raises(InvalidInputError):
         BlockJacobiMatrix(p + 1, diag, off)
+
+
+@pytest.mark.parametrize("p", [0, -1])
+def test_block_sequences_refuse_a_block_dimension_below_one(p):
+    # block_stack checks p for every block-sequence type, before numpy
+    # reshapes or reduces with it
+    for make in (lambda: BlockJacobiMatrix(p, np.zeros((1, 1, 1)), ()),
+                 lambda: MomentSequence(p, np.zeros((1, 0, 0))),
+                 lambda: MatrixPoly(p, np.zeros((1, 1, 1))),
+                 lambda: StepMeasure(p, [], [])):
+        with pytest.raises(InvalidInputError, match="block dimension p"):
+            make()

@@ -1,5 +1,6 @@
 import inspect
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -542,29 +543,15 @@ def test_extension_root_residuals(ind, ind_cls):
         assert_roots_zero_the_bracket(j, u, roots)
 
 
-@settings(max_examples=60, deadline=None)
-@given(p=st.sampled_from([1, 2, 3]), n_max=st.integers(0, 40),
-       zero_diagonal=st.booleans(),
-       u_kind=st.sampled_from(["random", "I", "-I", "alternating", "near",
-                               "inexact"]),
-       seed=st.integers(0, 2 ** 32 - 1))
-@example(p=2, n_max=0, zero_diagonal=True, u_kind="-I", seed=0)
-@example(p=2, n_max=1, zero_diagonal=True, u_kind="I", seed=0)
-@example(p=3, n_max=2, zero_diagonal=True, u_kind="-I", seed=0)
-@example(p=3, n_max=2, zero_diagonal=False, u_kind="random", seed=0)
-@example(p=2, n_max=0, zero_diagonal=True, u_kind="alternating", seed=0)
-@example(p=3, n_max=7, zero_diagonal=True, u_kind="alternating", seed=0)
-@example(p=2, n_max=31, zero_diagonal=True, u_kind="near", seed=5)
-@example(p=3, n_max=27, zero_diagonal=True, u_kind="near", seed=0)
-@example(p=1, n_max=1, zero_diagonal=True, u_kind="inexact", seed=0)
-def test_extension_spectrum_roots_zero_the_same_depth_bracket(
-        p, n_max, zero_diagonal, u_kind, seed):
-    # with a zero diagonal D_k(0) vanishes at odd k and E_k(0) at even k,
-    # so X_{n-1} = D(0)(I+U) + i E(0)(I-U) is zero for U = I at odd n_max
-    # and for U = -I at even n_max, singular but not zero for
-    # U = diag(1, -1, 1), and nearly singular when an eigenvalue of U is
-    # within 1e-13 of 1, or when U = (1 - 1e-15) I is unitary only to
-    # rounding
+def same_depth_case(p, n_max, zero_diagonal, u_kind, seed):
+    """A CI matrix (zero diagonal or not) and a U of the given kind.
+
+    With a zero diagonal D_k(0) vanishes at odd k and E_k(0) at even k, so
+    X_{n-1} = D(0)(I+U) + i E(0)(I-U) is zero for U = I at odd n_max and
+    for U = -I at even n_max, singular but not zero for U = diag(1, -1, 1),
+    and nearly singular when an eigenvalue of U is within 1e-13 of 1, or
+    when U = (1 - 1e-15) I is unitary only to rounding.
+    """
     rng = np.random.default_rng(seed)
     ci = ci_matrix(rng, p, 1, rule=True)
 
@@ -579,16 +566,151 @@ def test_extension_spectrum_roots_zero_the_same_depth_bracket(
          "alternating": np.diag((-1.0) ** np.arange(p)),
          "near": (v * near) @ v.conj().T,
          "inexact": (1.0 - 1e-15) * np.eye(p)}[u_kind]
+    return j, u
+
+
+def same_depth_cases(test):
+    """Hypothesis inputs of the same-depth tests, with the examples that
+    pinned their failures."""
+    for p, n_max, zero_diagonal, u_kind, seed in (
+            (2, 0, True, "-I", 0), (2, 1, True, "I", 0),
+            (3, 2, True, "-I", 0), (3, 2, False, "random", 0),
+            (2, 0, True, "alternating", 0), (3, 7, True, "alternating", 0),
+            (2, 31, True, "near", 5), (3, 27, True, "near", 0),
+            (1, 1, True, "inexact", 0)):
+        test = example(p=p, n_max=n_max, zero_diagonal=zero_diagonal,
+                       u_kind=u_kind, seed=seed)(test)
+    test = given(p=st.sampled_from([1, 2, 3]), n_max=st.integers(0, 40),
+                 zero_diagonal=st.booleans(),
+                 u_kind=st.sampled_from(["random", "I", "-I", "alternating",
+                                         "near", "inexact"]),
+                 seed=st.integers(0, 2 ** 32 - 1))(test)
+    return settings(max_examples=60, deadline=None)(test)
+
+
+@same_depth_cases
+def test_extension_spectrum_roots_zero_the_same_depth_bracket(
+        p, n_max, zero_diagonal, u_kind, seed):
+    j, u = same_depth_case(p, n_max, zero_diagonal, u_kind, seed)
     cls = DeterminacyClass(Determinacy.COMPLETELY_INDETERMINATE, p, p)
     roots = extension_spectrum(j, u, (-10, 10), n_max=n_max,
                                determinacy=cls)
     assert_roots_zero_the_bracket(j, u, roots, n_max=n_max)
 
 
+def dense(diag, off):
+    """The Hermitian block tridiagonal matrix of the given blocks."""
+    n, p, _ = diag.shape
+    t = np.zeros((n, p, n, p), dtype=complex)
+    k = np.arange(n)
+    t[k, :, k, :] = diag
+    t[k[:-1], :, k[1:], :] = off
+    t[k[1:], :, k[:-1], :] = np.conj(np.swapaxes(off, 1, 2))
+    return t.reshape(n * p, n * p)
+
+
+@same_depth_cases
+def test_counts_below_are_sylvester_inertia_of_the_truncation(
+        p, n_max, zero_diagonal, u_kind, seed):
+    # away from the eigenvalues the count is exact; at 0, where zero-
+    # diagonal matrices have singular pivots and often an eigenvalue, it
+    # counts the eigenvalues within tol of 0 either way
+    j, u = same_depth_case(p, n_max, zero_diagonal, u_kind, seed)
+    diag, off, *_, scale = nevanlinna._boundary_truncation(
+        j, u, n_max, -10.0, 10.0)
+    w = np.linalg.eigvalsh(dense(diag, off)[::-1, ::-1])
+    tol = nevanlinna.NODE_MERGE_FACTOR * scale
+    xs = np.random.default_rng(seed).uniform(-12.0, 12.0, 200)
+    xs = xs[np.abs(xs[:, None] - w).min(axis=1) > tol]
+    assert (nevanlinna._counts_below(diag, off, xs)
+            == np.searchsorted(w, xs)).all()
+    at_zero = nevanlinna._counts_below(diag, off, [0.0])[0]
+    assert np.count_nonzero(w < -tol) <= at_zero <= np.count_nonzero(w <= tol)
+
+
 def test_extension_spectrum_contains_zero_for_u_one(ind, ind_cls):
     roots = extension_spectrum(ind, np.eye(1), (-10, 10),
                                determinacy=ind_cls)
     assert min(abs(r) for r in roots) < 1e-9
+
+
+def test_extension_spectrum_keeps_roots_on_the_interval_ends(ind, ind_cls):
+    # with U = I a root of ind sits at 0, and the next one is
+    # 2.9891975372503334 to the last bit; counts at an end can put such a
+    # root on either side of it
+    one = np.eye(1)
+    for interval in ((0.0, 1.0), (-1.0, 0.0)):
+        roots = extension_spectrum(ind, one, interval, determinacy=ind_cls)
+        assert len(roots) == 1 and abs(roots[0]) <= 1e-12
+    b = 2.9891975372503334
+    roots = extension_spectrum(ind, one, (0.0, b), determinacy=ind_cls)
+    assert len(roots) == 2 and abs(roots[0]) <= 1e-12
+    assert abs(roots[1] - b) <= 1e-14 * (1.0 + b)
+
+
+def test_extension_spectrum_solves_nothing_larger_than_two_blocks(
+        monkeypatch, ind, ind_cls):
+    # no dense eigensolve of the truncation: the largest matrix an
+    # eigensolver sees is a pivot of two blocks
+    sizes = []
+    for name in ("eigvalsh", "eigh", "eig"):
+        def spy(a, *args, _solver=getattr(np.linalg, name), **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return _solver(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    for j, u, cls in ((ind, np.eye(1), ind_cls), ci2_with_unitary()):
+        sizes.clear()
+        assert extension_spectrum(j, u, (-10, 10), determinacy=cls)
+        assert sizes and max(sizes) <= 2 * j.p
+
+
+def mp_bracket_roots(j, u, roots, n_terms):
+    """Roots of det[G1(I+U) + i G2(I-U)] summed to k = n_terms, at 40
+    digits: D_k(0), E_k(0) and D*_k(z) = D_k(conj z)^H by the recurrence,
+    each root by mp.findroot from the given one."""
+    p = j.p
+    jp = j.prefix(n_terms + 1)
+    with mp.workdps(40):
+        a = [mp.matrix(x.tolist()) for x in jp.diag]
+        b = [mp.matrix(x.tolist()) for x in jp.offdiag]
+        b_inv = [x ** -1 for x in b]
+        eye, zero = mp.eye(p), mp.zeros(p)
+        um = mp.matrix(np.asarray(u, dtype=complex).tolist())
+        d, e = [eye], [zero]                    # E_1 = B_0^{-1}
+        for k in range(n_terms):
+            d.append(b_inv[k] * (-a[k] * d[k] - (b[k - 1].H * d[k - 1]
+                                                  if k else zero)))
+            e.append(b_inv[k] * (-a[k] * e[k] - (b[k - 1].H * e[k - 1]
+                                                  if k else -eye)))
+
+        def det_bracket(z):
+            left, prev, g1, g2 = eye, zero, zero, zero
+            for k in range(n_terms + 1):
+                g1 += left * d[k]
+                g2 += left * e[k]
+                if k < n_terms:
+                    back = prev * b[k - 1] if k else zero
+                    left, prev = ((left * (z * eye - a[k]) - back)
+                                  * b_inv[k].H, left)
+            return mp.det(-z * g1 * (eye + um)
+                          + 1j * (eye - z * g2) * (eye - um))
+
+        return [float(mp.re(mp.findroot(det_bracket, mp.mpf(r))))
+                for r in roots]
+
+
+def test_extension_roots_match_a_40_digit_bracket(ind, ind_cls):
+    # a third check of the roots beside the fine scan and the poles of
+    # transform_from_V, independent of the eigenvalue route
+    j2, u2, cls2 = ci2_with_unitary()
+    for j, u, n_max, cls in ((ind, np.eye(1), 400, ind_cls),
+                             (ind, np.exp(0.7j) * np.eye(1), 400, ind_cls),
+                             (j2, u2, 40, cls2)):
+        roots = extension_spectrum(j, u, (-10, 10), n_max=n_max,
+                                   determinacy=cls)
+        assert len(roots) >= 3
+        for r, ref in zip(roots, mp_bracket_roots(j, u, roots, n_max)):
+            assert abs(r - ref) <= 2e-15 * (1.0 + abs(ref))
 
 
 def test_extension_matches_fine_scan(ind, ind_cls):

@@ -51,8 +51,8 @@ from .spectral import (NODE_MERGE_FACTOR, DeterminacyClass,
 SERIES_TOL = 1e-12
 SERIES_N_MAX = 400
 DEFAULT_GRID = 2000
-_SWEEP_POINTS = 16      # points counted per multisection pass
-_RAYLEIGH_STEPS = 64    # cap on a node's Rayleigh steps and bisections
+_SWEEP_POINTS = 16      # edges counted on the interval before the search
+_RAYLEIGH_STEPS = 64    # cap on a node's Rayleigh steps and on the rounds
 _EPS = np.finfo(float).eps
 _STEP_TOL = 4 * _EPS    # a step below it, relative to 1 + |root|, stops
 
@@ -380,53 +380,26 @@ def _pivot_sweep(diag, off, xs, pivmin, small):
     return count, singular
 
 
-def _isolate(count, lo, hi, clo, chi, tol):
-    """Split brackets [lo, hi), with the counts clo, chi below their ends,
-    by multisection.
-
-    Each pass counts at _SWEEP_POINTS points spread over the brackets
-    still to split, until each holds one eigenvalue or is narrower than
-    ``tol``.  Empty brackets are dropped.  Returns ascending lo, hi, clo,
-    chi.
-    """
-    while True:
-        keep = chi > clo
-        lo, hi, clo, chi = lo[keep], hi[keep], clo[keep], chi[keep]
-        split = (chi - clo > 1) & (hi - lo >= tol)
-        if not split.any():
-            return lo, hi, clo, chi
-        k = max(1, _SWEEP_POINTS // np.count_nonzero(split))
-        lo_s, hi_s = lo[split, None], hi[split, None]
-        pts = lo_s + (hi_s - lo_s) * (np.arange(1, k + 1) / (k + 1))
-        e = np.concatenate([lo_s, pts, hi_s], axis=1)
-        ce = np.concatenate([clo[split, None],
-                             count(pts.ravel()).reshape(pts.shape),
-                             chi[split, None]], axis=1)
-        lo = np.concatenate([lo[~split], e[:, :-1].ravel()])
-        hi = np.concatenate([hi[~split], e[:, 1:].ravel()])
-        clo = np.concatenate([clo[~split], ce[:, :-1].ravel()])
-        chi = np.concatenate([chi[~split], ce[:, 1:].ravel()])
-        order = np.argsort(lo)
-        lo, hi, clo, chi = lo[order], hi[order], clo[order], chi[order]
-
-
 def _vdot(a, b):
     """sum(conj(a) * b) over the last two axes."""
     return np.einsum("...ij,...ij->...", np.conj(a), b)
 
 
-def _refine(step, count, mu, lo, hi, clo, chi, slack):
-    """Rayleigh iteration kept inside each node's bracket.
+def _refine(step, count, lo, hi, clo, chi):
+    """Rayleigh iteration from the middle of each bracket [lo, hi), with
+    the counts clo, chi below its ends, kept inside it.
 
     ``step`` maps nodes to the next estimates and whether a residual
     certifies an eigenvalue near each.  It is repeated until it stops
     moving, a step below rounding, at most _RAYLEIGH_STEPS times.  A step
-    that leaves its bracket by more than ``slack`` (or rounding), or an
-    uncertified step that stops or is no shorter than the one before, is
-    replaced by a count bisection: the bracket is halved and the node
-    restarts at its middle.  Brackets are updated in place.  Returns the
-    nodes and whether each ended certified.
+    that leaves its bracket by more than rounding, or an uncertified step
+    that stops or is no shorter than the one before, is replaced by a
+    count bisection of a copy of the bracket: the node restarts at the
+    middle of the half that holds an eigenvalue.  Returns the nodes and
+    whether each ended certified.
     """
+    lo, hi, clo, chi = (v.copy() for v in (lo, hi, clo, chi))
+    mu = 0.5 * (lo + hi)
     todo = np.ones(mu.size, dtype=bool)
     certified = np.zeros(mu.size, dtype=bool)
     last = np.full(mu.size, np.inf)
@@ -436,8 +409,8 @@ def _refine(step, count, mu, lo, hi, clo, chi, slack):
             break
         new, certified[i] = step(mu[i])
         size = np.abs(new - mu[i])
-        moving = size > _STEP_TOL * (1.0 + np.abs(new))
-        edge = np.maximum(slack, _STEP_TOL * (1.0 + np.abs(new)))
+        edge = _STEP_TOL * (1.0 + np.abs(new))
+        moving = size > edge
         out = ((new < lo[i] - edge) | (new > hi[i] + edge)
                | ~(certified[i] | moving & (size < last[i])))
         if out.any():
@@ -512,23 +485,30 @@ def extension_spectrum(j: BlockJacobiMatrix, u, interval, grid: int = DEFAULT_GR
     to working precision so does the bracket's last term, and x_{n-1} is
     held at zero.
 
-    Only the eigenvalues near [a, b] are computed, from counts of the
-    eigenvalues below a point (``_counts_below``).  Multisection on
-    [a - tol, b + tol], tol = NODE_MERGE_FACTOR * scale, brackets them
-    until each bracket holds one eigenvalue or a cluster narrower than
-    tol.  From each bracket's middle a Rayleigh step on the recurrence
-    eigenvectors is repeated until it stops moving; a step that leaves the
-    bracket, or that stops where its residual certifies no eigenvalue
-    within tol, is replaced by a count bisection.  Nodes within tol of each
-    other are one node, so a double root is returned once; a node that
-    stands for more eigenvalues than a count finds within tol of it sends
-    the others back to be bracketed again.  A root within rounding of an
-    end of [a, b] is kept, moved onto that end.  No eigensolver sees more
-    than two blocks, and no matrix of the truncation's size is formed.
-    ``grid`` is not used.
+    Only the eigenvalues near [a, b] are computed.  Counts of the
+    eigenvalues below a point (``_counts_below``) at _SWEEP_POINTS edges
+    of [a - tol, b + tol], tol = NODE_MERGE_FACTOR * scale, cut it into
+    brackets.  In each round a Rayleigh iteration on the recurrence
+    eigenvectors runs from the middle of every bracket that holds an
+    eigenvalue; a step that leaves the bracket, or that stops where its
+    residual certifies no eigenvalue within tol, is replaced by a count
+    bisection.  The counts then certify the nodes: once the distinct nodes
+    are as many as the eigenvalues their brackets hold, all are found;
+    otherwise one count at node -+ tol for every node leaves the parts of
+    each bracket beyond tol of its node as the next round's brackets.
+    Nodes within tol of each other are one node, so a double root is
+    returned once.  A root within rounding of an end of [a, b] is kept,
+    moved onto that end.  No eigensolver sees more than two blocks, and no
+    matrix of the truncation's size is formed.  ``grid`` is not used.
     """
-    a, b = mk._require_finite((float(interval[0]), float(interval[1])),
-                              "interval end")
+    try:
+        ends = np.asarray(interval, dtype=float)
+    except (TypeError, ValueError):
+        ends = np.zeros(0)
+    if ends.shape != (2,):
+        raise InvalidInputError(
+            f"interval must be two numbers (a, b), got {interval!r}")
+    a, b = mk._require_finite(ends, "interval end").tolist()
     if not a < b:
         raise InvalidInputError(f"interval must satisfy a < b, got [{a}, {b}]")
     p = j.p
@@ -563,9 +543,8 @@ def extension_spectrum(j: BlockJacobiMatrix, u, interval, grid: int = DEFAULT_GR
         relative to its norm is used; ||r|| <= tol ||v|| certifies an
         eigenvalue within tol of the node.
         """
-        xs, resid, ys, _ = _node_step(j, row, nodes,
-                                      np.ones(nodes.size, dtype=int), scale,
-                                      rot)
+        xs, resid, ys = _node_step(j, row, nodes,
+                                   np.ones(nodes.size, dtype=int), scale, rot)
         d = xs[:, -p:]
         y = np.stack(ys)
         v = xs @ y
@@ -594,36 +573,23 @@ def extension_spectrum(j: BlockJacobiMatrix, u, interval, grid: int = DEFAULT_GR
     edges = np.linspace(a - tol, b + tol, _SWEEP_POINTS)
     c = count(edges)
     lo, hi, clo, chi = edges[:-1], edges[1:], c[:-1], c[1:]
-    # counts within tol of an eigenvalue may miss it by its multiplicity, so
-    # at first a node may settle up to tol outside its bracket; a node that
-    # then stands for more eigenvalues than lie within tol of it leaves the
-    # rest in its brackets beyond, which are searched again strictly
-    found, slack = [np.zeros(0)], tol
+    found = [np.zeros(0)]
     for _ in range(_RAYLEIGH_STEPS):
-        lo, hi, clo, chi = _isolate(count, lo, hi, clo, chi, tol)
+        keep = chi > clo
+        lo, hi, clo, chi = lo[keep], hi[keep], clo[keep], chi[keep]
         if not lo.size:
             break
-        mu, certified = _refine(step, count, 0.5 * (lo + hi), lo, hi, clo,
-                                chi, slack)
+        mu, certified = _refine(step, count, lo, hi, clo, chi)
         # a node no residual certifies is no root
         mu, lo, hi, clo, chi = (v[certified] for v in (mu, lo, hi, clo, chi))
-        nodes, sizes, first = _merge(mu, chi - clo, tol)
-        found.append(nodes)
-        several = sizes > 1
-        if not several.any():
+        found.append(mu)
+        if _merge(np.sort(mu), tol)[0].size == (chi - clo).sum():
             break
-        f = first[several]
-        e = np.append(first[1:], mu.size)[several] - 1
-        c = count(np.concatenate([mu[f] - tol, mu[e] + tol])).reshape(2, -1)
-        short = c[1] - c[0] < sizes[several]
-        f, e, (below, above) = f[short], e[short], c[:, short]
-        lo = np.concatenate([lo[f], mu[e] + tol])
-        hi = np.concatenate([mu[f] - tol, hi[e]])
-        clo = np.concatenate([clo[f], above])
-        chi = np.concatenate([below, chi[e]])
-        slack = 0.0
-    mu = np.sort(np.concatenate(found))
-    mu = _merge(mu, np.ones(mu.size), tol)[0]
+        # what a node's bracket holds beyond tol of it is searched again
+        below, above = np.split(count(np.concatenate([mu - tol, mu + tol])), 2)
+        lo, hi = np.concatenate([lo, mu + tol]), np.concatenate([mu - tol, hi])
+        clo, chi = np.concatenate([clo, above]), np.concatenate([below, chi])
+    mu = _merge(np.sort(np.concatenate(found)), tol)[0]
     keep = ((mu >= a - _STEP_TOL * (1.0 + abs(a)))
             & (mu <= b + _STEP_TOL * (1.0 + abs(b))))
     return [float(z) for z in np.clip(mu[keep], a, b)]

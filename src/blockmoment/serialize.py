@@ -88,12 +88,12 @@ def _require_keys(doc, keys, what: str) -> None:
         raise InvalidInputError(f"{what} document is missing keys {missing}")
 
 
-def _read_p(doc, what: str) -> int:
-    p = doc["p"]
-    if isinstance(p, bool) or not isinstance(p, int) or p < 1:
-        raise InvalidInputError(f"{what} document: p must be a positive "
-                                f"integer, got {p!r}")
-    return p
+def _read_count(doc, key: str, what: str) -> int:
+    n = doc[key]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise InvalidInputError(f"{what} document: {key} must be a positive "
+                                f"integer, got {n!r}")
+    return n
 
 
 def jacobi_to_doc(j: BlockJacobiMatrix) -> dict:
@@ -107,8 +107,8 @@ def jacobi_to_doc(j: BlockJacobiMatrix) -> dict:
 
 def jacobi_from_doc(doc) -> BlockJacobiMatrix:
     _require_keys(doc, ("p", "n_blocks", "diag", "offdiag"), "jacobi")
-    p = _read_p(doc, "jacobi")
-    n = doc["n_blocks"]
+    p = _read_count(doc, "p", "jacobi")
+    n = _read_count(doc, "n_blocks", "jacobi")
     diag = blocks_from_doc(doc["diag"], p, "jacobi diag")
     offdiag = blocks_from_doc(doc["offdiag"], p, "jacobi offdiag")
     if len(diag) != n:
@@ -123,7 +123,7 @@ def poly_to_doc(poly: MatrixPoly) -> dict:
 
 def poly_from_doc(doc) -> MatrixPoly:
     _require_keys(doc, ("p", "coeffs"), "matrixpoly")
-    p = _read_p(doc, "matrixpoly")
+    p = _read_count(doc, "p", "matrixpoly")
     return MatrixPoly(p, blocks_from_doc(doc["coeffs"], p,
                                          "matrixpoly coeffs"))
 
@@ -134,7 +134,7 @@ def moments_to_doc(s: MomentSequence) -> dict:
 
 def moments_from_doc(doc) -> MomentSequence:
     _require_keys(doc, ("p", "S"), "moments")
-    p = _read_p(doc, "moments")
+    p = _read_count(doc, "p", "moments")
     return MomentSequence(p, blocks_from_doc(doc["S"], p, "moments S"))
 
 
@@ -146,6 +146,6 @@ def measure_to_doc(t: StepMeasure) -> dict:
 
 def measure_from_doc(doc) -> StepMeasure:
     _require_keys(doc, ("p", "nodes", "weights"), "measure")
-    p = _read_p(doc, "measure")
+    p = _read_count(doc, "p", "measure")
     return StepMeasure(p, floats_from_doc(doc["nodes"], "measure nodes"),
                        blocks_from_doc(doc["weights"], p, "measure weights"))

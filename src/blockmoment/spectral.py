@@ -285,16 +285,13 @@ def growth_diagnostic(j: BlockJacobiMatrix, radii) -> list:
     return table
 
 
-def _merge(values, sizes, tol):
+def _merge(values, tol):
     """The node merge rule on ascending ``values``: each value within
-    ``tol`` of the next joins its node, placed at the members' mean
-    weighted by ``sizes``.  Returns the nodes, their summed sizes and the
-    index of each node's first member."""
+    ``tol`` of the next joins its node, placed at the members' mean.
+    Returns the nodes and the number of members of each."""
     starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > tol)
-    if not len(values):
-        return values, sizes, starts
-    total = np.add.reduceat(sizes, starts)
-    return np.add.reduceat(values * sizes, starts) / total, total, starts
+    sizes = np.diff(starts, append=len(values))
+    return np.add.reduceat(values, starts) / sizes, sizes
 
 
 def _node_step(j: BlockJacobiMatrix, row, nodes, sizes, scale, rot=None):
@@ -305,8 +302,7 @@ def _node_step(j: BlockJacobiMatrix, row, nodes, sizes, scale, rot=None):
     stacking D_0..D_{n-2}, rot^H D_{n-1} at a node, x c is an eigenvector
     exactly when c is a null direction Y of the residual node x[-p:] -
     row @ x; a node of size m takes the min(m, p) smallest singular
-    directions.  Returns per node x, that residual, Y and the Gram matrix
-    of x Y.
+    directions.  Returns per node x, that residual and Y.
     """
     p = j.p
     n = row.shape[1] // p
@@ -326,9 +322,7 @@ def _node_step(j: BlockJacobiMatrix, row, nodes, sizes, scale, rot=None):
         vh = np.linalg.svd(resid / rows)[2]
         ys = [vh[i, p - min(k, p):].conj().T              # null directions
               for i, k in enumerate(sizes)]
-    vs = [xi @ y for xi, y in zip(x, ys)]             # eigenvectors x Y
-    grams = [mk.hermitian_part(v.conj().T @ v) for v in vs]
-    return x, resid, ys, grams
+    return x, resid, ys
 
 
 def gauss_quadrature(j: BlockJacobiMatrix, n: int) -> StepMeasure:
@@ -361,9 +355,10 @@ def gauss_quadrature(j: BlockJacobiMatrix, n: int) -> StepMeasure:
     h = mk.hermitian_part(t)
     w = np.linalg.eigvalsh(h if h.imag.any() else h.real)
     scale = np.abs(w).max()
-    nodes, sizes, _ = _merge(w, np.ones(w.size, dtype=int),
-                             NODE_MERGE_FACTOR * scale)
-    _, _, ys, grams = _node_step(j, t[-j.p:], nodes, sizes, scale)
+    nodes, sizes = _merge(w, NODE_MERGE_FACTOR * scale)
+    x, _, ys = _node_step(j, t[-j.p:], nodes, sizes, scale)
+    vs = [xi @ y for xi, y in zip(x, ys)]             # eigenvectors x Y
+    grams = [mk.hermitian_part(v.conj().T @ v) for v in vs]
     weights = [mk.hermitian_part(y @ np.linalg.inv(g) @ y.conj().T)
                for y, g in zip(ys, grams)]
     return normalize(StepMeasure(j.p, nodes, weights))

@@ -116,9 +116,16 @@ def _jacobi_doc(p, diag):
       "weights": [[[[1.0, 0.0]]], [[[1.0, 0.0]]]]}),
     (["moments", "--measure", "DOC", "--n", "2"],
      {"p": 1, "nodes": 3.0, "weights": [[[[1.0, 0.0]]]]}),
+    (["quad", "--jacobi", "DOC", "--n", "1"],
+     {"p": 1, "n_blocks": True, "diag": [[[[0, 0]]]], "offdiag": []}),
+    (["quad", "--jacobi", "DOC", "--n", "1"],
+     {**_jacobi_doc(1, [[[[0, 0]]]] * 2), "n_blocks": 2.0}),
+    (["quad", "--jacobi", "DOC", "--n", "1"],
+     {**_jacobi_doc(1, [[[[0, 0]]]] * 2), "n_blocks": "2"}),
 ], ids=["non-numeric-block", "ragged-block", "number-for-blocks",
         "non-numeric-node", "non-numeric-sample", "bool-p",
-        "negative-weight", "nested-nodes", "scalar-nodes"])
+        "negative-weight", "nested-nodes", "scalar-nodes", "bool-n-blocks",
+        "float-n-blocks", "string-n-blocks"])
 def test_exit_1_on_malformed_numbers_in_documents(argv, doc, tmp_path,
                                                   capsys):
     path = tmp_path / "doc.json"

@@ -3,7 +3,7 @@ import inspect
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from blockmoment import (BlockJacobiMatrix, Determinacy, DeterminacyClass,
@@ -628,6 +628,29 @@ def test_counts_below_are_sylvester_inertia_of_the_truncation(
     assert np.count_nonzero(w < -tol) <= at_zero <= np.count_nonzero(w <= tol)
 
 
+@example(p=2, n_max=7, zero_diagonal=True, u_kind="I", seed=615889545)
+@example(p=3, n_max=7, zero_diagonal=False, u_kind="random", seed=0)
+@same_depth_cases
+def test_extension_spectrum_misses_no_eigenvalue_of_the_truncation(
+        p, n_max, zero_diagonal, u_kind, seed):
+    # one root per distinct eigenvalue (gaps > tol) inside (-10, 10); in
+    # the first example the first brackets each hold two eigenvalues, and
+    # the second loses -0.9551 if a node's search narrows the brackets
+    # that the next round splits
+    j, u = same_depth_case(p, n_max, zero_diagonal, u_kind, seed)
+    diag, off, *_, scale = nevanlinna._boundary_truncation(
+        j, nevanlinna._require_unitary(u, p), n_max, -10.0, 10.0)
+    w = np.linalg.eigvalsh(dense(diag, off))
+    tol = nevanlinna.NODE_MERGE_FACTOR * scale
+    assume(np.abs(np.abs(w) - 10.0).min() > tol)
+    inside = w[np.abs(w) < 10.0]
+    distinct = np.count_nonzero(np.diff(inside, prepend=-np.inf) > tol)
+    cls = DeterminacyClass(Determinacy.COMPLETELY_INDETERMINATE, p, p)
+    roots = extension_spectrum(j, u, (-10, 10), n_max=n_max,
+                               determinacy=cls)
+    assert len(roots) == distinct
+
+
 def test_extension_spectrum_contains_zero_for_u_one(ind, ind_cls):
     roots = extension_spectrum(ind, np.eye(1), (-10, 10),
                                determinacy=ind_cls)
@@ -871,6 +894,9 @@ def test_negative_series_length_is_refused(ind, ind_cls):
 def test_extension_interval_validation(ind, ind_cls):
     with pytest.raises(InvalidInputError):
         extension_spectrum(ind, np.eye(1), (5, -5), determinacy=ind_cls)
+    for interval in ((0, 1, 2), (0,), ("a", 1), 5, (1j, 2), "01"):
+        with pytest.raises(InvalidInputError, match="interval"):
+            extension_spectrum(ind, np.eye(1), interval, determinacy=ind_cls)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@ import pytest
 
 from blockmoment import MatrixPoly, MomentSequence, generate_first_kind
 from blockmoment.errors import InvalidInputError
-from blockmoment.serialize import (block_from_doc, block_to_doc, dumps, loads,
-                                   moments_from_doc, moments_to_doc,
-                                   poly_from_doc, poly_to_doc)
+from blockmoment.serialize import (block_from_doc, block_to_doc, dumps,
+                                   jacobi_from_doc, loads, moments_from_doc,
+                                   moments_to_doc, poly_from_doc, poly_to_doc)
 
 from conftest import random_regular
 
@@ -45,6 +45,10 @@ def test_doc_validation_errors():
         moments_from_doc({"p": 0, "S": []})
     with pytest.raises(InvalidInputError):
         loads("{not json")
+    for n_blocks in (True, 1.0, "1", 0):
+        with pytest.raises(InvalidInputError, match="n_blocks"):
+            jacobi_from_doc({"p": 1, "n_blocks": n_blocks,
+                             "diag": [[[[0.0, 0.0]]]], "offdiag": []})
 
 
 def test_zero_poly_doc():

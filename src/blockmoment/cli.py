@@ -20,26 +20,13 @@ from .moments import (hankel_positive, jacobi_from_moments,
 from .polys import generate_first_kind
 
 
-def _parse_complex(text: str, what: str) -> complex:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise InvalidInputError(f"{what}: expected RE,IM, got {text!r}")
+def _parse_pair(text: str, what: str) -> tuple[float, float]:
+    """Two comma-separated numbers "A,B"; a complex value is "RE,IM"."""
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        a, b = (float(part) for part in text.split(","))
     except ValueError:
         raise InvalidInputError(
-            f"{what}: could not parse {text!r} as RE,IM") from None
-
-
-def _parse_interval(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise InvalidInputError(f"--interval: expected A,B, got {text!r}")
-    try:
-        a, b = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise InvalidInputError(
-            f"--interval: could not parse {text!r}") from None
+            f"{what}: expected two numbers A,B, got {text!r}") from None
     return a, b
 
 
@@ -156,7 +143,7 @@ def _cmd_classify(ns):
 
 def _cmd_kernel(ns):
     j = _load_jacobi(ns.jacobi)
-    z = _parse_complex(ns.z, "--z")
+    z = complex(*_parse_pair(ns.z, "--z"))
     if ns.n < 0:
         raise InvalidInputError("--n must be >= 0")
     k = spectral.kernel_partial(j, z, ns.n)
@@ -167,7 +154,7 @@ def _cmd_kernel(ns):
 
 def _cmd_quartet(ns):
     j = _load_jacobi(ns.jacobi)
-    z = _parse_complex(ns.z, "--z")
+    z = complex(*_parse_pair(ns.z, "--z"))
     q = nevanlinna.quartet(j, z, n_max=ns.n_max)
     doc = {"z": _complex_pair(z),
            "f1": serialize.block_to_doc(q.f1),
@@ -186,7 +173,7 @@ def _cmd_quartet(ns):
 
 def _cmd_transform(ns):
     j = _load_jacobi(ns.jacobi)
-    z = _parse_complex(ns.z, "--z")
+    z = complex(*_parse_pair(ns.z, "--z"))
     modes = [m for m in (ns.xi, ns.v, ns.v_scalar) if m is not None]
     if len(modes) != 1:
         raise InvalidInputError(
@@ -199,8 +186,8 @@ def _cmd_transform(ns):
         if ns.v is not None:
             v = _load_block(ns.v, j.p, "--v")
         else:
-            v = np.eye(j.p, dtype=complex) * _parse_complex(ns.v_scalar,
-                                                            "--v-scalar")
+            v = np.eye(j.p, dtype=complex) * complex(
+                *_parse_pair(ns.v_scalar, "--v-scalar"))
         value = nevanlinna.transform_from_V(j, z, v, n_max=ns.n_max)
         doc = {"mode": "contraction"}
     doc.update({"z": _complex_pair(z),
@@ -212,7 +199,7 @@ def _cmd_transform(ns):
 def _cmd_spectrum(ns):
     j = _load_jacobi(ns.jacobi)
     u = _load_block(ns.u, j.p, "--u")
-    interval = _parse_interval(ns.interval)
+    interval = _parse_pair(ns.interval, "--interval")
     roots = nevanlinna.extension_spectrum(j, u, interval, grid=ns.grid,
                                           n_max=ns.n_max)
     doc = {"interval": [interval[0], interval[1]], "grid": int(ns.grid),

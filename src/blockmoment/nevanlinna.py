@@ -385,20 +385,17 @@ def _vdot(a, b):
     return np.einsum("...ij,...ij->...", np.conj(a), b)
 
 
-def _refine(step, count, lo, hi, clo, chi):
-    """Rayleigh iteration from the middle of each bracket [lo, hi), with
-    the counts clo, chi below its ends, kept inside it.
+def _refine(step, lo, hi):
+    """Rayleigh iteration from the middle of each bracket [lo, hi).
 
     ``step`` maps nodes to the next estimates and whether a residual
     certifies an eigenvalue near each.  It is repeated until it stops
-    moving, a step below rounding, at most _RAYLEIGH_STEPS times.  A step
-    that leaves its bracket by more than rounding, or an uncertified step
-    that stops or is no shorter than the one before, is replaced by a
-    count bisection of a copy of the bracket: the node restarts at the
-    middle of the half that holds an eigenvalue.  Returns the nodes and
-    whether each ended certified.
+    moving, a step below rounding, at most _RAYLEIGH_STEPS times.  A node
+    whose step leaves its bracket by more than rounding, or that stops or
+    is no shorter than the step before while uncertified, stops there,
+    uncertified.  The brackets are read, never changed.  Returns the nodes
+    and whether each ended certified.
     """
-    lo, hi, clo, chi = (v.copy() for v in (lo, hi, clo, chi))
     mu = 0.5 * (lo + hi)
     todo = np.ones(mu.size, dtype=bool)
     certified = np.zeros(mu.size, dtype=bool)
@@ -413,19 +410,9 @@ def _refine(step, count, lo, hi, clo, chi):
         moving = size > edge
         out = ((new < lo[i] - edge) | (new > hi[i] + edge)
                | ~(certified[i] | moving & (size < last[i])))
-        if out.any():
-            o = i[out]
-            mid = 0.5 * (lo[o] + hi[o])
-            c = count(mid)
-            left = c > clo[o]
-            hi[o], chi[o] = np.where(left, mid, hi[o]), np.where(left, c,
-                                                                 chi[o])
-            lo[o], clo[o] = np.where(left, lo[o], mid), np.where(left, clo[o],
-                                                                 c)
-            new[out] = 0.5 * (lo[o] + hi[o])
-            certified[o] = False
-        todo[i] = out | moving
-        last[i] = np.where(out, np.inf, size)
+        certified[i[out]] = False
+        todo[i] = moving & ~out
+        last[i] = size
         mu[i] = new
     return mu, certified
 
@@ -488,18 +475,17 @@ def extension_spectrum(j: BlockJacobiMatrix, u, interval, grid: int = DEFAULT_GR
     Only the eigenvalues near [a, b] are computed.  Counts of the
     eigenvalues below a point (``_counts_below``) at _SWEEP_POINTS edges
     of [a - tol, b + tol], tol = NODE_MERGE_FACTOR * scale, cut it into
-    brackets.  In each round a Rayleigh iteration on the recurrence
-    eigenvectors runs from the middle of every bracket that holds an
-    eigenvalue; a step that leaves the bracket, or that stops where its
-    residual certifies no eigenvalue within tol, is replaced by a count
-    bisection.  The counts then certify the nodes: once the distinct nodes
-    are as many as the eigenvalues their brackets hold, all are found;
-    otherwise one count at node -+ tol for every node leaves the parts of
-    each bracket beyond tol of its node as the next round's brackets.
-    Nodes within tol of each other are one node, so a double root is
-    returned once.  A root within rounding of an end of [a, b] is kept,
-    moved onto that end.  No eigensolver sees more than two blocks, and no
-    matrix of the truncation's size is formed.  ``grid`` is not used.
+    brackets.  In each round a Rayleigh iteration (``_refine``) runs from
+    the middle of every bracket that holds an eigenvalue.  The counts then
+    certify the nodes: once every node's residual certifies an eigenvalue
+    within tol and the distinct nodes are as many as the eigenvalues their
+    brackets hold, all are found.  Otherwise one count, for all brackets
+    together, cuts each at its node -+ tol if certified, else at its
+    middle, and the pieces are the next round's brackets.  Nodes within
+    tol of each other are one node, so a double root is returned once.  A
+    root within rounding of an end of [a, b] is kept, moved onto that end.
+    No eigensolver sees more than two blocks, and no matrix of the
+    truncation's size is formed.  ``grid`` is not used.
     """
     try:
         ends = np.asarray(interval, dtype=float)
@@ -579,15 +565,18 @@ def extension_spectrum(j: BlockJacobiMatrix, u, interval, grid: int = DEFAULT_GR
         lo, hi, clo, chi = lo[keep], hi[keep], clo[keep], chi[keep]
         if not lo.size:
             break
-        mu, certified = _refine(step, count, lo, hi, clo, chi)
-        # a node no residual certifies is no root
-        mu, lo, hi, clo, chi = (v[certified] for v in (mu, lo, hi, clo, chi))
-        found.append(mu)
-        if _merge(np.sort(mu), tol)[0].size == (chi - clo).sum():
+        mu, certified = _refine(step, lo, hi)
+        found.append(mu[certified])   # a node no residual certifies is no root
+        if (certified.all()
+                and _merge(np.sort(mu), tol)[0].size == (chi - clo).sum()):
             break
-        # what a node's bracket holds beyond tol of it is searched again
-        below, above = np.split(count(np.concatenate([mu - tol, mu + tol])), 2)
-        lo, hi = np.concatenate([lo, mu + tol]), np.concatenate([mu - tol, hi])
+        # a certified node's bracket is searched again beyond tol of it, any
+        # other bracket in halves; each distinct point is counted once
+        cut_lo = np.where(certified, mu - tol, 0.5 * (lo + hi))
+        cut_hi = np.where(certified, mu + tol, cut_lo)
+        pts, at = np.unique(np.append(cut_lo, cut_hi), return_inverse=True)
+        below, above = np.split(count(pts)[at], 2)
+        lo, hi = np.concatenate([lo, cut_hi]), np.concatenate([cut_lo, hi])
         clo, chi = np.concatenate([clo, above]), np.concatenate([below, chi])
     mu = _merge(np.sort(np.concatenate(found)), tol)[0]
     keep = ((mu >= a - _STEP_TOL * (1.0 + abs(a)))

@@ -389,21 +389,30 @@ def _series(j, zs, second, n_left: int, weight, n_terms: int,
     L_k are the first ``n_left`` column blocks of X_k and R_k the rest
     (see ``_state_chunks``); ``weight`` broadcasts against each term.  The
     stop rule sees the largest entry of each weighted term.  Returns
-    (sum, n_used, tail_norm, converged), with n_used the last k summed.
+    (sum, n_used, tail_norm, converged), with n_used the last k summed;
+    a sum past the float range raises NumericalFailureError.
     """
     cols = n_left * j.p
     total = 0.0
     acc = _SeriesAccumulator(series_tol)
     k0 = 0
-    for xs in _state_chunks(j, zs, second, n_terms):
-        terms = weight * (np.conj(np.swapaxes(xs[..., :cols], 1, 2))
-                          @ xs[..., cols:])
-        stop = acc.push_chunk(np.abs(terms).max(axis=(1, 2), initial=0.0))
-        total = total + terms[:stop].sum(axis=0)
-        if stop is not None:
-            return total, k0 + stop - 1, acc.tail, True
-        k0 += len(xs)
-    return total, n_terms, acc.tail, False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for xs in _state_chunks(j, zs, second, n_terms):
+            terms = weight * (np.conj(np.swapaxes(xs[..., :cols], 1, 2))
+                              @ xs[..., cols:])
+            stop = acc.push_chunk(np.abs(terms).max(axis=(1, 2), initial=0.0))
+            total = total + terms[:stop].sum(axis=0)
+            if stop is not None:
+                return _finite(total), k0 + stop - 1, acc.tail, True
+            k0 += len(xs)
+    return _finite(total), n_terms, acc.tail, False
+
+
+def _finite(sums):
+    """The series sums, refused once they have overflowed."""
+    if not np.isfinite(sums).all():
+        raise NumericalFailureError("series terms overflowed the float range")
+    return sums
 
 
 def _scalar_series(j, w: complex, v: complex, weight, start, watch,
@@ -456,5 +465,5 @@ def _scalar_series(j, w: complex, v: complex, weight, start, watch,
                         abs(t_de) if w_de else 0.0,
                         abs(t_ed) if w_ed else 0.0,
                         abs(t_ee) if w_ee else 0.0)):
-            return (dd, de, ed, ee), k + 1, acc.tail, True
-    return (dd, de, ed, ee), n_terms, acc.tail, False
+            return _finite((dd, de, ed, ee)), k + 1, acc.tail, True
+    return _finite((dd, de, ed, ee)), n_terms, acc.tail, False

@@ -148,6 +148,16 @@ def test_exit_2_on_refusal_and_indecision(capsys):
     assert code == 2 and "indecisive" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["quartet", "--jacobi", "ind.json", "--z", "300000,1"],
+    ["quartet", "--jacobi", "ind.json", "--z", "300000,1", "--json"],
+    ["transform", "--jacobi", "ind.json", "--z", "0,-1", "--xi", "1e300"]])
+def test_exit_2_when_a_series_overflows(argv, capsys):
+    code, out, err = run_capture(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("numerical failure:") and "Traceback" not in err
+
+
 def test_exit_2_on_positive_moments_that_cannot_be_certified(tmp_path,
                                                              capsys):
     code, out, _ = run_capture(

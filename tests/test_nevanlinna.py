@@ -18,7 +18,8 @@ from blockmoment import (BlockJacobiMatrix, Determinacy, DeterminacyClass,
 from blockmoment import matkernel as mk
 from blockmoment import nevanlinna
 from blockmoment.errors import (HalfPlaneError, InvalidInputError,
-                                PoleError, RefusedError)
+                                NumericalFailureError, PoleError,
+                                RefusedError)
 from blockmoment.polys import (_scalar_series, _series, _SeriesAccumulator,
                                _state_chunks, first_kind_values)
 
@@ -191,6 +192,18 @@ def test_quartet_scalar_path_matches_block_path(ind):
             for i, want in zip(idx, t.ravel()):
                 assert rel_err(sums[i], want) < 1e-12
             assert (n_used, conv) == (n_eng, conv_eng)
+
+
+@pytest.mark.parametrize("call", [
+    lambda ind, cls: quartet(ind, 3e5 + 1j, determinacy=cls),
+    lambda ind, cls: transform_extremal(ind, 1e300, -1j, determinacy=cls),
+    lambda ind, cls: extension_bracket(*ci2_with_unitary()[:2], [3e5]),
+    lambda ind, cls: kernel_partial(ind, 1e200 + 1j, 50)],
+    ids=["quartet-p1", "extremal-p1", "bracket-p2", "kernel-p1"])
+def test_a_series_that_overflows_is_a_numerical_failure(call, ind, ind_cls):
+    # terms past the float range would leave NaN sums, or a LinAlgError
+    with pytest.raises(NumericalFailureError, match="overflow"):
+        call(ind, ind_cls)
 
 
 def test_series_stop_rule_is_the_same_one_at_a_time_and_in_chunks():
@@ -685,6 +698,27 @@ def test_extension_spectrum_solves_nothing_larger_than_two_blocks(
         sizes.clear()
         assert extension_spectrum(j, u, (-10, 10), determinacy=cls)
         assert sizes and max(sizes) <= 2 * j.p
+
+
+def test_extension_spectrum_counts_once_when_every_node_certifies(
+        monkeypatch, ind, ind_cls):
+    # the spectrum calls of the command-line golden (ind, U = I) and of a
+    # one-root interval at p = 2 (its root is -1.7371): one count pass at
+    # the edges, after which the counts certify every node
+    calls = {"counts": 0, "steps": 0}
+
+    def spy(name, key):
+        def counted(*args, _f=getattr(nevanlinna, name)):
+            calls[key] += 1
+            return _f(*args)
+        monkeypatch.setattr(nevanlinna, name, counted)
+    spy("_counts_below", "counts")
+    spy("_node_step", "steps")
+    for (j, u, cls), interval in (((ind, np.eye(1), ind_cls), (-10, 10)),
+                                  (ci2_with_unitary(), (-2.7, -1.3))):
+        calls.update(counts=0, steps=0)
+        assert extension_spectrum(j, u, interval, determinacy=cls)
+        assert calls["counts"] == 1 and calls["steps"] <= 5
 
 
 def mp_bracket_roots(j, u, roots, n_terms):

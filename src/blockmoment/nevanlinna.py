@@ -389,8 +389,9 @@ def _refine(step, lo, hi):
     """Rayleigh iteration from the middle of each bracket [lo, hi).
 
     ``step`` maps nodes to the next estimates and whether a residual
-    certifies an eigenvalue near each.  It is repeated until it stops
-    moving, a step below rounding, at most _RAYLEIGH_STEPS times.  A node
+    certifies an eigenvalue near each.  It is repeated until a step is
+    below rounding or returns to the node before (a cycle between two
+    doubles at the rounding floor), at most _RAYLEIGH_STEPS times.  A node
     whose step leaves its bracket by more than rounding, or that stops or
     is no shorter than the step before while uncertified, stops there,
     uncertified.  The brackets are read, never changed.  Returns the nodes
@@ -400,6 +401,7 @@ def _refine(step, lo, hi):
     todo = np.ones(mu.size, dtype=bool)
     certified = np.zeros(mu.size, dtype=bool)
     last = np.full(mu.size, np.inf)
+    before = np.full(mu.size, np.nan)
     for _ in range(_RAYLEIGH_STEPS):
         i = np.flatnonzero(todo)
         if not i.size:
@@ -411,8 +413,9 @@ def _refine(step, lo, hi):
         out = ((new < lo[i] - edge) | (new > hi[i] + edge)
                | ~(certified[i] | moving & (size < last[i])))
         certified[i[out]] = False
-        todo[i] = moving & ~out
+        todo[i] = moving & ~out & (new != before[i])
         last[i] = size
+        before[i] = mu[i]
         mu[i] = new
     return mu, certified
 
@@ -509,6 +512,9 @@ def extension_spectrum(j: BlockJacobiMatrix, u, interval, grid: int = DEFAULT_GR
     if n > 1:
         row[:, -2 * p:-p] = sub
     tol = NODE_MERGE_FACTOR * scale
+    if not np.isfinite(tol * tol):
+        raise NumericalFailureError(
+            f"the node tolerance {tol:g} squared overflowed the float range")
 
     def count(pts):
         return _counts_below(diag, off, pts)

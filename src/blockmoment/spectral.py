@@ -21,11 +21,11 @@ import numpy as np
 
 from . import matkernel as mk
 from .errors import (ClassificationUnavailableError, HalfPlaneError,
-                     InvalidInputError, RefusedError)
+                     InvalidInputError, NumericalFailureError, RefusedError)
 from .jacobi import BlockJacobiMatrix, truncate
 from .measures import StepMeasure, normalize
-from .polys import (_available_terms, _series, _state_chunks,
-                    first_kind_values)
+from .polys import (_CHUNK, _available_terms, _finite, _series,
+                    _state_chunks, first_kind_values)
 
 KERNEL_N_MAX = 200
 GROWTH_FACTOR = 1.5
@@ -136,14 +136,30 @@ def _kernel_sum(j, z, n_max, series_tol):
 
 
 def _kernel_history(j, z, n_max):
-    """Partial sums K_0..K_m at a point, stopping early near overflow."""
-    values = []
-    for dk in first_kind_values(j, [complex(z)], n_max):
-        values.append(dk[0])
-        if np.abs(dk).max() > OVERFLOW_GUARD:
-            break
-    d = np.array(values)
-    return np.cumsum(np.conj(np.swapaxes(d, 1, 2)) @ d, axis=0)
+    """Partial sums K_0..K_m at a point, stopping early near overflow.
+
+    The history ends at D_{n_max}, or at the first D_k with an entry past
+    OVERFLOW_GUARD or not finite.  The guard is checked once per _CHUNK
+    steps, over the chunk's stacked values, so at most one chunk is
+    computed past the end.  Partial sums past the float range raise
+    NumericalFailureError.
+    """
+    values, start = [], 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for dk in first_kind_values(j, [complex(z)], n_max):
+            values.append(dk)
+            if len(values) - start < _CHUNK and len(values) <= n_max:
+                continue
+            big = np.abs(np.concatenate(values[start:])).max(axis=(1, 2))
+            past = np.flatnonzero(~(big <= OVERFLOW_GUARD))
+            if past.size:
+                del values[start + past[0] + 1:]
+                break
+            start = len(values)
+        d = np.concatenate(values)
+        history = np.cumsum(np.conj(np.swapaxes(d, 1, 2)) @ d, axis=0)
+    _finite(history[-1])
+    return history
 
 
 def estimate_H(j: BlockJacobiMatrix, z: complex,
@@ -158,7 +174,10 @@ def estimate_H(j: BlockJacobiMatrix, z: complex,
 
     H(z) is the inverse of the final partial sum restricted to convergent
     directions and zero on the others; the rank r(z) is the number of
-    convergent directions.
+    convergent directions.  The partial sums run to n_max, or stop early
+    at the first D_k past OVERFLOW_GUARD (``_kernel_history``); n_used is
+    the last k summed.  A final partial sum past the float range raises
+    NumericalFailureError.
     """
     z = mk._require_finite(complex(z), "z")
     if z.imag == 0:
@@ -302,13 +321,19 @@ def _node_step(j: BlockJacobiMatrix, row, nodes, sizes, scale, rot=None):
     stacking D_0..D_{n-2}, rot^H D_{n-1} at a node, x c is an eigenvector
     exactly when c is a null direction Y of the residual node x[-p:] -
     row @ x; a node of size m takes the min(m, p) smallest singular
-    directions.  Returns per node x, that residual and Y.
+    directions.  Returns per node x, that residual and Y.  Values of x
+    whose squared norm is past the float range raise
+    NumericalFailureError.
     """
     p = j.p
     n = row.shape[1] // p
     m = len(nodes)
-    x = np.concatenate([s.copy() for s in _state_chunks(
-        j, nodes, np.zeros(m, dtype=bool), n - 1)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.concatenate([s.copy() for s in _state_chunks(
+            j, nodes, np.zeros(m, dtype=bool), n - 1)])
+        if not np.isfinite(np.vdot(x, x)):
+            raise NumericalFailureError(
+                "first-kind values at the nodes overflowed the float range")
     x = x.reshape(n, p, m, p).transpose(2, 0, 1, 3).reshape(m, n * p, p)
     if rot is not None:
         x[:, -p:] = rot.conj().T @ x[:, -p:]

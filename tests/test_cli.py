@@ -151,11 +151,27 @@ def test_exit_2_on_refusal_and_indecision(capsys):
 @pytest.mark.parametrize("argv", [
     ["quartet", "--jacobi", "ind.json", "--z", "300000,1"],
     ["quartet", "--jacobi", "ind.json", "--z", "300000,1", "--json"],
-    ["transform", "--jacobi", "ind.json", "--z", "0,-1", "--xi", "1e300"]])
+    ["transform", "--jacobi", "ind.json", "--z", "0,-1", "--xi", "1e300"],
+    ["spectrum", "--jacobi", "ind.json", "--u", "u_one.json",
+     "--interval=-1e5,1e5"],
+    ["spectrum", "--jacobi", "ind.json", "--u", "u_one.json",
+     "--interval=-1e165,1e165"]])
 def test_exit_2_when_a_series_overflows(argv, capsys):
     code, out, err = run_capture(argv, capsys)
     assert (code, out) == (2, "")
     assert err.startswith("numerical failure:") and "Traceback" not in err
+
+
+def test_exit_2_when_a_kernel_overflows(tmp_path, capsys):
+    # the overflowed kernel used to classify ind as determinate; warnings
+    # are errors here
+    path = tmp_path / "samples.json"
+    path.write_text(json.dumps(
+        [[0, 1e300], [0, 2e300], [1, 3e300], [0, -1], [0, -2], [1, -3]]))
+    code, out, err = run_capture(
+        ["classify", "--jacobi", "ind.json", "--samples", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("numerical failure:") and "overflow" in err
 
 
 def test_exit_2_on_positive_moments_that_cannot_be_certified(tmp_path,

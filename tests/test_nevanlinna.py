@@ -198,10 +198,19 @@ def test_quartet_scalar_path_matches_block_path(ind):
     lambda ind, cls: quartet(ind, 3e5 + 1j, determinacy=cls),
     lambda ind, cls: transform_extremal(ind, 1e300, -1j, determinacy=cls),
     lambda ind, cls: extension_bracket(*ci2_with_unitary()[:2], [3e5]),
-    lambda ind, cls: kernel_partial(ind, 1e200 + 1j, 50)],
-    ids=["quartet-p1", "extremal-p1", "bracket-p2", "kernel-p1"])
+    lambda ind, cls: kernel_partial(ind, 1e200 + 1j, 50),
+    lambda ind, cls: estimate_H(ind, 1e300j),
+    lambda ind, cls: classify(ind, sample_points=[
+        1e300j, 2e300j, 1 + 3e300j, -1j, -2j, 1 - 3j]),
+    lambda ind, cls: extension_spectrum(ind, np.eye(1), (-1e5, 1e5),
+                                        determinacy=cls),
+    lambda ind, cls: extension_spectrum(ind, np.eye(1), (-1e165, 1e165),
+                                        determinacy=cls)],
+    ids=["quartet-p1", "extremal-p1", "bracket-p2", "kernel-p1",
+         "estimate_H-p1", "classify-p1", "spectrum-p1", "spectrum-wide-p1"])
 def test_a_series_that_overflows_is_a_numerical_failure(call, ind, ind_cls):
-    # terms past the float range would leave NaN sums, or a LinAlgError
+    # terms past the float range would leave NaN sums, a LinAlgError, or
+    # a kernel of rank 0 that classifies ind as determinate
     with pytest.raises(NumericalFailureError, match="overflow"):
         call(ind, ind_cls)
 
@@ -662,6 +671,27 @@ def test_extension_spectrum_misses_no_eigenvalue_of_the_truncation(
     roots = extension_spectrum(j, u, (-10, 10), n_max=n_max,
                                determinacy=cls)
     assert len(roots) == distinct
+
+
+def test_a_certified_node_stops_when_it_cycles_between_two_doubles(
+        monkeypatch):
+    # at the rounding floor the node at 2.3298529714747 alternates between
+    # two doubles with steps of 3.1e-15, just past the step tolerance, which
+    # ran it to the step cap (69 node steps)
+    calls = []
+    node_step = nevanlinna._node_step
+
+    def counted(*args):
+        calls.append(args)
+        return node_step(*args)
+
+    monkeypatch.setattr(nevanlinna, "_node_step", counted)
+    case = (3, 24, False, "alternating", 946301765)
+    j, u = same_depth_case(*case)
+    cls = DeterminacyClass(Determinacy.COMPLETELY_INDETERMINATE, 3, 3)
+    roots = extension_spectrum(j, u, (-10, 10), n_max=24, determinacy=cls)
+    assert len(calls) <= 30
+    assert_roots_zero_the_bracket(j, u, roots, n_max=24)
 
 
 def test_extension_spectrum_contains_zero_for_u_one(ind, ind_cls):

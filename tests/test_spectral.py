@@ -8,12 +8,14 @@ from blockmoment import (BlockJacobiMatrix, Determinacy, StepMeasure, classify,
                          growth_diagnostic, kernel_partial,
                          moments_from_jacobi, moments_of_measure)
 from blockmoment import matkernel as mk
+from blockmoment import spectral
 from blockmoment.errors import (ClassificationUnavailableError,
                                 HalfPlaneError, InvalidInputError,
                                 RefusedError)
-from blockmoment.polys import generate_first_kind
+from blockmoment.polys import _CHUNK, first_kind_values, generate_first_kind
 
-from conftest import random_hermitian, random_nonsingular, rel_err
+from conftest import (random_hermitian, random_nonsingular, random_regular,
+                      random_regular_growing, rel_err)
 
 
 def test_kernel_partial_examples(ch):
@@ -74,6 +76,65 @@ def test_estimate_H_ind_value_matches_series(ind):
     est = estimate_H(ind, 1j, n_max=400)
     k = kernel_partial(ind, 1j, 400)
     assert rel_err(est.h_matrix, np.linalg.inv(k)) < 1e-3
+
+
+def per_step_history(j, z, n_max):
+    """K_0..K_m with OVERFLOW_GUARD checked after every step."""
+    values = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for dk in first_kind_values(j, [complex(z)], n_max):
+            values.append(dk[0])
+            if np.abs(dk).max() > spectral.OVERFLOW_GUARD:
+                break
+        d = np.array(values)
+        return np.cumsum(np.conj(np.swapaxes(d, 1, 2)) @ d, axis=0)
+
+
+def guard_crossing(j, m):
+    """A point on the imaginary axis where D_m is the first D_k past
+    OVERFLOW_GUARD, by bisection on log10 |z|."""
+    lo, hi = 0.0, 130.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if len(per_step_history(j, 10.0 ** mid * 1j, 200)) - 1 > m:
+            lo = mid
+        else:
+            hi = mid
+    z = 10.0 ** hi * 1j
+    assert len(per_step_history(j, z, 200)) - 1 == m
+    return z
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_kernel_history_checked_per_chunk_is_the_per_step_history(p):
+    # the guard is crossed at step 1, mid-chunk and on the last step of
+    # the first and second chunks, and the histories end at depths below,
+    # at and just past one chunk
+    rng = np.random.default_rng(50 + p)
+    for j in (random_regular(p, 201, rng, scale=1.0),
+              random_regular_growing(p, 201, rng)):
+        points = [1j, -3 + 2j, 3 - 2j] + [
+            guard_crossing(j, m) for m in (1, 8, _CHUNK - 1, 2 * _CHUNK - 1)]
+        for n_max in (4, _CHUNK - 1, _CHUNK, _CHUNK + 1, 200):
+            for z in points:
+                want = per_step_history(j, z, n_max)
+                got = spectral._kernel_history(j, z, n_max)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+
+def test_kernel_history_stops_within_a_chunk_of_its_end(ch, monkeypatch):
+    resumed = []
+
+    def spy(*args):
+        for dk in first_kind_values(*args):
+            resumed.append(dk)
+            yield dk
+
+    monkeypatch.setattr(spectral, "first_kind_values", spy)
+    est = estimate_H(ch, -3 + 2j, n_max=2000)
+    assert est.n_used < 2000 - _CHUNK
+    assert est.n_used + 1 <= len(resumed) < est.n_used + 1 + _CHUNK
 
 
 def test_trajectories_and_counts(ds):

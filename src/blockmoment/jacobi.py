@@ -33,6 +33,19 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _require_count(n, what: str, least: int = 0) -> int:
+    """``n`` as an int if it is an integer >= ``least``.
+
+    bool is refused and numpy integers are accepted; anything else raises
+    InvalidInputError naming ``what``.
+    """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise InvalidInputError(f"{what} must be an integer, got {n!r}")
+    if n < least:
+        raise InvalidInputError(f"{what} must be >= {least}, got {n}")
+    return int(n)
+
+
 def block_stack(blocks, p: int, what: str = "blocks") -> np.ndarray:
     """Read-only complex (m, p, p) copy of a sequence of p x p blocks.
 
@@ -41,9 +54,7 @@ def block_stack(blocks, p: int, what: str = "blocks") -> np.ndarray:
     ragged blocks, p = 1 scalars -- or has a non-finite entry, raises
     InvalidInputError naming ``what``.
     """
-    if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 1:
-        raise InvalidInputError(
-            f"{what}: block dimension p must be an integer >= 1, got {p!r}")
+    _require_count(p, f"{what}: block dimension p", 1)
     try:
         a = np.array(blocks, dtype=complex)
     except (ValueError, TypeError) as e:
@@ -111,8 +122,7 @@ class BlockJacobiMatrix:
         index it reads, k = N-1 .. n-1: A_{k,k} for k >= N and A_{k,k+1}
         for k <= n-2.
         """
-        if n < 1:
-            raise InvalidInputError("prefix length must be >= 1")
+        n = _require_count(n, "prefix length", 1)
         if n <= self.n_blocks:
             return BlockJacobiMatrix(self.p, self.diag[:n],
                                      self.offdiag[:n - 1], self.generator)
@@ -163,7 +173,8 @@ def validate_regular(j: BlockJacobiMatrix) -> RegularityReport:
 
 def truncate(j: BlockJacobiMatrix, n: int) -> np.ndarray:
     """Dense Hermitian n*p x n*p section with blocks A_{i,k}, i,k < n."""
-    jp = j if 1 <= n <= j.n_blocks else j.prefix(n)
+    n = _require_count(n, "n", 1)
+    jp = j if n <= j.n_blocks else j.prefix(n)
     p = jp.p
     off = jp.offdiag[:n - 1]
     k = np.arange(n)

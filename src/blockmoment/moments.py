@@ -23,7 +23,7 @@ import numpy as np
 
 from . import matkernel as mk
 from .errors import IllConditionedError, InvalidInputError, OutOfRangeError
-from .jacobi import BlockJacobiMatrix, block_stack, truncate
+from .jacobi import BlockJacobiMatrix, _require_count, block_stack, truncate
 from .measures import StepMeasure
 from .polys import _recurrence, _require_nonsingular
 
@@ -78,6 +78,7 @@ class PositivityReport:
 
 def block_hankel(s: MomentSequence, n: int) -> np.ndarray:
     """Assemble [S_{j+k}]_{j,k=0..n} as a dense (n+1)p x (n+1)p matrix."""
+    n = _require_count(n, "Hankel section n")
     if 2 * n > s.order:
         raise OutOfRangeError(
             f"Hankel section {n} needs S_{2 * n} but only S_{s.order} "
@@ -129,8 +130,7 @@ def moments_from_jacobi(j: BlockJacobiMatrix, n_max: int,
     those h + 1 blocks (InvalidInputError).  D_0 is ``d0``, the identity
     by default; a numerically singular one raises InvalidInputError.
     """
-    if n_max < 0:
-        raise InvalidInputError("n_max must be >= 0")
+    n_max = _require_count(n_max, "n_max")
     p = j.p
     h = n_max // 2
     diag, off = _recurrence(j, h)[1:3]
@@ -155,8 +155,7 @@ def moments_oracle(j: BlockJacobiMatrix, n: int) -> np.ndarray:
     Exact for the infinite matrix because a closed length-n walk from
     block 0 stays within the first n//2 + 1 blocks.
     """
-    if n < 0:
-        raise InvalidInputError("moment index must be >= 0")
+    n = _require_count(n, "moment index n")
     t = truncate(j, n // 2 + 1)
     power = np.linalg.matrix_power(t, n)
     return mk.hermitian_part(power[:j.p, :j.p])
@@ -229,8 +228,7 @@ def jacobi_from_moments(s: MomentSequence
 
 def moments_of_measure(t: StepMeasure, n_max: int) -> MomentSequence:
     """S_n = sum_j lam_j^n W_j for n = 0..n_max."""
-    if n_max < 0:
-        raise InvalidInputError("n_max must be >= 0")
+    n_max = _require_count(n_max, "n_max")
     powers = t.nodes.astype(complex) ** np.arange(n_max + 1)[:, None]
     return MomentSequence(t.p, mk.hermitian_part(
         (powers[:, :, None, None] * t.weights).sum(axis=1)))

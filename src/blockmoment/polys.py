@@ -23,8 +23,10 @@ and kept on the matrix, so a call served by it needs no ``prefix()`` and no
 inverse per step.
 Regularity is checked where the plan is built, over the blocks it reads,
 once per build.  Pointwise, the states D_k, E_k of all points advance
-together as the columns of one (p, W) matrix, one small GEMM per step,
-and series terms are formed per chunk of steps by one batched matmul;
+together as the columns of one (p, W) matrix, one small GEMM per step:
+at a single point z is folded into the plan rows once per call, and at
+several points each step also scales the columns by their points.  Series
+terms are formed per chunk of steps by one batched matmul;
 ``_SeriesAccumulator`` is the one series stop rule.  Symbolically, the
 same step runs on coefficients laid side by side.  For p = 1 and two
 points (a left point w and a right point v: the quartet and the extremal
@@ -40,8 +42,8 @@ import numpy as np
 
 from . import matkernel as mk
 from .errors import (InvalidInputError, NumericalFailureError, OutOfRangeError)
-from .jacobi import (REG_TOL, BlockJacobiMatrix, _freeze, block_stack,
-                     validate_regular)
+from .jacobi import (REG_TOL, BlockJacobiMatrix, _freeze, _require_count,
+                     block_stack, validate_regular)
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,6 +76,7 @@ class MatrixPoly:
     @classmethod
     def monomial(cls, n: int, c) -> "MatrixPoly":
         """c * lam^n."""
+        n = _require_count(n, "n")
         m = mk.as_complex_matrix(c)
         coeffs = np.zeros((n + 1, m.shape[0], m.shape[0]), dtype=complex)
         coeffs[n] = m
@@ -260,8 +263,7 @@ def _recurrence(j: BlockJacobiMatrix, n: int):
 
 
 def _available_terms(j: BlockJacobiMatrix, n_max: int) -> int:
-    if n_max < 0:
-        raise InvalidInputError(f"n_max must be >= 0, got {n_max}")
+    n_max = _require_count(n_max, "n_max")
     if j.generator is not None:
         return n_max
     return min(n_max, j.n_blocks - 1)
@@ -277,8 +279,7 @@ def _coefficients(j: BlockJacobiMatrix, n: int, seed, second: bool):
     from D_{-1} = 0 and D_0 = ``seed``; the second from E_0 = 0 with
     ``seed`` = D_0^{-H} in the z X_0 slot, so that E_1 = B_0^{-1} D_0^{-H}.
     """
-    if n < 0:
-        raise InvalidInputError(f"n must be >= 0, got {n}")
+    n = _require_count(n, "n")
     p = seed.shape[0]
     plan = _recurrence(j, n)[0]
     # h[i] = (z X, X) of state i - 1; step k reads [X, zX, X] of states
@@ -299,8 +300,16 @@ def _state_chunks(j: BlockJacobiMatrix, zs, second, n: int):
     X_k is a (p, W) matrix of p-wide column blocks, one per entry of
     ``zs``: D_k at that point, or E_k where ``second`` is set.  Both kinds
     share the recurrence and differ only in their fixed seeds: D_{-1} = 0
-    with D_0 = I, and E_0 = 0 with E_1 = B_0^{-1}, which the first step
-    produces when the z X_0 slot of E columns holds I.  A yielded stack is
+    with D_0 = I, and E_0 = 0 with E_1 = B_0^{-1}.
+
+    Steps take one of two forms.  When every entry of ``zs`` is one point
+    z, z is folded into the plan rows once per call, R_k =
+    [-B_k^{-1} A_{k,k-1} | z B_k^{-1} - B_k^{-1} A_kk], and each step is
+    the one GEMM X_{k+1} = R_k [X_{k-1}; X_k].  Otherwise the state also
+    keeps z X_k, a column scaling after each GEMM with the plan row.  E
+    columns take their seed from the slot that multiplies nothing at
+    k = 0, A_{0,-1} being 0: folded, R_0 holds B_0^{-1} there and
+    X_{-1} = I; unfolded, the z X_0 slot holds I.  A yielded stack is
     overwritten when the generator resumes.
     """
     p = j.p
@@ -308,23 +317,36 @@ def _state_chunks(j: BlockJacobiMatrix, zs, second, n: int):
     is_e = np.repeat(np.asarray(second, dtype=bool).reshape(-1), p)
     zrow = np.repeat(zs, p)
     w = zrow.size
-    plan = _recurrence(j, n)[0]
-    # h[i] = (z X, X) of one state; a chunk starts from X_{k0-1}, X_{k0}
-    h = np.zeros((min(_CHUNK, n + 1) + 2, 2, p, w), dtype=complex)
+    plan = _recurrence(j, n)[0][:n]
+    fold = zs.size > 0 and bool((zs == zs[0]).all())
+    s = 2 - fold
+    # h[i] = the last s slots of state i - 1, X last: (X) or (z X, X); a
+    # chunk starts from X_{k0-1}, X_{k0}
+    h = np.zeros((min(_CHUNK, n + 1) + 2, s, p, w), dtype=complex)
     eye = np.tile(np.eye(p, dtype=complex), len(zs))
-    h[1, 1] = np.where(is_e, 0.0, eye)
-    h[1, 0] = np.where(is_e, eye, h[1, 1] * zrow)
-    flat = h.reshape(2 * p * len(h), w)
-    # step i reads [X, zX, X] of states i-1, i and writes state i+1
-    steps = [(flat[(2 * i - 1) * p:(2 * i + 2) * p], h[i + 1, 1], h[i + 1, 0])
+    h[1, -1] = np.where(is_e, 0.0, eye)
+    if fold:
+        rows = np.concatenate([plan[..., :p], zs[0] * plan[..., p:2 * p]
+                               + plan[..., 2 * p:]], axis=2)
+        rows[:1, :, :p] = plan[:1, :, p:2 * p]
+        h[0, 0] = np.where(is_e, eye, 0.0)
+    else:
+        rows = plan
+        h[1, 0] = np.where(is_e, eye, h[1, 1] * zrow)
+    flat = h.reshape(s * p * len(h), w)
+    # step i reads [X_{i-2}; X_{i-1}] or [X_{i-2}; z X_{i-1}; X_{i-1}] and
+    # writes state i
+    steps = [(flat[(s * i - 1) * p:s * (i + 1) * p], h[i + 1, -1],
+              None if fold else h[i + 1, 0])
              for i in range(1, len(h) - 1)]
     k0 = 0
     while k0 <= n:
         m = min(_CHUNK, n + 1 - k0)
-        for row, (src, x, zx) in zip(plan[k0:n], steps[:m]):
+        for row, (src, x, zx) in zip(rows[k0:], steps[:m]):
             np.matmul(row, src, out=x)
-            np.multiply(x, zrow, out=zx)
-        yield h[1:m + 1, 1]
+            if zx is not None:
+                np.multiply(x, zrow, out=zx)
+        yield h[1:m + 1, -1]
         h[:2] = h[m:m + 2]
         k0 += m
 
@@ -334,10 +356,9 @@ def first_kind_values(j: BlockJacobiMatrix, zs, n: int):
 
     Pointwise form of the recurrence, read off the engine's states; yields
     arrays of shape (B, p, p).  A non-regular matrix raises
-    InvalidInputError, as does n < 0.
+    InvalidInputError, as does an n that is not an integer >= 0.
     """
-    if n < 0:
-        raise InvalidInputError(f"n must be >= 0, got {n}")
+    n = _require_count(n, "n")
     p = j.p
     z = np.asarray(zs, dtype=complex).reshape(-1)
     for xs in _state_chunks(j, z, np.zeros(z.size, dtype=bool), n):

@@ -22,7 +22,7 @@ import numpy as np
 from . import matkernel as mk
 from .errors import (ClassificationUnavailableError, HalfPlaneError,
                      InvalidInputError, NumericalFailureError, RefusedError)
-from .jacobi import BlockJacobiMatrix, truncate
+from .jacobi import BlockJacobiMatrix, _require_count, truncate
 from .measures import StepMeasure, normalize
 from .polys import (_CHUNK, _available_terms, _finite, _series,
                     _state_chunks, first_kind_values)
@@ -119,9 +119,7 @@ def kernel_partial(j: BlockJacobiMatrix, z: complex, n: int) -> np.ndarray:
     real z is allowed (needed for jump bounds).
     """
     mk._require_finite(z, "z")
-    if n < 0:
-        raise InvalidInputError("n must be >= 0")
-    return _kernel_sum(j, z, n, 0.0)
+    return _kernel_sum(j, z, _require_count(n, "n"), 0.0)
 
 
 def _kernel_sum(j, z, n_max, series_tol):
@@ -182,8 +180,7 @@ def estimate_H(j: BlockJacobiMatrix, z: complex,
     z = mk._require_finite(complex(z), "z")
     if z.imag == 0:
         raise HalfPlaneError("estimate_H needs Im z != 0")
-    if n_max < 4:
-        raise InvalidInputError("n_max must be >= 4")
+    n_max = _require_count(n_max, "n_max", 4)
     history = _kernel_history(j, z, n_max)
     n_eff = len(history) - 1
     k_last = mk.hermitian_part(history[-1])
@@ -374,8 +371,7 @@ def gauss_quadrature(j: BlockJacobiMatrix, n: int) -> StepMeasure:
     The rule for another D_0 has the same nodes and the weights
     D_0^{-1} W D_0^{-H}.
     """
-    if n < 1:
-        raise InvalidInputError("quadrature needs at least one block")
+    n = _require_count(n, "n", 1)
     t = truncate(j, n)
     h = mk.hermitian_part(t)
     w = np.linalg.eigvalsh(h if h.imag.any() else h.real)

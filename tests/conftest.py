@@ -79,6 +79,21 @@ def random_regular_growing(p, n_blocks, rng):
     return BlockJacobiMatrix(p, tuple(diag), tuple(off))
 
 
+def ci_matrix(rng, p, n_blocks, rule):
+    """A_kk = a, A_{k,k+1} = (k+1)^2 (I + 0.3 G), ||G|| = 1: always CI."""
+    g = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
+    a = 0.5 * (g + g.conj().T)
+    g = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
+    x = np.eye(p) + 0.3 * g / np.linalg.svd(g, compute_uv=False)[0]
+
+    def blocks(k):
+        return a, (k + 1) ** 2 * x
+
+    return BlockJacobiMatrix(p, tuple(a for _ in range(n_blocks)),
+                             tuple(blocks(k)[1] for k in range(n_blocks - 1)),
+                             blocks if rule else None)
+
+
 def random_unitary(p, rng):
     g = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
     q, r = np.linalg.qr(g)

@@ -23,7 +23,8 @@ from blockmoment.errors import (HalfPlaneError, InvalidInputError,
 from blockmoment.polys import (_scalar_series, _series, _SeriesAccumulator,
                                _state_chunks, first_kind_values)
 
-from conftest import random_regular_growing, random_unitary, rel_err
+from conftest import (ci_matrix, random_regular_growing, random_unitary,
+                      rel_err)
 
 
 @pytest.fixture(scope="module")
@@ -233,21 +234,6 @@ def test_series_stop_rule_is_the_same_one_at_a_time_and_in_chunks():
             seen += part.size
         assert got == stop
         assert (chunked.steps, chunked.tail) == (single.steps, single.tail)
-
-
-def ci_matrix(rng, p, n_blocks, rule):
-    """A_kk = a, A_{k,k+1} = (k+1)^2 (I + 0.3 G), ||G|| = 1: always CI."""
-    g = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
-    a = 0.5 * (g + g.conj().T)
-    g = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
-    x = np.eye(p) + 0.3 * g / np.linalg.svd(g, compute_uv=False)[0]
-
-    def blocks(k):
-        return a, (k + 1) ** 2 * x
-
-    return BlockJacobiMatrix(p, tuple(a for _ in range(n_blocks)),
-                             tuple(blocks(k)[1] for k in range(n_blocks - 1)),
-                             blocks if rule else None)
 
 
 def plain_quartet(j, z, n_terms, series_tol):

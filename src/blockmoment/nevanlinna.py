@@ -132,7 +132,8 @@ def quartet(j: BlockJacobiMatrix, z: complex, n_max: int = SERIES_N_MAX,
     """Evaluate F1, F2, G1, G2 at ``z`` by truncated series.
 
     Refused unless the problem is completely indeterminate (pass a
-    precomputed ``determinacy`` to skip re-classification).  Truncation
+    precomputed ``determinacy`` to skip classification; without it the
+    matrix is classified on its first such call only).  Truncation
     stops once all four increments stay below ``series_tol`` for two
     consecutive terms, or at ``n_max``; ``converged`` reports which.
     Values are returned either way, with the last increment size in

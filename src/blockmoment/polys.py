@@ -25,8 +25,14 @@ Regularity is checked where the plan is built, over the blocks it reads,
 once per build.  Pointwise, the states D_k, E_k of all points advance
 together as the columns of one (p, W) matrix, one small GEMM per step:
 at a single point z is folded into the plan rows once per call, and at
-several points each step also scales the columns by their points.  Series
-terms are formed per chunk of steps by one batched matmul;
+several points each step also scales the columns by their points.  A long
+pass at one or two distinct points is solved in chunks of steps, as a
+linear recurrence can be (Kogge & Stone, IEEE Trans. Computers 22, 1973):
+while the first chunk of a window steps its states, every later chunk
+steps its transfer solutions from a unit entry pair, all chunks in one
+batched matmul per step, and each later chunk's states are then one GEMM
+per point with the last two states before it.  Series terms are formed
+per chunk of steps by one batched matmul;
 ``_SeriesAccumulator`` is the one series stop rule.  Symbolically, the
 same step runs on coefficients laid side by side.  For p = 1 and two
 points (a left point w and a right point v: the quartet and the extremal
@@ -216,7 +222,13 @@ def form(pp: MatrixPoly, qq: MatrixPoly, basis: OrthoBasis) -> np.ndarray:
 # the pointwise recurrence engine
 # ---------------------------------------------------------------------------
 
-_CHUNK = 16  # recurrence steps whose series terms are formed in one matmul
+# A pass yields its states in stacks of _CHUNK steps, and the series form
+# a stack's terms in one batched matmul.  A pass of at least _MIN_CHUNKS
+# stacks at one or two distinct points steps up to _WINDOW of them together
+# (see ``_state_chunks``); below that, stepping every state is cheaper.
+_CHUNK = 16
+_WINDOW = 16
+_MIN_CHUNKS = 6
 
 
 def _recurrence(j: BlockJacobiMatrix, n: int):
@@ -309,8 +321,18 @@ def _state_chunks(j: BlockJacobiMatrix, zs, second, n: int):
     keeps z X_k, a column scaling after each GEMM with the plan row.  E
     columns take their seed from the slot that multiplies nothing at
     k = 0, A_{0,-1} being 0: folded, R_0 holds B_0^{-1} there and
-    X_{-1} = I; unfolded, the z X_0 slot holds I.  A yielded stack is
-    overwritten when the generator resumes.
+    X_{-1} = I; unfolded, the z X_0 slot holds I.
+
+    A pass of at least _MIN_CHUNKS chunks at one or two distinct points
+    runs in windows of up to _WINDOW chunks (``_window``); any other pass
+    steps every state in turn.  In a window the first chunk steps its
+    states as above while, in the same loop, every later chunk steps the
+    transfer solutions T_i of each point from the unit entry pair
+    [X_{k-1}; X_k] = [I 0; 0 I], all chunks and points in one batched
+    matmul per step with folded rows.  A later chunk's states are then
+    X_{k+i} = T_i [X_{k-1}; X_k], one GEMM per point with its real entry
+    pair, the last two states before it, formed when the chunk is yielded.
+    A yielded stack is overwritten when the generator resumes.
     """
     p = j.p
     zs = np.asarray(zs, dtype=complex).reshape(-1)
@@ -339,16 +361,89 @@ def _state_chunks(j: BlockJacobiMatrix, zs, second, n: int):
     steps = [(flat[(s * i - 1) * p:s * (i + 1) * p], h[i + 1, -1],
               None if fold else h[i + 1, 0])
              for i in range(1, len(h) - 1)]
+    g = _window(n, zs, fold)
     k0 = 0
-    while k0 <= n:
-        m = min(_CHUNK, n + 1 - k0)
-        for row, (src, x, zx) in zip(rows[k0:], steps[:m]):
+    if g == 1:
+        while k0 <= n:
+            m = min(_CHUNK, n + 1 - k0)
+            for row, (src, x, zx) in zip(rows[k0:], steps[:m]):
+                np.matmul(row, src, out=x)
+                if zx is not None:
+                    np.multiply(x, zrow, out=zx)
+            yield h[1:m + 1, -1]
+            h[:2] = h[m:m + 2]
+            k0 += m
+        return
+    c = _CHUNK
+    at = zs != zs[0]                            # blocks at a second point
+    pts = np.concatenate([zs[:1], zs[at][:1]])
+    q = pts.size
+    windows = -(-(n + 1) // (g * c))
+    # folded rows per point of the later chunks, by window and step; zero
+    # past the pass
+    tr = np.zeros((windows * g * c, q, p, 2 * p), dtype=complex)
+    tr[:n, :, :, :p] = plan[:, None, :, :p]
+    tr[:n, :, :, p:] = (pts[:, None, None] * plan[:, None, :, p:2 * p]
+                        + plan[:, None, :, 2 * p:])
+    tr = tr.reshape(windows, g, c, q, p, 2 * p)[:, 1:].swapaxes(1, 2)
+    # t[b, r, i + 1] = T_i of later chunk b at point r, p x 2p; step i
+    # reads [T_{i-1}; T_i] and writes T_{i+1}
+    t = np.zeros((g - 1, q, c + 2, p, 2 * p), dtype=complex)
+    t[:, :, 0, :, :p] = t[:, :, 1, :, p:] = np.eye(p)
+    tflat = t.reshape(g - 1, q, (c + 2) * p, 2 * p)
+    tsteps = [(tflat[:, :, i * p:(i + 2) * p], t[:, :, i + 2])
+              for i in range(c)]
+    # ys[b c:b c + 2] is later chunk b's entry pair; it writes the c states
+    # after them
+    ys = np.empty(((g - 1) * c + 2, p, w), dtype=complex)
+    joins = [(t[b, :, 2:].reshape(q, c * p, 2 * p),
+              ys[b * c:b * c + 2].reshape(2 * p, w),
+              ys[b * c + 2:(b + 1) * c + 2].reshape(c * p, w),
+              ys[b * c + 1:(b + 1) * c + 1]) for b in range(g - 1)]
+    if q == 2:
+        other = np.empty((c * p, w), dtype=complex)
+        at_col = np.repeat(at, p)
+    for trw in tr:
+        m = min(c, n + 1 - k0)
+        for row, (src, x, zx), trow, (tsrc, tout) in zip(
+                rows[k0:], steps[:m], trw, tsteps):
             np.matmul(row, src, out=x)
             if zx is not None:
                 np.multiply(x, zrow, out=zx)
+            np.matmul(trow, tsrc, out=tout)
         yield h[1:m + 1, -1]
-        h[:2] = h[m:m + 2]
-        k0 += m
+        ys[:2] = h[m:m + 2, -1]
+        for tb, entry, out, stack in joins:
+            k0 += c
+            if k0 > n:
+                return
+            np.matmul(tb[0], entry, out=out)
+            if q == 2:
+                np.matmul(tb[1], entry, out=other)
+                np.copyto(out, other, where=at_col)
+            yield stack[:n + 1 - k0]
+        k0 += c
+        h[:2, -1] = ys[-2:]
+        if not fold:
+            np.multiply(h[1, 1], zrow, out=h[1, 0])
+
+
+def _window(n: int, zs, fold: bool) -> int:
+    """Chunks per window of an n-step pass at ``zs``, 1 for stepwise.
+
+    A pass of fewer than _MIN_CHUNKS chunks or at more than two distinct
+    points steps every state: there the transfer solutions cost more than
+    the calls they save.  Any other pass splits into equal windows of at
+    most _WINDOW chunks.
+    """
+    chunks = -(-(n + 1) // _CHUNK)
+    if chunks < _MIN_CHUNKS or not zs.size:
+        return 1
+    if not fold:
+        rest = zs[zs != zs[0]]
+        if (rest != rest[0]).any():
+            return 1
+    return -(-chunks // -(-chunks // _WINDOW))
 
 
 def first_kind_values(j: BlockJacobiMatrix, zs, n: int):

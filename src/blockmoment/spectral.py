@@ -138,23 +138,24 @@ def _kernel_history(j, z, n_max):
 
     The history ends at D_{n_max}, or at the first D_k with an entry past
     OVERFLOW_GUARD or not finite.  The guard is checked once per _CHUNK
-    steps, over the chunk's stacked values, so at most one chunk is
-    computed past the end.  Partial sums past the float range raise
-    NumericalFailureError.
+    steps, on the largest entry of the chunk's stacked values, so at most
+    one chunk is computed past the end.  Partial sums past the float range
+    raise NumericalFailureError.
     """
-    values, start = [], 0
+    stacks, chunk = [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        for dk in first_kind_values(j, [complex(z)], n_max):
-            values.append(dk)
-            if len(values) - start < _CHUNK and len(values) <= n_max:
+        for k, dk in enumerate(first_kind_values(j, [complex(z)], n_max)):
+            chunk.append(dk)
+            if len(chunk) < _CHUNK and k < n_max:
                 continue
-            big = np.abs(np.concatenate(values[start:])).max(axis=(1, 2))
-            past = np.flatnonzero(~(big <= OVERFLOW_GUARD))
-            if past.size:
-                del values[start + past[0] + 1:]
+            d = np.concatenate(chunk)
+            chunk = []
+            if not np.abs(d).max() <= OVERFLOW_GUARD:
+                past = ~(np.abs(d).max(axis=(1, 2)) <= OVERFLOW_GUARD)
+                stacks.append(d[:past.argmax() + 1])
                 break
-            start = len(values)
-        d = np.concatenate(values)
+            stacks.append(d)
+        d = np.concatenate(stacks)
         history = np.cumsum(np.conj(np.swapaxes(d, 1, 2)) @ d, axis=0)
     _finite(history[-1])
     return history
@@ -261,8 +262,16 @@ def classify(j: BlockJacobiMatrix, n_max: int = KERNEL_N_MAX,
 
 def _ensure_completely_indeterminate(j, determinacy=None):
     """The class of ``j`` (``determinacy`` when given), refused unless it is
-    completely indeterminate."""
-    cls = classify(j) if determinacy is None else determinacy
+    completely indeterminate.
+
+    The default class, ``classify(j)``, is computed once per matrix and
+    kept in ``j.memo`` beside the recurrence plan.
+    """
+    cls = determinacy
+    if cls is None:
+        cls = j.memo.get("class")
+        if cls is None:
+            cls = j.memo["class"] = classify(j)
     if not isinstance(cls, DeterminacyClass):
         raise InvalidInputError("determinacy must be a DeterminacyClass")
     if cls.kind is not Determinacy.COMPLETELY_INDETERMINATE:

@@ -155,7 +155,8 @@ def test_exit_2_on_refusal_and_indecision(capsys):
     ["spectrum", "--jacobi", "ind.json", "--u", "u_one.json",
      "--interval=-1e5,1e5"],
     ["spectrum", "--jacobi", "ind.json", "--u", "u_one.json",
-     "--interval=-1e165,1e165"]])
+     "--interval=-1e165,1e165"],
+    ["kernel", "--jacobi", "ind.json", "--z", "300000,1", "--n", "400"]])
 def test_exit_2_when_a_series_overflows(argv, capsys):
     code, out, err = run_capture(argv, capsys)
     assert (code, out) == (2, "")

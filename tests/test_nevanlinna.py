@@ -150,6 +150,30 @@ def test_quartet_refused_for_determinate(ch):
         quartet(ch, 1j)
 
 
+def test_default_class_is_computed_once_per_matrix(monkeypatch):
+    from blockmoment import ch_fixture, spectral
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return estimate_H(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "estimate_H", spy)
+    ind, ch = ind_fixture(420), ch_fixture()
+    first = quartet(ind, 1j)
+    assert len(calls) == 8
+    second = quartet(ind, 1j)
+    assert len(calls) == 8
+    assert np.array_equal(first.f1, second.f1)
+    for _ in range(2):
+        with pytest.raises(RefusedError):
+            quartet(ch, 1j)
+    assert len(calls) == 16
+    # classify itself is not cached
+    classify(ind)
+    assert len(calls) == 24
+
+
 def test_quartet_tolerance_stop_is_stable_under_nmax_doubling(ind, ind_cls):
     # series terms decay like 1/k^2, so the increment rule stops the sum
     # well before n_max; doubling n_max then reproduces the values exactly

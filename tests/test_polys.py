@@ -11,7 +11,7 @@ from blockmoment import (BlockJacobiMatrix, MatrixPoly, classify,
                          truncate)
 from blockmoment.errors import InvalidInputError, OutOfRangeError
 from blockmoment.moments import block_hankel
-from blockmoment.polys import _state_chunks, first_kind_values
+from blockmoment.polys import _CHUNK, _state_chunks, first_kind_values
 
 from conftest import (ci_matrix, random_hermitian, random_nonsingular,
                       random_regular, random_regular_growing, rel_err)
@@ -239,7 +239,8 @@ def rel_per_step(got, want):
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_states_at_one_point_are_those_beside_a_second_point(p):
     # alone, the point takes the folded step; beside 5i, the step with a
-    # column scaling, kept as the reference
+    # column scaling, kept as the reference (from n = 80 on both passes
+    # step transfer solutions with folded rows and join them)
     rng = np.random.default_rng(70 + p)
     for j in (random_regular(p, 201, rng, scale=1.0),
               random_regular_growing(p, 201, rng),
@@ -253,6 +254,73 @@ def test_states_at_one_point_are_those_beside_a_second_point(p):
                     assert got.shape == (n + 1, p, len(second) * p)
                     assert rel_per_step(got, want[..., :got.shape[2]]).max() \
                         <= 1e-11
+
+
+def stepwise_states(j, zs, second, n):
+    """X_0..X_n as one (n+1, p, W) array by the plain recurrence: every
+    column block one step at a time, B_k X_{k+1} = (z - A_kk) X_k -
+    A_{k,k-1} X_{k-1} solved for X_{k+1}, from D_0 = I or from E_0 = 0
+    with the constant I on the right of the first step (E_1 = B_0^{-1})."""
+    p = j.p
+    jp = j.prefix(n + 1)
+    z = np.asarray(zs, dtype=complex).reshape(-1, 1, 1)
+    e = np.asarray(second, dtype=bool).reshape(-1, 1, 1)
+    eye = np.eye(p, dtype=complex)
+    prev = np.zeros((z.size, p, p), dtype=complex)
+    cur = np.where(e, 0 * eye, eye)
+    out = [cur]
+    for k in range(n):
+        rhs = z * cur - jp.diag[k] @ cur
+        rhs = rhs - jp.offdiag[k - 1].conj().T @ prev if k else \
+            rhs + np.where(e, eye, 0 * eye)
+        prev, cur = cur, np.linalg.solve(jp.offdiag[k], rhs)
+        out.append(cur)
+    return np.array(out).transpose(0, 2, 1, 3).reshape(n + 1, p, z.size * p)
+
+
+def engine_point_sets(rng):
+    """(zs, second) pairs: none, one point, duplicated points, two points
+    in the shapes the series use, and 5 and 60 distinct points."""
+    five = rng.uniform(-3, 3, 5) + 1j * rng.uniform(-2, 2, 5)
+    sixty = rng.uniform(-3, 3, 60) + 1j * rng.uniform(-2, 2, 60)
+    return [([], []),
+            ([1j], [False]),
+            ([2 + 1j], [True]),
+            ([0.7, 0.7, 0.7], [True, False, False]),
+            ([-3 + 2j, -3 + 2j, 0.7], [False, True, False]),
+            ([1 - 1j, 1 - 1j, 0.0, 0.0], [False, True, False, True]),
+            ([2j, -1 + 1j, 2j, -1 + 1j], [True, True, False, False]),
+            (five, rng.random(5) < 0.5),
+            (sixty, rng.random(60) < 0.5)]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_engine_states_are_the_stepwise_recurrence(p):
+    # one-chunk and chunked passes alike, with the stacks the engine has
+    # always yielded: _CHUNK states each, the last one shorter
+    rng = np.random.default_rng(110 + p)
+    for j in (ci_matrix(rng, p, 401, rule=False),
+              random_regular_growing(p, 401, rng)):
+        for zs, second in engine_point_sets(rng):
+            want = stepwise_states(j, zs, second, 400)
+            for n in (0, 1, 15, 16, 17, 31, 32, 33, 200, 400):
+                stacks = [s.copy() for s in _state_chunks(j, zs, second, n)]
+                assert [s.shape for s in stacks] == [
+                    (min(_CHUNK, n + 1 - k), p, len(zs) * p)
+                    for k in range(0, n + 1, _CHUNK)]
+                if len(zs):
+                    got = np.concatenate(stacks)
+                    assert rel_per_step(got, want[:n + 1]).max() <= 1e-13
+
+
+def test_a_point_past_the_float_range_leaves_the_other_point_alone(ind):
+    # a two-point pass joins each point's states with its own transfer
+    # solutions, so the overflowed point's infinities stay in its columns
+    with np.errstate(over="ignore", invalid="ignore"):
+        both = np.array(list(first_kind_values(ind, [1e25 + 1j, 1j], 400)))
+    alone = np.array(list(first_kind_values(ind, [1j], 400)))
+    assert not np.isfinite(both[:, 0]).all()
+    assert rel_per_step(both[:, 1], alone[:, 0]).max() <= 1e-13
 
 
 def mp_states(j, zs, n):
@@ -285,10 +353,10 @@ def mp_states(j, zs, n):
 
 
 def test_states_at_one_point_are_as_accurate_as_beside_a_second_point():
-    # errors against 40 digits of the folded step (one point) and of the
-    # step with a column scaling (the same point beside 5i); the two round
-    # differently and either may come out closer case by case, so the fold
-    # is held to the other's worst error within a factor of 2
+    # errors against 40 digits of the engine at one point (the folded step,
+    # chunked from n = 80 on) and of the plain stepwise recurrence; the
+    # two round differently and either may come out closer case by case,
+    # so the engine is held to the other's worst error within a factor of 2
     worst = np.zeros(2)
     for p in (1, 2, 3):
         rng = np.random.default_rng(90 + p)
@@ -297,9 +365,8 @@ def test_states_at_one_point_are_as_accurate_as_beside_a_second_point():
             zs = (1j, -3 + 2j, 0.7)
             for z, want in zip(zs, mp_states(j, zs, 120)):
                 fold = engine_states(j, [z, z], [False, True], 120)
-                scaled = engine_states(j, [z, z, 5j], [False, True, False],
-                                       120)[..., :2 * p]
-                for i, got in enumerate((fold, scaled)):
+                plain = stepwise_states(j, [z, z], [False, True], 120)
+                for i, got in enumerate((fold, plain)):
                     worst[i] = max(worst[i], *(
                         rel_per_step(got[..., cols], want[..., cols]).max()
                         for cols in (slice(None, p), slice(p, None))))

@@ -26,10 +26,8 @@ caller supplies V as a per-point sampler, holomorphy of the sampler is the
 caller's responsibility: it cannot be verified pointwise.
 
 The series run on the recurrence engine of :mod:`polys`, under its one
-stop rule.  A p = 1 series between one left and one right point (the
-quartet and the extremal transform) takes the engine's scalar path; every
-other series, every extension bracket included, advances all points
-together as the columns of one state matrix.
+stop rule, at every p: all points advance together as the columns of one
+state matrix, and each chunk of terms is summed by one GEMM.
 """
 
 from dataclasses import dataclass
@@ -41,7 +39,7 @@ from .errors import (HalfPlaneError, InvalidInputError,
                      NumericalFailureError, OutOfRangeError, PoleError)
 from .jacobi import BlockJacobiMatrix
 from .polys import (MatrixPoly, OrthoBasis, _available_terms, _coefficients,
-                    _recurrence, _scalar_series, _series, _state_chunks)
+                    _recurrence, _series, _state_chunks)
 # classify is re-exported next to the entry points whose ``determinacy``
 # argument it computes
 from .spectral import (NODE_MERGE_FACTOR, DeterminacyClass,
@@ -111,19 +109,13 @@ class QuartetValue:
 def _quartet_sums(j, z, n_terms, series_tol):
     p = j.p
     zb = z.conjugate()
-    if p == 1:
-        (g1, g2, f1, f2), n_used, tail, converged = _scalar_series(
-            j, zb, 0j, (-z, z), (1.0 + 0j, 1.0 + 0j, 0j), (True,) * 4,
-            n_terms, series_tol)
-        one = np.ones((1, 1), dtype=complex)
-        return (f1 * one, f2 * one, g1 * one, g2 * one, n_used, tail,
-                converged)
     t, n_used, tail, converged = _series(
         j, [zb, zb, 0.0, 0.0], [False, True, False, True], 2, z, n_terms,
         series_tol)
     eye = np.eye(p, dtype=complex)
-    return (eye + t[p:, :p], t[p:, p:], -t[:p, :p], eye - t[:p, p:], n_used,
-            tail, converged)
+    # 0 - t, not -t, which would turn an exact 0.0 into -0.0
+    return (eye + t[p:, :p], t[p:, p:], 0.0 - t[:p, :p], eye - t[:p, p:],
+            n_used, tail, converged)
 
 
 def quartet(j: BlockJacobiMatrix, z: complex, n_max: int = SERIES_N_MAX,
@@ -133,11 +125,13 @@ def quartet(j: BlockJacobiMatrix, z: complex, n_max: int = SERIES_N_MAX,
 
     Refused unless the problem is completely indeterminate (pass a
     precomputed ``determinacy`` to skip classification; without it the
-    matrix is classified on its first such call only).  Truncation
-    stops once all four increments stay below ``series_tol`` for two
-    consecutive terms, or at ``n_max``; ``converged`` reports which.
-    Values are returned either way, with the last increment size in
-    ``tail_norm``.
+    matrix is classified on its first such call only).  The terms are
+    summed in chunks of 16; a chunk's increment is the largest entry of
+    its sum over all four series divided by its number of terms.
+    Truncation stops at the end of a chunk once that chunk and the one
+    before it both have increments below ``series_tol``, or at ``n_max``;
+    ``converged`` reports which.  Values are returned either way, with
+    the larger of the last two increments in ``tail_norm``.
     """
     z = mk._require_finite(complex(z), "z")
     n_terms = _available_terms(j, n_max)
@@ -156,12 +150,6 @@ def _pair_sums(j, z, xi, n_terms, series_tol):
     """N(z, xi) = sum_{k>=1} E_k*(z) D_k(xi), Den = sum_{k>=0} D_k*(z) D_k(xi)."""
     p = j.p
     zb = z.conjugate()
-    if p == 1:
-        (den, _, num, _), _, _, converged = _scalar_series(
-            j, zb, complex(xi), None, (0j, 0j, 0j),
-            (True, False, True, False), n_terms, series_tol)
-        one = np.ones((1, 1), dtype=complex)
-        return num * one, den * one, converged
     t, _, _, converged = _series(j, [zb, zb, xi], [False, True, False], 2,
                                  1.0, n_terms, series_tol)
     return t[p:], t[:p], converged
@@ -436,7 +424,7 @@ def _boundary_truncation(j, u, n_terms, a, b):
         j, [0.0, 0.0], [False, True], n_terms)])
     x = states[..., :p] @ (eye + u) + 1j * (states[..., p:] @ (eye - u))
     n = n_terms + 1
-    _, diag, off, *_ = _recurrence(j, n_terms)
+    _, diag, off = _recurrence(j, n_terms)
     diag, off = diag[:n], off[:n - 1].copy()
     rows = np.abs(diag).sum(axis=2)
     rows[:-1] += np.abs(off).sum(axis=2)

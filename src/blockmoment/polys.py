@@ -31,13 +31,10 @@ linear recurrence can be (Kogge & Stone, IEEE Trans. Computers 22, 1973):
 while the first chunk of a window steps its states, every later chunk
 steps its transfer solutions from a unit entry pair, all chunks in one
 batched matmul per step, and each later chunk's states are then one GEMM
-per point with the last two states before it.  Series terms are formed
-per chunk of steps by one batched matmul;
-``_SeriesAccumulator`` is the one series stop rule.  Symbolically, the
-same step runs on coefficients laid side by side.  For p = 1 and two
-points (a left point w and a right point v: the quartet and the extremal
-transform) the scalar path ``_scalar_series`` runs the same recurrence in
-plain complex arithmetic on coefficient lists kept with the plan.  The
+per point with the last two states before it.  Every series, at every
+p, sums each chunk of terms by one GEMM over the chunk's stacked states,
+and ``_series`` holds the one stop rule, read at chunk ends.
+Symbolically, the same step runs on coefficients laid side by side.  The
 pointwise engine has fixed seeds, those of normalized solutions: D_0 = I
 for the first kind and E_1 = B_0^{-1} for the second.
 """
@@ -222,8 +219,8 @@ def form(pp: MatrixPoly, qq: MatrixPoly, basis: OrthoBasis) -> np.ndarray:
 # the pointwise recurrence engine
 # ---------------------------------------------------------------------------
 
-# A pass yields its states in stacks of _CHUNK steps, and the series form
-# a stack's terms in one batched matmul.  A pass of at least _MIN_CHUNKS
+# A pass yields its states in stacks of _CHUNK steps, and the series sum
+# a stack's terms in one GEMM.  A pass of at least _MIN_CHUNKS
 # stacks at one or two distinct points steps up to _WINDOW of them together
 # (see ``_state_chunks``); below that, stepping every state is cheaper.
 _CHUNK = 16
@@ -234,19 +231,17 @@ _MIN_CHUNKS = 6
 def _recurrence(j: BlockJacobiMatrix, n: int):
     """Step data of the first n recurrence steps, cached on ``j``.
 
-    Returns (plan, diag, off, b, a, ac).  Row k of the plan is
+    Returns (plan, diag, off).  Row k of the plan is
     [-B_k^{-1} A_{k,k-1} | B_k^{-1} | -B_k^{-1} A_{k,k}] with B_k = A_{k,k+1}
     and A_{0,-1} = 0, so that
 
         X_{k+1} = row_k @ [X_{k-1}; z X_k; X_k].
 
-    ``diag`` and ``off`` stack A_kk, k <= n, and A_{k,k+1}, k < n.  For
-    p = 1, b, a and ac list A_kk, A_{k,k+1} and its conjugate as plain
-    complex numbers for the scalar path (None otherwise).  The longest data
-    built so far is kept in ``j.memo`` and serves every shorter request; it
-    comes from one ``prefix`` and one batched inverse, and dies with the
-    matrix.  Each build checks the blocks of that prefix with
-    ``validate_regular`` and raises InvalidInputError naming the first
+    ``diag`` and ``off`` stack A_kk, k <= n, and A_{k,k+1}, k < n.  The
+    longest data built so far is kept in ``j.memo`` and serves every
+    shorter request; it comes from one ``prefix`` and one batched inverse,
+    and dies with the matrix.  Each build checks the blocks of that prefix
+    with ``validate_regular`` and raises InvalidInputError naming the first
     violation, so every user of the engine refuses a non-regular matrix.
     """
     rec = j.memo.get("recurrence")
@@ -265,11 +260,7 @@ def _recurrence(j: BlockJacobiMatrix, n: int):
     sub[1:] = np.conj(np.swapaxes(off[:-1], 1, 2))         # A_{k,k-1}
     plan = _freeze(np.concatenate([-(b_inv @ sub), b_inv,
                                    -(b_inv @ diag[:n])], axis=2))
-    b = a = ac = None
-    if j.p == 1:
-        b, a, ac = (diag.ravel().tolist(), off.ravel().tolist(),
-                    off.ravel().conj().tolist())
-    rec = (plan, diag, off, b, a, ac)
+    rec = (plan, diag, off)
     j.memo["recurrence"] = rec
     return rec
 
@@ -461,67 +452,37 @@ def first_kind_values(j: BlockJacobiMatrix, zs, n: int):
             .copy()
 
 
-class _SeriesAccumulator:
-    """Stop rule shared by all series: two consecutive quiet increments.
-
-    Term parity can zero out every other increment, so one quiet step is
-    not evidence of convergence.
-    """
-
-    def __init__(self, series_tol: float):
-        self.tol = series_tol
-        self.inc_prev = np.inf
-        self.inc_last = np.inf
-        self.steps = 0
-
-    def push(self, increment: float) -> bool:
-        self.inc_prev, self.inc_last = self.inc_last, increment
-        self.steps += 1
-        return (self.steps >= 3
-                and max(self.inc_prev, self.inc_last) < self.tol)
-
-    def push_chunk(self, increments) -> int | None:
-        """Push increments in order until the rule fires.
-
-        Returns how many were consumed when it fired, or None when it did
-        not; the state then matches pushing them one at a time.
-        """
-        for i, inc in enumerate(increments.tolist()):
-            if self.push(inc):
-                return i + 1
-        return None
-
-    @property
-    def tail(self) -> float:
-        if not np.isfinite(self.inc_prev):
-            return self.inc_last if np.isfinite(self.inc_last) else 0.0
-        return max(self.inc_prev, self.inc_last)
-
-
 def _series(j, zs, second, n_left: int, weight, n_terms: int,
             series_tol: float):
-    """sum_{k=0}^{n} weight * L_k^H R_k over the shared recurrence.
+    """weight * sum_{k=0}^{n} L_k^H R_k over the shared recurrence.
 
     L_k are the first ``n_left`` column blocks of X_k and R_k the rest
-    (see ``_state_chunks``); ``weight`` broadcasts against each term.  The
-    stop rule sees the largest entry of each weighted term.  Returns
-    (sum, n_used, tail_norm, converged), with n_used the last k summed;
-    a sum past the float range raises NumericalFailureError.
+    (see ``_state_chunks``).  A chunk's terms are summed by one GEMM,
+    X_L^H X_R over its stacked states, and ``weight``, the same for every
+    k, broadcasts against that sum.  The stop rule: a chunk's increment is
+    the largest entry of its weighted sum over the number of its terms,
+    and the series stops at the end of a chunk when that chunk and the one
+    before both have increments below ``series_tol`` (a chunk's terms can
+    cancel in its sum, so one quiet chunk is no evidence).  Returns (sum,
+    n_used, tail_norm, converged), with n_used the last k summed and
+    tail_norm the larger of the last two increments; a sum past the float
+    range raises NumericalFailureError.
     """
     cols = n_left * j.p
     total = 0.0
-    acc = _SeriesAccumulator(series_tol)
-    k0 = 0
+    prev = inc = np.inf
+    k = -1
     with np.errstate(over="ignore", invalid="ignore"):
         for xs in _state_chunks(j, zs, second, n_terms):
-            terms = weight * (np.conj(np.swapaxes(xs[..., :cols], 1, 2))
-                              @ xs[..., cols:])
-            stop = acc.push_chunk(np.abs(terms).max(axis=(1, 2), initial=0.0))
-            total = total + terms[:stop].sum(axis=0)
-            if stop is not None:
-                return _finite(total), k0 + stop - 1, acc.tail, True
-            k0 += len(xs)
-    return _finite(total), n_terms, acc.tail, False
+            x = xs.reshape(-1, xs.shape[-1])
+            part = weight * (np.conj(x[:, :cols].T) @ x[:, cols:])
+            total = total + part
+            k += len(xs)
+            prev, inc = inc, np.abs(part).max(initial=0.0) / len(xs)
+            if max(prev, inc) < series_tol:
+                return _finite(total), k, max(prev, inc), True
+    tail = inc if prev == np.inf else max(prev, inc)
+    return _finite(total), n_terms, tail, False
 
 
 def _finite(sums):
@@ -529,57 +490,3 @@ def _finite(sums):
     if not np.isfinite(sums).all():
         raise NumericalFailureError("series terms overflowed the float range")
     return sums
-
-
-def _scalar_series(j, w: complex, v: complex, weight, start, watch,
-                   n_terms: int, series_tol: float):
-    """The p = 1 form of ``_series`` for one left point w, one right v.
-
-    Advances D and E at w and at v with plain complex arithmetic, an order
-    of magnitude faster than numpy scalars, and sums
-    weight_L * conj(L_k(w)) R_k(v) for (L, R) = DD, DE, ED, EE, in that
-    order, from D_0 = 1 and E_1 = 1 / A_01.  ``weight`` is (weight_D,
-    weight_E), or None for no factor (a complex factor 1 can flip the sign
-    of a zero part).  The DD sum starts from its k = 0 term; E_0 = 0, so
-    the other three start from the constants in ``start``.  The stop rule
-    sees the largest absolute term among those ``watch`` flags.  Returns
-    (sums, n_used, tail_norm, converged).
-    """
-    b, a, ac = _recurrence(j, n_terms)[3:]
-    d0 = 1 + 0j
-    e1 = 1 / a[0] if n_terms >= 1 else 0j
-    wd, we = weight or (None, None)
-    w_dd, w_de, w_ed, w_ee = watch
-    dw_p, dw, ew_p, ew = 0j, d0, 0j, 0j
-    dv_p, dv, ev_p, ev = 0j, d0, 0j, 0j
-    dd = dw.conjugate() * dv if wd is None else wd * (dw.conjugate() * dv)
-    de, ed, ee = start
-    acc = _SeriesAccumulator(series_tol)
-    acc.push(abs(dd) if w_dd else 0.0)
-    for k in range(n_terms):
-        if k == 0:
-            dw_n = (w * dw - b[0] * dw) / a[0]
-            dv_n = (v * dv - b[0] * dv) / a[0]
-            ew_n = ev_n = e1
-        else:
-            dw_n = (w * dw - b[k] * dw - ac[k - 1] * dw_p) / a[k]
-            dv_n = (v * dv - b[k] * dv - ac[k - 1] * dv_p) / a[k]
-            ew_n = (w * ew - b[k] * ew - ac[k - 1] * ew_p) / a[k]
-            ev_n = (v * ev - b[k] * ev - ac[k - 1] * ev_p) / a[k]
-        dw_p, dw, ew_p, ew = dw, dw_n, ew, ew_n
-        dv_p, dv, ev_p, ev = dv, dv_n, ev, ev_n
-        cd, ce = dw.conjugate(), ew.conjugate()
-        t_dd, t_de, t_ed, t_ee = cd * dv, cd * ev, ce * dv, ce * ev
-        if wd is not None:
-            t_dd, t_de, t_ed, t_ee = (wd * t_dd, wd * t_de, we * t_ed,
-                                      we * t_ee)
-        dd += t_dd
-        de += t_de
-        ed += t_ed
-        ee += t_ee
-        if acc.push(max(abs(t_dd) if w_dd else 0.0,
-                        abs(t_de) if w_de else 0.0,
-                        abs(t_ed) if w_ed else 0.0,
-                        abs(t_ee) if w_ee else 0.0)):
-            return _finite((dd, de, ed, ee)), k + 1, acc.tail, True
-    return _finite((dd, de, ed, ee)), n_terms, acc.tail, False

@@ -36,9 +36,9 @@ GROWTH_N_MAX = 400
 GROWTH_SERIES_TOL = 1e-12
 
 # spread across each open half-plane so rank constancy is exercised, not
-# assumed
+# assumed; 0 - 1j, not -1j, whose real part is -0.0
 DEFAULT_SAMPLE_POINTS = (1j, 2j, 1 + 1j, -3 + 2j,
-                         -1j, -2j, -1 - 1j, 3 - 2j)
+                         0 - 1j, 0 - 2j, -1 - 1j, 3 - 2j)
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,24 @@ def test_golden_outputs(name, argv, capsys):
     assert json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n" == out
 
 
+def test_goldens_hold_no_negative_zero():
+    def numbers(node):
+        if isinstance(node, dict):
+            node = list(node.values())
+        if isinstance(node, list):
+            for item in node:
+                yield from numbers(item)
+        elif isinstance(node, float):
+            yield node
+
+    files = sorted(GOLDEN.glob("*.json"))
+    assert len(files) == len(CASES)
+    for path in files:
+        signed = [x for x in numbers(json.loads(path.read_text()))
+                  if x == 0.0 and np.signbit(x)]
+        assert not signed, path.name
+
+
 def test_text_mode_runs(capsys):
     code, out, _ = run_capture(["classify", "--jacobi", "ch.json"], capsys)
     assert code == 0

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 
 import mpmath as mp
 import numpy as np
@@ -20,8 +21,8 @@ from blockmoment import nevanlinna
 from blockmoment.errors import (HalfPlaneError, InvalidInputError,
                                 NumericalFailureError, PoleError,
                                 RefusedError)
-from blockmoment.polys import (_scalar_series, _series, _SeriesAccumulator,
-                               _state_chunks, first_kind_values)
+from blockmoment.polys import (_CHUNK, _series, _state_chunks,
+                               first_kind_values)
 
 from conftest import (ci_matrix, random_regular_growing, random_unitary,
                       rel_err)
@@ -176,16 +177,37 @@ def test_default_class_is_computed_once_per_matrix(monkeypatch):
 
 def test_quartet_tolerance_stop_is_stable_under_nmax_doubling(ind, ind_cls):
     # series terms decay like 1/k^2, so the increment rule stops the sum
-    # well before n_max; doubling n_max then reproduces the values exactly
-    for z in (1j, 2.0 - 1.0j, 4.0):
-        a = quartet(ind, z, n_max=60000, series_tol=1e-7,
-                    determinacy=ind_cls)
-        b = quartet(ind, z, n_max=120000, series_tol=1e-7,
-                    determinacy=ind_cls)
-        assert a.converged and b.converged
-        assert a.n_used == b.n_used
-        for name in ("f1", "f2", "g1", "g2"):
-            assert np.abs(getattr(a, name) - getattr(b, name)).max() < 1e-10
+    # well before n_max; doubling n_max then reproduces the values exactly,
+    # at p = 1 and on the p = 2 CI fixture
+    for j, cls in ((ind, ind_cls), ci2_with_unitary()[::2]):
+        for z in (1j, 2.0 - 1.0j, 4.0):
+            a = quartet(j, z, n_max=60000, series_tol=1e-7, determinacy=cls)
+            b = quartet(j, z, n_max=120000, series_tol=1e-7,
+                        determinacy=cls)
+            assert a.converged and b.converged
+            assert a.n_used == b.n_used
+            for name in ("f1", "f2", "g1", "g2"):
+                assert np.abs(getattr(a, name)
+                              - getattr(b, name)).max() < 1e-10
+
+
+def test_a_converged_series_stops_at_the_end_of_a_chunk(ind, ind_cls):
+    # the stop rule reads whole chunks, two of them: n_used is the last k
+    # of a full chunk past the first, or n_max when the rule fires on the
+    # short last chunk; at z = 0 every term vanishes
+    seen = set()
+    for j, cls in ((ind, ind_cls), ci2_with_unitary()[::2]):
+        for z, n_max in itertools.product((0.0, 1.0 + 2.0j), (40, 400)):
+            for tol in 10.0 ** -np.arange(1.0, 9.0):
+                q = quartet(j, z, n_max=n_max, series_tol=tol,
+                            determinacy=cls)
+                if q.converged and q.n_used < n_max:
+                    assert (q.n_used + 1) % _CHUNK == 0
+                    assert q.n_used >= 2 * _CHUNK - 1
+                else:
+                    assert q.n_used == n_max
+                seen.add((q.converged, q.n_used == n_max))
+    assert seen == {(True, False), (True, True), (False, True)}
 
 
 def test_quartet_reports_nonconvergence_at_default_depth(ind, ind_cls):
@@ -193,30 +215,6 @@ def test_quartet_reports_nonconvergence_at_default_depth(ind, ind_cls):
     assert not q.converged
     assert q.n_used == 400
     assert q.tail_norm > 0
-
-
-def test_quartet_scalar_path_matches_block_path(ind):
-    # the p = 1 scalar path against the engine on the sums of the quartet,
-    # of the extremal transform and of the extension bracket
-    z, xi, x = 0.7 + 1.3j, 0.4, -1.7
-    zb = z.conjugate()
-    cases = (  # scalar: w, v, weight, watch; engine: points, second,
-               # n_left, weight; scalar sums (DD, DE, ED, EE) compared
-        (zb, 0j, (z, z), (True,) * 4,
-         [zb, zb, 0.0, 0.0], [False, True, False, True], 2, z, (0, 1, 2, 3)),
-        (zb, xi, None, (True, False, True, False),
-         [zb, zb, xi], [False, True, False], 2, 1.0, (0, 2)),
-        (x, 0j, (x, x), (True, True, False, False),
-         [x, 0.0, 0.0], [False, False, True], 1, x, (0, 1)))
-    for w, v, weight, watch, zs, second, n_left, eng_weight, idx in cases:
-        for tol in (0.0, 1e-5):
-            sums, n_used, _, conv = _scalar_series(
-                ind, w, v, weight, (0j, 0j, 0j), watch, 300, tol)
-            t, n_eng, _, conv_eng = _series(ind, zs, second, n_left,
-                                            eng_weight, 300, tol)
-            for i, want in zip(idx, t.ravel()):
-                assert rel_err(sums[i], want) < 1e-12
-            assert (n_used, conv) == (n_eng, conv_eng)
 
 
 @pytest.mark.parametrize("call", [
@@ -240,57 +238,78 @@ def test_a_series_that_overflows_is_a_numerical_failure(call, ind, ind_cls):
         call(ind, ind_cls)
 
 
-def test_series_stop_rule_is_the_same_one_at_a_time_and_in_chunks():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        incs = 10.0 ** rng.uniform(-9, -5, rng.integers(1, 40))
-        incs[rng.random(incs.size) < 0.3] = 0.0     # parity zeros
-        single = _SeriesAccumulator(1e-7)
-        stop = next((i + 1 for i, x in enumerate(incs) if single.push(x)),
-                    None)
-        chunked = _SeriesAccumulator(1e-7)
-        got, seen = None, 0
-        for part in np.array_split(incs, rng.integers(1, 5)):
-            got = chunked.push_chunk(part)
-            if got is not None:
-                got += seen
-                break
-            seen += part.size
-        assert got == stop
-        assert (chunked.steps, chunked.tail) == (single.steps, single.tail)
-
-
-def plain_quartet(j, z, n_terms, series_tol):
-    """Quartet sums by one solve per step and per family, and the stop rule
-    (two consecutive increments below tol, not before the third term)."""
+def plain_values(j, w, n_terms):
+    """D_k(w) and E_k(w), k = 0..n_terms, by one solve per step and family,
+    from D_0 = I and E_0 = 0, E_1 = A_01^{-1}."""
     p = j.p
     jp = j.prefix(n_terms + 1)
-    zero = np.zeros((p, p), dtype=complex)
     eye = np.eye(p, dtype=complex)
-    e1 = np.linalg.solve(jp.offdiag[0], eye)
-    # (previous, current) for D(conj z), D(0), E(conj z), E(0)
-    states = [(zero, eye), (zero, eye), (zero, zero), (zero, zero)]
-    points = (np.conj(z), 0.0, np.conj(z), 0.0)
-    sums = [eye, zero, -z * eye, eye]
-    incs = [np.abs(sums[2]).max()]
-    for k in range(n_terms):
-        nxt = []
-        for i, ((prev, cur), w) in enumerate(zip(states, points)):
+    families = []
+    for first in (True, False):
+        prev, cur = 0 * eye, eye if first else 0 * eye
+        xs = [cur]
+        for k in range(n_terms):
             rhs = w * cur - jp.diag[k] @ cur
             if k > 0:
                 rhs -= jp.offdiag[k - 1].conj().T @ prev
-            new = np.linalg.solve(jp.offdiag[k], rhs)
-            nxt.append((cur, e1 if (k == 0 and i >= 2) else new))
-        states = nxt
-        dz, d0k, ez, e0k = (cur.conj().T if i in (0, 2) else cur
-                            for i, (_, cur) in enumerate(states))
-        terms = [z * (ez @ d0k), z * (ez @ e0k), -z * (dz @ d0k),
-                 -z * (dz @ e0k)]
-        sums = [s + t for s, t in zip(sums, terms)]
-        incs.append(max(np.abs(t).max() for t in terms))
-        if len(incs) >= 3 and max(incs[-2:]) < series_tol:
-            return sums, k + 1, True
-    return sums, n_terms, False
+            elif not first:
+                rhs = eye
+            prev, cur = cur, np.linalg.solve(jp.offdiag[k], rhs)
+            xs.append(cur)
+        families.append(xs)
+    return families
+
+
+def plain_chunk_sums(terms, series_tol):
+    """Sums over k of the matrices terms[k][i], under the stop rule read
+    off chunks of _CHUNK terms: a chunk's increment is its largest summed
+    entry over its length, and the sum stops at the end of the second of
+    two consecutive chunks with increments below tol."""
+    sums = [0 * t for t in terms[0]]
+    incs = [np.inf]
+    for c0 in range(0, len(terms), _CHUNK):
+        chunk = terms[c0:c0 + _CHUNK]
+        part = [sum(t[i] for t in chunk) for i in range(len(sums))]
+        sums = [s + q for s, q in zip(sums, part)]
+        incs.append(max(np.abs(q).max() for q in part) / len(chunk))
+        if max(incs[-2:]) < series_tol:
+            return sums, c0 + len(chunk) - 1, True
+    return sums, len(terms) - 1, False
+
+
+def plain_quartet(j, z, n_terms, series_tol):
+    """Quartet sums by one solve per step and per family, under the chunk
+    stop rule."""
+    dz, ez = plain_values(j, np.conj(z), n_terms)
+    d0, e0 = plain_values(j, 0.0, n_terms)
+    terms = [[z * (e.conj().T @ d), z * (e.conj().T @ f),
+              -z * (a.conj().T @ d), -z * (a.conj().T @ f)]
+             for a, e, d, f in zip(dz, ez, d0, e0)]
+    (f1, f2, g1, g2), n_used, converged = plain_chunk_sums(terms, series_tol)
+    eye = np.eye(j.p)
+    return [eye + f1, f2, g1, eye + g2], n_used, converged
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_pair_sums_match_plain_recurrence(p):
+    # N and Den of the extremal transform against one solve per step:
+    # left states D_k, E_k at conj z, right states D_k(xi)
+    j = ci_matrix(np.random.default_rng(40 + p), p, 150, rule=False)
+    z, xi = 0.7 - 1.3j, 0.4
+    dz, ez = plain_values(j, np.conj(z), 149)
+    dxi = plain_values(j, xi, 149)[0]
+    terms = [[e.conj().T @ d, a.conj().T @ d]
+             for a, e, d in zip(dz, ez, dxi)]
+    stops = set()
+    for tol in (0.0, 1e-2, 1e-3):
+        (num, den), n_used, converged = plain_chunk_sums(terms, tol)
+        got_num, got_den, got_conv = nevanlinna._pair_sums(j, z, xi, 149,
+                                                           tol)
+        assert got_conv == converged
+        assert rel_err(got_num, num) < 1e-12
+        assert rel_err(got_den, den) < 1e-12
+        stops.add(n_used)
+    assert min(stops) < 149                     # an early stop is covered
 
 
 @settings(max_examples=30, deadline=None)
@@ -351,7 +370,7 @@ def test_second_call_reuses_the_recurrence_plan(monkeypatch):
         counts.update(prefix=0, inv=0)
         call()
         assert counts["prefix"] == 0 and counts["inv"] <= 1
-    # and so does the p = 1 scalar path
+    # and so do the p = 1 series
     ind = ind_fixture(420)
     cls = DeterminacyClass(Determinacy.COMPLETELY_INDETERMINATE, 1, 1)
     quartet(ind, 1j, determinacy=cls)
@@ -385,7 +404,7 @@ def test_series_kernel_and_quadrature_entry_points_take_no_d0():
     for fn in (generate_first_kind, moments_from_jacobi):
         assert "d0" in params(fn), fn.__name__
     # the engine runs on the fixed seeds D_0 = I and E_1 = B_0^{-1}
-    for fn in (_state_chunks, _series, _scalar_series):
+    for fn in (_state_chunks, _series):
         assert "seeds" not in params(fn), fn.__name__
 
 

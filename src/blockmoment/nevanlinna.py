@@ -106,18 +106,6 @@ class QuartetValue:
     converged: bool
 
 
-def _quartet_sums(j, z, n_terms, series_tol):
-    p = j.p
-    zb = z.conjugate()
-    t, n_used, tail, converged = _series(
-        j, [zb, zb, 0.0, 0.0], [False, True, False, True], 2, z, n_terms,
-        series_tol)
-    eye = np.eye(p, dtype=complex)
-    # 0 - t, not -t, which would turn an exact 0.0 into -0.0
-    return (eye + t[p:, :p], t[p:, p:], 0.0 - t[:p, :p], eye - t[:p, p:],
-            n_used, tail, converged)
-
-
 def quartet(j: BlockJacobiMatrix, z: complex, n_max: int = SERIES_N_MAX,
             series_tol: float = SERIES_TOL,
             determinacy: DeterminacyClass | None = None) -> QuartetValue:
@@ -136,10 +124,16 @@ def quartet(j: BlockJacobiMatrix, z: complex, n_max: int = SERIES_N_MAX,
     z = mk._require_finite(complex(z), "z")
     n_terms = _available_terms(j, n_max)
     _ensure_completely_indeterminate(j, determinacy)
-    f1, f2, g1, g2, n_used, tail, conv = _quartet_sums(j, z, n_terms,
-                                                       series_tol)
-    return QuartetValue(z=z, f1=f1, f2=f2, g1=g1, g2=g2, n_used=n_used,
-                        tail_norm=tail, converged=conv)
+    p = j.p
+    zb = z.conjugate()
+    t, n_used, tail, conv = _series(
+        j, [zb, zb, 0.0, 0.0], [False, True, False, True], 2, z, n_terms,
+        series_tol)
+    eye = np.eye(p, dtype=complex)
+    # 0 - t, not -t, which would turn an exact 0.0 into -0.0
+    return QuartetValue(z=z, f1=eye + t[p:, :p], f2=t[p:, p:],
+                        g1=0.0 - t[:p, :p], g2=eye - t[:p, p:],
+                        n_used=n_used, tail_norm=tail, converged=conv)
 
 
 # ---------------------------------------------------------------------------

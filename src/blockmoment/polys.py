@@ -23,19 +23,19 @@ and kept on the matrix, so a call served by it needs no ``prefix()`` and no
 inverse per step.
 Regularity is checked where the plan is built, over the blocks it reads,
 once per build.  Pointwise, the states D_k, E_k of all points advance
-together as the columns of one (p, W) matrix, one small GEMM per step:
-at a single point z is folded into the plan rows once per call, and at
-several points each step also scales the columns by their points.  A long
-pass at one or two distinct points is solved in chunks of steps, as a
-linear recurrence can be (Kogge & Stone, IEEE Trans. Computers 22, 1973):
-while the first chunk of a window steps its states, every later chunk
-steps its transfer solutions from a unit entry pair, all chunks in one
-batched matmul per step, and each later chunk's states are then one GEMM
-per point with the last two states before it.  Every series, at every
+together as the columns of one (p, W) matrix.  The number of distinct
+points picks the schedule.  At none or three or more, every state is
+stepped in turn, one small GEMM and a column scaling by the points per
+step.  At one or two, the pass is solved in chunks of steps, as a linear
+recurrence can be (Kogge & Stone, IEEE Trans. Computers 22, 1973): every
+chunk steps its transfer solutions from a unit entry pair, with z folded
+into the plan rows and all chunks of a window in one batched matmul per
+step, and each chunk's states are then one GEMM per point with its entry
+pair, the seeds or the last two states before it.  Every series, at every
 p, sums each chunk of terms by one GEMM over the chunk's stacked states,
 and ``_series`` holds the one stop rule, read at chunk ends.
-Symbolically, the same step runs on coefficients laid side by side.  The
-pointwise engine has fixed seeds, those of normalized solutions: D_0 = I
+Symbolically, the stepwise step runs on coefficients laid side by side.
+The pointwise engine has fixed seeds, those of normalized solutions: D_0 = I
 for the first kind and E_1 = B_0^{-1} for the second.
 """
 
@@ -220,12 +220,12 @@ def form(pp: MatrixPoly, qq: MatrixPoly, basis: OrthoBasis) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # A pass yields its states in stacks of _CHUNK steps, and the series sum
-# a stack's terms in one GEMM.  A pass of at least _MIN_CHUNKS
-# stacks at one or two distinct points steps up to _WINDOW of them together
-# (see ``_state_chunks``); below that, stepping every state is cheaper.
+# a stack's terms in one GEMM.  A pass at one or two distinct points steps
+# the transfer solutions of up to _WINDOW stacks together and joins each
+# with its entry pair; any other pass steps every state (see
+# ``_state_chunks``).
 _CHUNK = 16
 _WINDOW = 16
-_MIN_CHUNKS = 6
 
 
 def _recurrence(j: BlockJacobiMatrix, n: int):
@@ -276,11 +276,12 @@ def _coefficients(j: BlockJacobiMatrix, n: int, seed, second: bool):
     """Coefficients of X_0..X_n as an (n+1, n+1, p, p) array.
 
     Entry [k, i] multiplies lam^i in X_k.  The coefficient-layout twin of
-    ``_state_chunks``: X_k holds its coefficients side by side as a
-    (p, (n+1)p) matrix, "z X_k" is X_k shifted one block to the right, and
-    each step is one GEMM with the same plan row.  The first kind starts
-    from D_{-1} = 0 and D_0 = ``seed``; the second from E_0 = 0 with
-    ``seed`` = D_0^{-H} in the z X_0 slot, so that E_1 = B_0^{-1} D_0^{-H}.
+    the stepwise schedule of ``_state_chunks``: X_k holds its coefficients
+    side by side as a (p, (n+1)p) matrix, "z X_k" is X_k shifted one block
+    to the right, and each step is one GEMM with the same plan row.  The
+    first kind starts from D_{-1} = 0 and D_0 = ``seed``; the second from
+    E_0 = 0 with ``seed`` = D_0^{-H} in the z X_0 slot, so that
+    E_1 = B_0^{-1} D_0^{-H}.
     """
     n = _require_count(n, "n")
     p = seed.shape[0]
@@ -305,136 +306,98 @@ def _state_chunks(j: BlockJacobiMatrix, zs, second, n: int):
     share the recurrence and differ only in their fixed seeds: D_{-1} = 0
     with D_0 = I, and E_0 = 0 with E_1 = B_0^{-1}.
 
-    Steps take one of two forms.  When every entry of ``zs`` is one point
-    z, z is folded into the plan rows once per call, R_k =
-    [-B_k^{-1} A_{k,k-1} | z B_k^{-1} - B_k^{-1} A_kk], and each step is
-    the one GEMM X_{k+1} = R_k [X_{k-1}; X_k].  Otherwise the state also
-    keeps z X_k, a column scaling after each GEMM with the plan row.  E
-    columns take their seed from the slot that multiplies nothing at
-    k = 0, A_{0,-1} being 0: folded, R_0 holds B_0^{-1} there and
-    X_{-1} = I; unfolded, the z X_0 slot holds I.
-
-    A pass of at least _MIN_CHUNKS chunks at one or two distinct points
-    runs in windows of up to _WINDOW chunks (``_window``); any other pass
-    steps every state in turn.  In a window the first chunk steps its
-    states as above while, in the same loop, every later chunk steps the
-    transfer solutions T_i of each point from the unit entry pair
+    The number of distinct points in ``zs`` picks one of two schedules.
+    At none or at three or more, every state is stepped in turn: the state
+    keeps z X_k beside X_k, and each step is one GEMM with the plan row
+    and a column scaling; E columns take their seed from the z X_0 slot,
+    which holds I, as the A_{0,-1} = 0 slot multiplies nothing at k = 0.
+    At one or two, the pass runs in windows of up to _WINDOW chunks.  In
+    one loop of _CHUNK steps, every chunk of a window steps the transfer
+    solutions T_i of each point from the unit entry pair
     [X_{k-1}; X_k] = [I 0; 0 I], all chunks and points in one batched
-    matmul per step with folded rows.  A later chunk's states are then
-    X_{k+i} = T_i [X_{k-1}; X_k], one GEMM per point with its real entry
-    pair, the last two states before it, formed when the chunk is yielded.
-    A yielded stack is overwritten when the generator resumes.
+    matmul per step, with z folded into the rows once per call:
+    [-B_k^{-1} A_{k,k-1} | z B_k^{-1} - B_k^{-1} A_kk].  A chunk's states
+    are then X_{k+i} = T_i [X_{k-1}; X_k], one GEMM per point with its
+    entry pair, the last two states before it, formed when the chunk is
+    yielded.  The first chunk's entry pair is the seeds, [0; I] on D
+    columns and [I; 0] on E columns, with B_0^{-1} in the first slot of
+    row 0 (A_{0,-1} being 0).  A yielded stack is overwritten when the
+    generator resumes.
     """
     p = j.p
     zs = np.asarray(zs, dtype=complex).reshape(-1)
     is_e = np.repeat(np.asarray(second, dtype=bool).reshape(-1), p)
-    zrow = np.repeat(zs, p)
-    w = zrow.size
+    w = is_e.size
     plan = _recurrence(j, n)[0][:n]
-    fold = zs.size > 0 and bool((zs == zs[0]).all())
-    s = 2 - fold
-    # h[i] = the last s slots of state i - 1, X last: (X) or (z X, X); a
-    # chunk starts from X_{k0-1}, X_{k0}
-    h = np.zeros((min(_CHUNK, n + 1) + 2, s, p, w), dtype=complex)
     eye = np.tile(np.eye(p, dtype=complex), len(zs))
-    h[1, -1] = np.where(is_e, 0.0, eye)
-    if fold:
-        rows = np.concatenate([plan[..., :p], zs[0] * plan[..., p:2 * p]
-                               + plan[..., 2 * p:]], axis=2)
-        rows[:1, :, :p] = plan[:1, :, p:2 * p]
-        h[0, 0] = np.where(is_e, eye, 0.0)
-    else:
-        rows = plan
-        h[1, 0] = np.where(is_e, eye, h[1, 1] * zrow)
-    flat = h.reshape(s * p * len(h), w)
-    # step i reads [X_{i-2}; X_{i-1}] or [X_{i-2}; z X_{i-1}; X_{i-1}] and
-    # writes state i
-    steps = [(flat[(s * i - 1) * p:s * (i + 1) * p], h[i + 1, -1],
-              None if fold else h[i + 1, 0])
-             for i in range(1, len(h) - 1)]
-    g = _window(n, zs, fold)
+    x0 = np.where(is_e, 0.0, eye)
+    c = _CHUNK
     k0 = 0
-    if g == 1:
+    at = zs != zs[:1]                           # blocks at a second point
+    pts = np.concatenate([zs[:1], zs[at][:1]])
+    if not zs.size or (zs[at] != pts[-1]).any():
+        zrow = np.repeat(zs, p)
+        # h[i] = (z X, X) of state i - 1; a chunk starts from X_{k0-1},
+        # X_{k0}, and step i reads [X_{i-2}; z X_{i-1}; X_{i-1}] and writes
+        # state i
+        h = np.zeros((min(c, n + 1) + 2, 2, p, w), dtype=complex)
+        h[1, 1] = x0
+        h[1, 0] = np.where(is_e, eye, x0 * zrow)
+        flat = h.reshape(2 * p * len(h), w)
+        steps = [(flat[(2 * i - 1) * p:2 * (i + 1) * p], h[i + 1, 1],
+                  h[i + 1, 0]) for i in range(1, len(h) - 1)]
         while k0 <= n:
-            m = min(_CHUNK, n + 1 - k0)
-            for row, (src, x, zx) in zip(rows[k0:], steps[:m]):
+            m = min(c, n + 1 - k0)
+            for row, (src, x, zx) in zip(plan[k0:], steps[:m]):
                 np.matmul(row, src, out=x)
-                if zx is not None:
-                    np.multiply(x, zrow, out=zx)
-            yield h[1:m + 1, -1]
+                np.multiply(x, zrow, out=zx)
+            yield h[1:m + 1, 1]
             h[:2] = h[m:m + 2]
             k0 += m
         return
-    c = _CHUNK
-    at = zs != zs[0]                            # blocks at a second point
-    pts = np.concatenate([zs[:1], zs[at][:1]])
+    chunks = -(-(n + 1) // c)
+    g = -(-chunks // -(-chunks // _WINDOW))
     q = pts.size
-    windows = -(-(n + 1) // (g * c))
-    # folded rows per point of the later chunks, by window and step; zero
-    # past the pass
-    tr = np.zeros((windows * g * c, q, p, 2 * p), dtype=complex)
-    tr[:n, :, :, :p] = plan[:, None, :, :p]
-    tr[:n, :, :, p:] = (pts[:, None, None] * plan[:, None, :, p:2 * p]
-                        + plan[:, None, :, 2 * p:])
-    tr = tr.reshape(windows, g, c, q, p, 2 * p)[:, 1:].swapaxes(1, 2)
-    # t[b, r, i + 1] = T_i of later chunk b at point r, p x 2p; step i
-    # reads [T_{i-1}; T_i] and writes T_{i+1}
-    t = np.zeros((g - 1, q, c + 2, p, 2 * p), dtype=complex)
+    # folded rows per point, by window and step; zero past the pass
+    tr = np.zeros((-(-chunks // g) * g * c, q, p, 2 * p), dtype=complex)
+    rows = tr[:n]
+    rows[..., :p] = plan[:, None, :, :p]
+    rows[:1, ..., :p] = plan[:1, None, :, p:2 * p]
+    rows[..., p:] = (pts[:, None, None] * plan[:, None, :, p:2 * p]
+                     + plan[:, None, :, 2 * p:])
+    tr = tr.reshape(-1, g, c, q, p, 2 * p).swapaxes(1, 2)
+    # t[b, r, i + 1] = T_i of chunk b at point r, p x 2p; step i reads
+    # [T_{i-1}; T_i] and writes T_{i+1}
+    t = np.zeros((g, q, c + 2, p, 2 * p), dtype=complex)
     t[:, :, 0, :, :p] = t[:, :, 1, :, p:] = np.eye(p)
-    tflat = t.reshape(g - 1, q, (c + 2) * p, 2 * p)
+    tflat = t.reshape(g, q, (c + 2) * p, 2 * p)
     tsteps = [(tflat[:, :, i * p:(i + 2) * p], t[:, :, i + 2])
-              for i in range(c)]
-    # ys[b c:b c + 2] is later chunk b's entry pair; it writes the c states
-    # after them
-    ys = np.empty(((g - 1) * c + 2, p, w), dtype=complex)
+              for i in range(min(c, n))]
+    # ys[b c:b c + 2] is chunk b's entry pair; it writes the c states after
+    # them
+    ys = np.empty((g * c + 2, p, w), dtype=complex)
+    ys[0] = np.where(is_e, eye, 0.0)
+    ys[1] = x0
     joins = [(t[b, :, 2:].reshape(q, c * p, 2 * p),
               ys[b * c:b * c + 2].reshape(2 * p, w),
               ys[b * c + 2:(b + 1) * c + 2].reshape(c * p, w),
-              ys[b * c + 1:(b + 1) * c + 1]) for b in range(g - 1)]
+              ys[b * c + 1:(b + 1) * c + 1]) for b in range(g)]
     if q == 2:
         other = np.empty((c * p, w), dtype=complex)
         at_col = np.repeat(at, p)
     for trw in tr:
-        m = min(c, n + 1 - k0)
-        for row, (src, x, zx), trow, (tsrc, tout) in zip(
-                rows[k0:], steps[:m], trw, tsteps):
-            np.matmul(row, src, out=x)
-            if zx is not None:
-                np.multiply(x, zrow, out=zx)
+        for trow, (tsrc, tout) in zip(trw[:n - k0], tsteps):
             np.matmul(trow, tsrc, out=tout)
-        yield h[1:m + 1, -1]
-        ys[:2] = h[m:m + 2, -1]
         for tb, entry, out, stack in joins:
-            k0 += c
-            if k0 > n:
-                return
             np.matmul(tb[0], entry, out=out)
             if q == 2:
                 np.matmul(tb[1], entry, out=other)
                 np.copyto(out, other, where=at_col)
             yield stack[:n + 1 - k0]
-        k0 += c
-        h[:2, -1] = ys[-2:]
-        if not fold:
-            np.multiply(h[1, 1], zrow, out=h[1, 0])
-
-
-def _window(n: int, zs, fold: bool) -> int:
-    """Chunks per window of an n-step pass at ``zs``, 1 for stepwise.
-
-    A pass of fewer than _MIN_CHUNKS chunks or at more than two distinct
-    points steps every state: there the transfer solutions cost more than
-    the calls they save.  Any other pass splits into equal windows of at
-    most _WINDOW chunks.
-    """
-    chunks = -(-(n + 1) // _CHUNK)
-    if chunks < _MIN_CHUNKS or not zs.size:
-        return 1
-    if not fold:
-        rest = zs[zs != zs[0]]
-        if (rest != rest[0]).any():
-            return 1
-    return -(-chunks // -(-chunks // _WINDOW))
+            k0 += c
+            if k0 > n:
+                return
+        ys[:2] = ys[-2:]
 
 
 def first_kind_values(j: BlockJacobiMatrix, zs, n: int):

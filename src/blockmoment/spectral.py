@@ -347,12 +347,9 @@ def _node_step(j: BlockJacobiMatrix, row, nodes, sizes, scale, rot=None):
     # rows of a huge replaced block would swamp the others' null directions
     rows = np.maximum(1.0, np.abs(row[:, -p:].diagonal())
                       / (scale or 1.0))[:, None]
-    if p == 1:
-        ys = [np.ones((1, 1), dtype=complex)] * m
-    else:
-        vh = np.linalg.svd(resid / rows)[2]
-        ys = [vh[i, p - min(k, p):].conj().T              # null directions
-              for i, k in enumerate(sizes)]
+    vh = np.linalg.svd(resid / rows)[2]
+    ys = [vh[i, p - min(k, p):].conj().T                  # null directions
+          for i, k in enumerate(sizes)]
     return x, resid, ys
 
 

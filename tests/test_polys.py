@@ -238,9 +238,9 @@ def rel_per_step(got, want):
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_states_at_one_point_are_those_beside_a_second_point(p):
-    # alone, the point takes the folded step; beside 5i, the step with a
-    # column scaling, kept as the reference (from n = 80 on both passes
-    # step transfer solutions with folded rows and join them)
+    # alone and beside 5i the pass runs on joined transfer solutions;
+    # beside 5i each point's states are joined by their own GEMM and the
+    # second point's columns copied in, which must leave the first's alone
     rng = np.random.default_rng(70 + p)
     for j in (random_regular(p, 201, rng, scale=1.0),
               random_regular_growing(p, 201, rng),
@@ -280,7 +280,7 @@ def stepwise_states(j, zs, second, n):
 
 def engine_point_sets(rng):
     """(zs, second) pairs: none, one point, duplicated points, two points
-    in the shapes the series use, and 5 and 60 distinct points."""
+    in the shapes the series use, and 3, 5 and 60 distinct points."""
     five = rng.uniform(-3, 3, 5) + 1j * rng.uniform(-2, 2, 5)
     sixty = rng.uniform(-3, 3, 60) + 1j * rng.uniform(-2, 2, 60)
     return [([], []),
@@ -290,6 +290,7 @@ def engine_point_sets(rng):
             ([-3 + 2j, -3 + 2j, 0.7], [False, True, False]),
             ([1 - 1j, 1 - 1j, 0.0, 0.0], [False, True, False, True]),
             ([2j, -1 + 1j, 2j, -1 + 1j], [True, True, False, False]),
+            ([0.7, 2j, 0.7, -1 + 1j], [False, True, True, False]),
             (five, rng.random(5) < 0.5),
             (sixty, rng.random(60) < 0.5)]
 
@@ -315,12 +316,15 @@ def test_engine_states_are_the_stepwise_recurrence(p):
 
 def test_a_point_past_the_float_range_leaves_the_other_point_alone(ind):
     # a two-point pass joins each point's states with its own transfer
-    # solutions, so the overflowed point's infinities stay in its columns
-    with np.errstate(over="ignore", invalid="ignore"):
-        both = np.array(list(first_kind_values(ind, [1e25 + 1j, 1j], 400)))
-    alone = np.array(list(first_kind_values(ind, [1j], 400)))
-    assert not np.isfinite(both[:, 0]).all()
-    assert rel_per_step(both[:, 1], alone[:, 0]).max() <= 1e-13
+    # solutions, so the overflowed point's infinities stay in its columns,
+    # in short passes as in long ones
+    for n in (15, 40, 400):
+        with np.errstate(over="ignore", invalid="ignore"):
+            both = np.array(list(first_kind_values(ind, [1e25 + 1j, 1j],
+                                                   n)))
+        alone = np.array(list(first_kind_values(ind, [1j], n)))
+        assert not np.isfinite(both[:, 0]).all()
+        assert rel_per_step(both[:, 1], alone[:, 0]).max() <= 1e-13
 
 
 def mp_states(j, zs, n):
@@ -353,8 +357,8 @@ def mp_states(j, zs, n):
 
 
 def test_states_at_one_point_are_as_accurate_as_beside_a_second_point():
-    # errors against 40 digits of the engine at one point (the folded step,
-    # chunked from n = 80 on) and of the plain stepwise recurrence; the
+    # errors against 40 digits of the engine at one point (joined transfer
+    # solutions with folded rows) and of the plain stepwise recurrence; the
     # two round differently and either may come out closer case by case,
     # so the engine is held to the other's worst error within a factor of 2
     worst = np.zeros(2)
@@ -364,9 +368,9 @@ def test_states_at_one_point_are_as_accurate_as_beside_a_second_point():
                   ci_matrix(rng, p, 121, rule=False)):
             zs = (1j, -3 + 2j, 0.7)
             for z, want in zip(zs, mp_states(j, zs, 120)):
-                fold = engine_states(j, [z, z], [False, True], 120)
+                joined = engine_states(j, [z, z], [False, True], 120)
                 plain = stepwise_states(j, [z, z], [False, True], 120)
-                for i, got in enumerate((fold, plain)):
+                for i, got in enumerate((joined, plain)):
                     worst[i] = max(worst[i], *(
                         rel_per_step(got[..., cols], want[..., cols]).max()
                         for cols in (slice(None, p), slice(p, None))))

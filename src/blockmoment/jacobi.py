@@ -196,10 +196,9 @@ def from_scalar_band(entries, p: int) -> BlockJacobiMatrix:
     Requires a_{i,k} = 0 for |i - k| > p, a_{i,i+p} != 0 for every stored i,
     and a scalar size that is a multiple of ``p``.
     """
+    p = _require_count(p, "bandwidth p", 1)
     a = mk.as_complex_matrix(entries)
     n = a.shape[0]
-    if p < 1:
-        raise InvalidInputError("bandwidth p must be >= 1")
     if n % p != 0:
         raise InvalidInputError(
             f"scalar size {n} is not a multiple of block dimension {p}")

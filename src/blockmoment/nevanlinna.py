@@ -259,12 +259,11 @@ def transform_from_V(j: BlockJacobiMatrix, z: complex, v,
 # ---------------------------------------------------------------------------
 
 def _require_unitary(u, p) -> np.ndarray:
-    m = mk.as_complex_matrix(u, p)
-    defect = mk.spectral_norm(m.conj().T @ m - np.eye(p))
+    w, sv, vh = np.linalg.svd(mk.as_complex_matrix(u, p))
+    defect = np.abs(sv ** 2 - 1.0).max()   # ||U^H U - I||_2
     if defect > 1e-10:
         raise InvalidInputError(
             f"U must be unitary (U^H U - I has norm {defect:.3e})")
-    w, _, vh = np.linalg.svd(m)
     return w @ vh                          # the nearest unitary matrix
 
 
@@ -296,29 +295,29 @@ def _counts_below(diag, off, xs) -> np.ndarray:
     inertia, of the Hermitian block tridiagonal matrix T with diagonal
     blocks ``diag`` (n, p, p) and super-diagonal blocks ``off``.
 
-    One block U D U^H sweep of T - x I for all points together, from the
-    last block up: each pivot P, less the Schur complement of the pivots
-    below it, adds its negative eigenvalues to the count and passes
-    T_{b-1,b} (P^{-1})_{bb} T_{b,b-1} on, b its first block.  At p = 1 the
-    pivots are the scalar Sturm sequence, and a pivot smaller than a tiny
-    pivmin is taken as -pivmin, a perturbation of T of that size.  At
-    p >= 2 the pivots are pairs of blocks, block 0 alone if one is left: a
-    block of a zero-diagonal matrix is often singular in some directions
-    near 0, a pair with a regular off-diagonal block is not (as with the
-    2 x 2 pivots of Bunch and Kaufman).  Each pivot is diagonalized in
-    reversed order, so that a huge replaced last block comes first and
-    the small eigenvalues stay accurate.  A point where a pivot is still
-    singular to rounding, such as 0 for some zero-diagonal matrices, is
-    counted 2^-40 max |T_{k,k+1}| above instead, far below any merge
-    tolerance.
+    Each point is counted 2^-40 max(1, max |T_{k,k+1}|) above itself, far
+    below any merge tolerance, so that a point where a pivot is singular,
+    such as 0 for some zero-diagonal matrices, is not counted at it.  One
+    block U D U^H sweep of T - x I for all points together, from the last
+    block up: each pivot P, less the Schur complement of the pivots below
+    it, adds its negative eigenvalues to the count and passes
+    T_{b-1,b} (P^{-1})_{bb} T_{b,b-1} on, b its first block.  A pivot
+    eigenvalue smaller than a tiny pivmin is taken as -pivmin, a
+    perturbation of T of that size.  At p = 1 the pivots are the scalar
+    Sturm sequence.  At p >= 2 they are pairs of blocks, block 0 alone if
+    one is left: a block of a zero-diagonal matrix is often singular in
+    some directions near 0, a pair with a regular off-diagonal block is not
+    (as with the 2 x 2 pivots of Bunch and Kaufman).  Each pivot is
+    diagonalized in reversed order, so that a huge replaced last block
+    comes first and the small eigenvalues stay accurate.
     """
     n, p, _ = diag.shape
-    xs = np.asarray(xs, dtype=float)
     scale = max(1.0, np.abs(off).max(initial=0.0))
+    xs = np.asarray(xs, dtype=float) + 2.0 ** -40 * scale
     pivmin = np.finfo(float).tiny * 4 * (p * scale) ** 2   # 1/pivot finite
+    count = np.zeros(xs.size, dtype=int)
     if p == 1:
         h, c2 = diag[:, 0, 0].real, np.abs(off[:, 0, 0]) ** 2
-        count = np.zeros(xs.size, dtype=int)
         d = h[-1] - xs
         for k in range(n - 1, -1, -1):
             if k < n - 1:
@@ -326,18 +325,6 @@ def _counts_below(diag, off, xs) -> np.ndarray:
             d[np.abs(d) < pivmin] = -pivmin
             count += d < 0
         return count
-    count, singular = _pivot_sweep(diag, off, xs, pivmin, 16 * _EPS * scale)
-    if singular.any():
-        count[singular] = _pivot_sweep(diag, off,
-                                       xs[singular] + 2.0 ** -40 * scale,
-                                       pivmin, 0.0)[0]
-    return count
-
-
-def _pivot_sweep(diag, off, xs, pivmin, small):
-    """Counts of ``_counts_below`` at p >= 2, and whether a pivot had an
-    eigenvalue of magnitude at most ``small``."""
-    n, p, _ = diag.shape
     shifted = diag[:, None] - xs[:, None, None] * np.eye(p)
     first = np.arange(n - 2, -1, -2)                 # pairs (b, b + 1)
     pairs = np.zeros((first.size, xs.size, 2 * p, 2 * p), dtype=complex)
@@ -348,19 +335,16 @@ def _pivot_sweep(diag, off, xs, pivmin, small):
     pivots = list(zip(first, pairs))
     if n % 2:
         pivots.append((0, shifted[0]))
-    count = np.zeros(xs.size, dtype=int)
-    singular = np.zeros(xs.size, dtype=bool)
     s = 0.0
     for b, piv in pivots:
         piv[:, -p:, -p:] -= s
         lam, v = np.linalg.eigh(piv[:, ::-1, ::-1])
-        singular |= (np.abs(lam) <= small).any(axis=1)
         lam[np.abs(lam) < pivmin] = -pivmin
         count += (lam < 0).sum(axis=1)
         if b:
             q = off[b - 1] @ v[:, ::-1][:, :p]         # rows of block b
             s = (q / lam[:, None, :]) @ np.conj(np.swapaxes(q, 1, 2))
-    return count, singular
+    return count
 
 
 def _vdot(a, b):
@@ -499,9 +483,6 @@ def extension_spectrum(j: BlockJacobiMatrix, u, interval, grid: int = DEFAULT_GR
         raise NumericalFailureError(
             f"the node tolerance {tol:g} squared overflowed the float range")
 
-    def count(pts):
-        return _counts_below(diag, off, pts)
-
     # the replaced block diagonalized in reversed order, as in the counts
     lw, lv = np.linalg.eigh(last[::-1, ::-1])
     lv = lv[::-1]
@@ -546,7 +527,7 @@ def extension_spectrum(j: BlockJacobiMatrix, u, interval, grid: int = DEFAULT_GR
         return nodes + num.real / norm, rel <= tol ** 2
 
     edges = np.linspace(a - tol, b + tol, _SWEEP_POINTS)
-    c = count(edges)
+    c = _counts_below(diag, off, edges)
     lo, hi, clo, chi = edges[:-1], edges[1:], c[:-1], c[1:]
     found = [np.zeros(0)]
     for _ in range(_RAYLEIGH_STEPS):
@@ -564,7 +545,7 @@ def extension_spectrum(j: BlockJacobiMatrix, u, interval, grid: int = DEFAULT_GR
         cut_lo = np.where(certified, mu - tol, 0.5 * (lo + hi))
         cut_hi = np.where(certified, mu + tol, cut_lo)
         pts, at = np.unique(np.append(cut_lo, cut_hi), return_inverse=True)
-        below, above = np.split(count(pts)[at], 2)
+        below, above = np.split(_counts_below(diag, off, pts)[at], 2)
         lo, hi = np.concatenate([lo, cut_hi]), np.concatenate([cut_lo, hi])
         clo, chi = np.concatenate([clo, above]), np.concatenate([below, chi])
     mu = _merge(np.sort(np.concatenate(found)), tol)[0]

@@ -109,6 +109,13 @@ def test_from_scalar_band_band_violation():
         from_scalar_band(a, 1)
 
 
+@pytest.mark.parametrize("p", [0, True, 2.0])
+def test_from_scalar_band_refuses_a_bandwidth_that_is_not_a_count(p):
+    a = np.diag(np.arange(1.0, 5.0)) + np.eye(4, k=1) + np.eye(4, k=-1)
+    with pytest.raises(InvalidInputError, match="bandwidth p"):
+        from_scalar_band(a, p)
+
+
 def test_from_scalar_band_names_the_first_offender():
     a = np.diag(np.arange(1.0, 7.0))
     for i in range(4):

@@ -679,19 +679,46 @@ def test_counts_below_are_sylvester_inertia_of_the_truncation(
     assert np.count_nonzero(w < -tol) <= at_zero <= np.count_nonzero(w <= tol)
 
 
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([1, 2, 3]),
+       n_max=st.integers(0, 20).map(lambda k: 2 * k + 1),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_counts_below_count_each_point_just_above_itself(p, n_max, seed):
+    # with a zero diagonal and U = diag(1, -1, ...) the pair pivots are
+    # singular at 0, where the truncation has an eigenvalue within rounding
+    # of 0: counted at 0 itself, about half of these cases count too many.
+    # Every point is counted 2^-40 max(1, max |T_{k,k+1}|) above itself.
+    # With an even number of blocks (odd n_max) the last pivot is a pair;
+    # block 0 alone would take a Schur complement that grows like 1/x and
+    # lose its eigenvalue near -x to rounding
+    j, u = same_depth_case(p, n_max, True, "alternating", seed)
+    diag, off, *_ = nevanlinna._boundary_truncation(j, u, n_max, -10.0, 10.0)
+    t = dense(diag, off)[::-1, ::-1]
+    shift = 2.0 ** -40 * max(1.0, np.abs(off).max(initial=0.0))
+    assume(np.finfo(float).eps * np.linalg.norm(t, 2) < shift / 100)
+    w = np.linalg.eigvalsh(t)
+    assert (nevanlinna._counts_below(diag, off, [0.0]).tolist()
+            == [np.count_nonzero(w < shift)])
+
+
 @example(p=2, n_max=7, zero_diagonal=True, u_kind="I", seed=615889545)
 @example(p=3, n_max=7, zero_diagonal=False, u_kind="random", seed=0)
+@example(p=2, n_max=27, zero_diagonal=True, u_kind="near", seed=11236)
+@example(p=2, n_max=37, zero_diagonal=True, u_kind="near", seed=84661)
 @same_depth_cases
 def test_extension_spectrum_misses_no_eigenvalue_of_the_truncation(
         p, n_max, zero_diagonal, u_kind, seed):
     # one root per distinct eigenvalue (gaps > tol) inside (-10, 10); in
     # the first example the first brackets each hold two eigenvalues, and
     # the second loses -0.9551 if a node's search narrows the brackets
-    # that the next round splits
+    # that the next round splits.  The reference is solved in reversed
+    # block order, huge replaced block first: in natural order the last two
+    # examples' replaced blocks of about 4e15-9e15 move -10.0252 to -9.972
+    # and 9.7298 to 10.100, where 50-digit eigenvalues keep them
     j, u = same_depth_case(p, n_max, zero_diagonal, u_kind, seed)
     diag, off, *_, scale = nevanlinna._boundary_truncation(
         j, nevanlinna._require_unitary(u, p), n_max, -10.0, 10.0)
-    w = np.linalg.eigvalsh(dense(diag, off))
+    w = np.linalg.eigvalsh(dense(diag, off)[::-1, ::-1])
     tol = nevanlinna.NODE_MERGE_FACTOR * scale
     assume(np.abs(np.abs(w) - 10.0).min() > tol)
     inside = w[np.abs(w) < 10.0]

@@ -90,8 +90,8 @@ class BlockJacobiMatrix:
         Must be pure and reentrant.
     memo : dict
         Data derived from the blocks by other modules (the recurrence plan
-        of the pointwise evaluations, the default determinacy class); it
-        lives as long as this instance.
+        of the pointwise evaluations, the states D_k(0) and E_k(0), the
+        default determinacy class); it lives as long as this instance.
     """
 
     p: int

@@ -27,7 +27,8 @@ caller's responsibility: it cannot be verified pointwise.
 
 The series run on the recurrence engine of :mod:`polys`, under its one
 stop rule, at every p: all points advance together as the columns of one
-state matrix, and each chunk of terms is summed by one GEMM.
+state matrix, each chunk of terms is summed by one GEMM, and D_k(0),
+E_k(0) are read from the matrix's cache, not run as a second point.
 """
 
 from dataclasses import dataclass
@@ -39,7 +40,7 @@ from .errors import (HalfPlaneError, InvalidInputError,
                      NumericalFailureError, OutOfRangeError, PoleError)
 from .jacobi import BlockJacobiMatrix
 from .polys import (MatrixPoly, OrthoBasis, _available_terms, _coefficients,
-                    _recurrence, _series, _state_chunks)
+                    _recurrence, _series, _zero_states)
 # classify is re-exported next to the entry points whose ``determinacy``
 # argument it computes
 from .spectral import (NODE_MERGE_FACTOR, DeterminacyClass,
@@ -126,9 +127,9 @@ def quartet(j: BlockJacobiMatrix, z: complex, n_max: int = SERIES_N_MAX,
     _ensure_completely_indeterminate(j, determinacy)
     p = j.p
     zb = z.conjugate()
-    t, n_used, tail, conv = _series(
-        j, [zb, zb, 0.0, 0.0], [False, True, False, True], 2, z, n_terms,
-        series_tol)
+    t, n_used, tail, conv = _series(j, [zb, zb], [False, True],
+                                    _zero_states(j, n_terms), z, n_terms,
+                                    series_tol)
     eye = np.eye(p, dtype=complex)
     # 0 - t, not -t, which would turn an exact 0.0 into -0.0
     return QuartetValue(z=z, f1=eye + t[p:, :p], f2=t[p:, p:],
@@ -273,17 +274,17 @@ def extension_bracket(j: BlockJacobiMatrix, u, lams,
 
     Returns a (len(lams), p, p) stack for the nearest unitary to U;
     determinacy is not re-checked, so this is also the residual probe for
-    accepted roots.  D_k(0) and E_k(0) ride along with the states at the
-    points; the series stops at SERIES_TOL.
+    accepted roots.  The engine runs at the points only; D_k(0) and E_k(0)
+    are the matrix's cached states at 0.  The series stops at SERIES_TOL.
     """
     p = j.p
     u = _require_unitary(u, p)
     lam = mk._require_finite(np.asarray(lams, dtype=float).reshape(-1), "lam")
-    zs = np.concatenate([lam, [0.0, 0.0]])
-    second = np.arange(zs.size) == zs.size - 1
+    n_terms = _available_terms(j, n_max)
     weight = np.repeat(-lam, p)[:, None]
-    t, _, _, _ = _series(j, zs, second, lam.size, weight,
-                         _available_terms(j, n_max), SERIES_TOL)
+    t, _, _, _ = _series(j, lam, np.zeros(lam.size, dtype=bool),
+                         _zero_states(j, n_terms), weight, n_terms,
+                         SERIES_TOL)
     g1 = t[:, :p].reshape(lam.size, p, p)
     eye = np.eye(p, dtype=complex)
     g2 = eye + t[:, p:].reshape(lam.size, p, p)
@@ -398,8 +399,7 @@ def _boundary_truncation(j, u, n_terms, a, b):
     """
     p = j.p
     eye = np.eye(p)
-    states = np.concatenate([s.copy() for s in _state_chunks(
-        j, [0.0, 0.0], [False, True], n_terms)])
+    states = _zero_states(j, n_terms)
     x = states[..., :p] @ (eye + u) + 1j * (states[..., p:] @ (eye - u))
     n = n_terms + 1
     _, diag, off = _recurrence(j, n_terms)

@@ -31,9 +31,13 @@ recurrence can be (Kogge & Stone, IEEE Trans. Computers 22, 1973): every
 chunk steps its transfer solutions from a unit entry pair, with z folded
 into the plan rows and all chunks of a window in one batched matmul per
 step, and each chunk's states are then one GEMM per point with its entry
-pair, the seeds or the last two states before it.  Every series, at every
-p, sums each chunk of terms by one GEMM over the chunk's stacked states,
-and ``_series`` holds the one stop rule, read at chunk ends.
+pair, the seeds or the last two states before it; a window's states are
+handed on together.  Every series, at every p, sums each chunk of terms
+by one GEMM over the chunk's stacked states, all chunks handed on together
+in one batched GEMM, and ``_series`` holds the one stop rule, read at
+every chunk end.  The states at 0, D_k(0) and E_k(0), which pair with
+those at the point in the quartet and the extension bracket, are built
+once per matrix and cached beside the plan (``_zero_states``).
 Symbolically, the stepwise step runs on coefficients laid side by side.
 The pointwise engine has fixed seeds, those of normalized solutions: D_0 = I
 for the first kind and E_1 = B_0^{-1} for the second.
@@ -219,11 +223,11 @@ def form(pp: MatrixPoly, qq: MatrixPoly, basis: OrthoBasis) -> np.ndarray:
 # the pointwise recurrence engine
 # ---------------------------------------------------------------------------
 
-# A pass yields its states in stacks of _CHUNK steps, and the series sum
-# a stack's terms in one GEMM.  A pass at one or two distinct points steps
-# the transfer solutions of up to _WINDOW stacks together and joins each
-# with its entry pair; any other pass steps every state (see
-# ``_state_chunks``).
+# A pass computes its states in chunks of _CHUNK steps, and the series sum
+# a chunk's terms in one GEMM.  A pass at one or two distinct points steps
+# the transfer solutions of up to _WINDOW chunks together, joins each with
+# its entry pair and yields the window's states at once; any other pass
+# steps every state and yields each chunk (see ``_state_chunks``).
 _CHUNK = 16
 _WINDOW = 16
 
@@ -299,7 +303,7 @@ def _coefficients(j: BlockJacobiMatrix, n: int, seed, second: bool):
 
 
 def _state_chunks(j: BlockJacobiMatrix, zs, second, n: int):
-    """Yield stacks of X_k, k = 0..n, in chunks of at most _CHUNK steps.
+    """Yield stacks of X_k, k = 0..n, computed in chunks of _CHUNK steps.
 
     X_k is a (p, W) matrix of p-wide column blocks, one per entry of
     ``zs``: D_k at that point, or E_k where ``second`` is set.  Both kinds
@@ -318,11 +322,13 @@ def _state_chunks(j: BlockJacobiMatrix, zs, second, n: int):
     matmul per step, with z folded into the rows once per call:
     [-B_k^{-1} A_{k,k-1} | z B_k^{-1} - B_k^{-1} A_kk].  A chunk's states
     are then X_{k+i} = T_i [X_{k-1}; X_k], one GEMM per point with its
-    entry pair, the last two states before it, formed when the chunk is
-    yielded.  The first chunk's entry pair is the seeds, [0; I] on D
-    columns and [I; 0] on E columns, with B_0^{-1} in the first slot of
-    row 0 (A_{0,-1} being 0).  A yielded stack is overwritten when the
-    generator resumes.
+    entry pair, the last two states before it.  The first chunk's entry
+    pair is the seeds, [0; I] on D columns and [I; 0] on E columns, with
+    B_0^{-1} in the first slot of row 0 (A_{0,-1} being 0).  The stepwise
+    schedule yields each chunk's _CHUNK states, the last fewer; the joined
+    one yields a window's states once all its chunks are joined, a whole
+    number of chunks but for the last stack.  A yielded stack is
+    overwritten when the generator resumes.
     """
     p = j.p
     zs = np.asarray(zs, dtype=complex).reshape(-1)
@@ -380,23 +386,21 @@ def _state_chunks(j: BlockJacobiMatrix, zs, second, n: int):
     ys[1] = x0
     joins = [(t[b, :, 2:].reshape(q, c * p, 2 * p),
               ys[b * c:b * c + 2].reshape(2 * p, w),
-              ys[b * c + 2:(b + 1) * c + 2].reshape(c * p, w),
-              ys[b * c + 1:(b + 1) * c + 1]) for b in range(g)]
+              ys[b * c + 2:(b + 1) * c + 2].reshape(c * p, w))
+             for b in range(g)]
     if q == 2:
         other = np.empty((c * p, w), dtype=complex)
         at_col = np.repeat(at, p)
     for trw in tr:
         for trow, (tsrc, tout) in zip(trw[:n - k0], tsteps):
             np.matmul(trow, tsrc, out=tout)
-        for tb, entry, out, stack in joins:
+        for tb, entry, out in joins[:(n - k0) // c + 1]:
             np.matmul(tb[0], entry, out=out)
             if q == 2:
                 np.matmul(tb[1], entry, out=other)
                 np.copyto(out, other, where=at_col)
-            yield stack[:n + 1 - k0]
-            k0 += c
-            if k0 > n:
-                return
+        yield ys[1:-1][:n + 1 - k0]
+        k0 += g * c
         ys[:2] = ys[-2:]
 
 
@@ -415,37 +419,73 @@ def first_kind_values(j: BlockJacobiMatrix, zs, n: int):
             .copy()
 
 
-def _series(j, zs, second, n_left: int, weight, n_terms: int,
-            series_tol: float):
+def _zero_states(j: BlockJacobiMatrix, n: int) -> np.ndarray:
+    """D_k(0) and E_k(0), k <= n, side by side as a frozen (n+1, p, 2p) stack.
+
+    They belong to the matrix, not to a point: the longest stack built so
+    far is kept in ``j.memo`` beside the recurrence plan and serves every
+    shorter request.  It is built by one engine pass at 0.
+    """
+    at0 = j.memo.get("zero_states")
+    if at0 is None or len(at0) <= n:
+        with np.errstate(over="ignore", invalid="ignore"):
+            at0 = _freeze(np.concatenate([s.copy() for s in _state_chunks(
+                j, [0.0, 0.0], [False, True], n)]))
+        j.memo["zero_states"] = at0
+    return at0[:n + 1]
+
+
+def _series(j, zs, second, right, weight, n_terms: int, series_tol: float):
     """weight * sum_{k=0}^{n} L_k^H R_k over the shared recurrence.
 
-    L_k are the first ``n_left`` column blocks of X_k and R_k the rest
-    (see ``_state_chunks``).  A chunk's terms are summed by one GEMM,
-    X_L^H X_R over its stacked states, and ``weight``, the same for every
-    k, broadcasts against that sum.  The stop rule: a chunk's increment is
-    the largest entry of its weighted sum over the number of its terms,
-    and the series stops at the end of a chunk when that chunk and the one
-    before both have increments below ``series_tol`` (a chunk's terms can
-    cancel in its sum, so one quiet chunk is no evidence).  Returns (sum,
-    n_used, tail_norm, converged), with n_used the last k summed and
-    tail_norm the larger of the last two increments; a sum past the float
-    range raises NumericalFailureError.
+    L_k are the column blocks of X_k (see ``_state_chunks``) and R_k is
+    ``right[k]`` where ``right`` is a stack of states; where it is a count,
+    L_k are the first ``right`` column blocks and R_k the rest.  The terms
+    of each chunk of _CHUNK states are summed by one GEMM, X_L^H X_R over
+    its stacked states, all chunks of a yielded stack in one batched GEMM,
+    and ``weight``, the same for every k, broadcasts against those sums.
+    The stop rule: a chunk's increment is the largest entry of its
+    weighted sum over the number of its terms, and the series stops at the
+    end of a chunk when that chunk and the one before both have increments
+    below ``series_tol`` (a chunk's terms can cancel in its sum, so one
+    quiet chunk is no evidence).  Returns (sum, n_used, tail_norm,
+    converged), with n_used the last k summed and tail_norm the larger of
+    the last two increments; a sum past the float range raises
+    NumericalFailureError.
     """
-    cols = n_left * j.p
     total = 0.0
     prev = inc = np.inf
-    k = -1
+    k = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for xs in _state_chunks(j, zs, second, n_terms):
-            x = xs.reshape(-1, xs.shape[-1])
-            part = weight * (np.conj(x[:, :cols].T) @ x[:, cols:])
-            total = total + part
-            k += len(xs)
-            prev, inc = inc, np.abs(part).max(initial=0.0) / len(xs)
-            if max(prev, inc) < series_tol:
-                return _finite(total), k, max(prev, inc), True
+            if isinstance(right, int):
+                xl, xr = np.split(xs, [right * j.p], axis=2)
+            else:
+                xl, xr = xs, right[k:k + len(xs)]
+            for a, b in zip(_chunked(xl), _chunked(xr)):
+                parts = weight * (np.conj(a).swapaxes(1, 2) @ b)
+                size = a.shape[1] // j.p
+                incs = np.abs(parts).max(axis=(1, 2), initial=0.0) / size
+                for part, chunk_inc in zip(parts, incs.tolist()):
+                    total = total + part
+                    k += size
+                    prev, inc = inc, chunk_inc
+                    if max(prev, inc) < series_tol:
+                        return _finite(total), k - 1, max(prev, inc), True
     tail = inc if prev == np.inf else max(prev, inc)
     return _finite(total), n_terms, tail, False
+
+
+def _chunked(xs):
+    """A stack of states as its whole chunks, one (chunks, _CHUNK p, W)
+    stack, and the rest, one (1, m p, W) stack; either is left out when
+    empty."""
+    m, p, w = xs.shape
+    cut = m - m % _CHUNK
+    groups = [xs[:cut].reshape(cut // _CHUNK, _CHUNK * p, w)] if cut else []
+    if cut < m:
+        groups.append(xs[cut:].reshape(1, (m - cut) * p, w))
+    return groups
 
 
 def _finite(sums):

@@ -138,9 +138,10 @@ def _kernel_history(j, z, n_max):
 
     The history ends at D_{n_max}, or at the first D_k with an entry past
     OVERFLOW_GUARD or not finite.  The guard is checked once per _CHUNK
-    steps, on the largest entry of the chunk's stacked values, so at most
-    one chunk is computed past the end.  Partial sums past the float range
-    raise NumericalFailureError.
+    steps, on the largest entry of the chunk's stacked values, but the
+    engine joins a window of chunks before it hands any on, so at most one
+    window of joins is computed past the end.  Partial sums past the float
+    range raise NumericalFailureError.
     """
     stacks, chunk = [], []
     with np.errstate(over="ignore", invalid="ignore"):

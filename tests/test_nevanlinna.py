@@ -21,7 +21,7 @@ from blockmoment import nevanlinna
 from blockmoment.errors import (HalfPlaneError, InvalidInputError,
                                 NumericalFailureError, PoleError,
                                 RefusedError)
-from blockmoment.polys import (_CHUNK, _series, _state_chunks,
+from blockmoment.polys import (_CHUNK, _series, _state_chunks, _zero_states,
                                first_kind_values)
 
 from conftest import (ci_matrix, random_regular_growing, random_unitary,
@@ -378,6 +378,84 @@ def test_second_call_reuses_the_recurrence_plan(monkeypatch):
     quartet(ind, 0.5 + 2j, determinacy=cls)
     extension_bracket(ind, np.eye(1), [0.5])
     assert counts == {"prefix": 0, "inv": 0}
+
+
+def calls_at_zero(j, n_max):
+    """Results of the calls that read the states at 0, at depth n_max."""
+    p = j.p
+    cls = DeterminacyClass(Determinacy.COMPLETELY_INDETERMINATE, p, p)
+    u = random_unitary(p, np.random.default_rng(7))
+    q = quartet(j, 0.5 + 1j, n_max=n_max, determinacy=cls)
+    return [q.f1, q.f2, q.g1, q.g2, q.n_used, q.tail_norm, q.converged,
+            transform_from_V(j, 1.0 + 2.0j, 0.5 * u, n_max=n_max,
+                             determinacy=cls),
+            extension_bracket(j, u, [-0.5, 0.25, 1.0], n_max=n_max),
+            extension_spectrum(j, u, (-1.0, 1.0), n_max=n_max,
+                               determinacy=cls)]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_states_at_zero_are_built_once_per_matrix(p):
+    # cold, warm, and after a longer or a shorter depth, the results are
+    # those of a fresh matrix, and the longest stack built is kept
+    rng = np.random.default_rng(130 + p)
+    for j in (ci_matrix(rng, p, 401, rule=False),
+              ci_matrix(rng, p, 20, rule=True)):
+        def fresh():
+            return BlockJacobiMatrix(p, j.diag, j.offdiag, j.generator)
+
+        cold = {n: calls_at_zero(fresh(), n) for n in (40, 400)}
+        for order in ((40, 400), (400, 40)):
+            m = fresh()
+            for n in order + order:
+                for got, want in zip(calls_at_zero(m, n), cold[n]):
+                    assert np.array_equal(got, want)
+            stack = m.memo["zero_states"]
+            assert stack.shape == (401, p, 2 * p)
+            assert np.shares_memory(_zero_states(m, 40), stack)
+            for view in (stack, _zero_states(m, 40)):
+                with pytest.raises(ValueError):
+                    view[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_quartet_is_the_pass_that_carried_zero_as_a_second_point(p):
+    rng = np.random.default_rng(140 + p)
+    cls = DeterminacyClass(Determinacy.COMPLETELY_INDETERMINATE, p, p)
+    eye = np.eye(p)
+    for j in (ci_matrix(rng, p, 401, rule=False),
+              ci_matrix(rng, p, 20, rule=True)):
+        for z in (0.0, 1j, 1.0 + 2.0j, -0.3 + 0.5j):
+            for n_max, tol in ((40, 1e-12), (400, 1e-12), (400, 1e-4)):
+                q = quartet(j, z, n_max=n_max, series_tol=tol,
+                            determinacy=cls)
+                zb = np.conj(z)
+                t, n_used, tail, conv = _series(
+                    j, [zb, zb, 0.0, 0.0], [False, True, False, True], 2, z,
+                    n_max, tol)
+                assert (q.n_used, q.converged) == (n_used, conv)
+                assert abs(q.tail_norm - tail) <= 1e-14 * tail
+                got = np.stack([q.f1, q.f2, q.g1, q.g2])
+                want = np.stack([eye + t[p:, :p], t[p:, p:], -t[:p, :p],
+                                 eye - t[:p, p:]])
+                assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_a_series_stops_inside_a_window_or_on_its_last_chunk(ind, ind_cls):
+    # at n_max = 400 the states come in two windows of 13 chunks, k <= 207
+    # and 208 <= k <= 400; the stop rule still reads every chunk, so it
+    # stops where one solve per step and family stops, inside the first
+    # window, on its last chunk and inside the second
+    z = 1.0 + 2.0j
+    stops = []
+    for tol in (1e-3, 10.0 ** -3.5, 1e-4):
+        q = quartet(ind, z, n_max=400, series_tol=tol, determinacy=ind_cls)
+        sums, n_used, converged = plain_quartet(ind, z, 400, tol)
+        assert (q.n_used, q.converged) == (n_used, converged)
+        for got, want in zip((q.f1, q.f2, q.g1, q.g2), sums):
+            assert rel_err(got, want) < 1e-12
+        stops.append(n_used)
+    assert stops[0] < 13 * _CHUNK - 1 == stops[1] < stops[2] < 400
 
 
 def test_singular_d0_is_invalid_input(ch):

@@ -297,8 +297,10 @@ def engine_point_sets(rng):
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_engine_states_are_the_stepwise_recurrence(p):
-    # one-chunk and chunked passes alike, with the stacks the engine has
-    # always yielded: _CHUNK states each, the last one shorter
+    # one-chunk and chunked passes alike; a joined pass (one or two
+    # distinct points) yields a window's states at once, a whole number of
+    # _CHUNK states but for the last stack, a stepwise pass _CHUNK states
+    # per stack, the last one shorter
     rng = np.random.default_rng(110 + p)
     for j in (ci_matrix(rng, p, 401, rule=False),
               random_regular_growing(p, 401, rng)):
@@ -306,9 +308,14 @@ def test_engine_states_are_the_stepwise_recurrence(p):
             want = stepwise_states(j, zs, second, 400)
             for n in (0, 1, 15, 16, 17, 31, 32, 33, 200, 400):
                 stacks = [s.copy() for s in _state_chunks(j, zs, second, n)]
-                assert [s.shape for s in stacks] == [
-                    (min(_CHUNK, n + 1 - k), p, len(zs) * p)
-                    for k in range(0, n + 1, _CHUNK)]
+                sizes = [len(s) for s in stacks]
+                assert sum(sizes) == n + 1
+                assert {s.shape[1:] for s in stacks} == {(p, len(zs) * p)}
+                if len(set(zs)) in (1, 2):
+                    assert all(m % _CHUNK == 0 for m in sizes[:-1])
+                else:
+                    assert sizes == [min(_CHUNK, n + 1 - k)
+                                     for k in range(0, n + 1, _CHUNK)]
                 if len(zs):
                     got = np.concatenate(stacks)
                     assert rel_per_step(got, want[:n + 1]).max() <= 1e-13

@@ -29,9 +29,9 @@ stepped in turn, one small GEMM and a column scaling by the points per
 step.  At one or two, the pass is solved in chunks of steps, as a linear
 recurrence can be (Kogge & Stone, IEEE Trans. Computers 22, 1973): every
 chunk steps its transfer solutions from a unit entry pair, with z folded
-into the plan rows and all chunks of a window in one batched matmul per
+into the plan rows and all chunks of the pass in one batched matmul per
 step, and each chunk's states are then one GEMM per point with its entry
-pair, the seeds or the last two states before it; a window's states are
+pair, the seeds or the last two states before it; the pass's states are
 handed on together.  Every series, at every p, sums each chunk of terms
 by one GEMM over the chunk's stacked states, all chunks handed on together
 in one batched GEMM, and ``_series`` holds the one stop rule, read at
@@ -225,11 +225,10 @@ def form(pp: MatrixPoly, qq: MatrixPoly, basis: OrthoBasis) -> np.ndarray:
 
 # A pass computes its states in chunks of _CHUNK steps, and the series sum
 # a chunk's terms in one GEMM.  A pass at one or two distinct points steps
-# the transfer solutions of up to _WINDOW chunks together, joins each with
-# its entry pair and yields the window's states at once; any other pass
-# steps every state and yields each chunk (see ``_state_chunks``).
+# the transfer solutions of all its chunks together, joins each with its
+# entry pair and yields the whole pass at once; any other pass steps every
+# state and yields each chunk (see ``_state_chunks``).
 _CHUNK = 16
-_WINDOW = 16
 
 
 def _recurrence(j: BlockJacobiMatrix, n: int):
@@ -315,20 +314,18 @@ def _state_chunks(j: BlockJacobiMatrix, zs, second, n: int):
     keeps z X_k beside X_k, and each step is one GEMM with the plan row
     and a column scaling; E columns take their seed from the z X_0 slot,
     which holds I, as the A_{0,-1} = 0 slot multiplies nothing at k = 0.
-    At one or two, the pass runs in windows of up to _WINDOW chunks.  In
-    one loop of _CHUNK steps, every chunk of a window steps the transfer
-    solutions T_i of each point from the unit entry pair
+    At one or two, in one loop of _CHUNK steps, every chunk of the pass
+    steps the transfer solutions T_i of each point from the unit entry pair
     [X_{k-1}; X_k] = [I 0; 0 I], all chunks and points in one batched
     matmul per step, with z folded into the rows once per call:
     [-B_k^{-1} A_{k,k-1} | z B_k^{-1} - B_k^{-1} A_kk].  A chunk's states
     are then X_{k+i} = T_i [X_{k-1}; X_k], one GEMM per point with its
     entry pair, the last two states before it.  The first chunk's entry
     pair is the seeds, [0; I] on D columns and [I; 0] on E columns, with
-    B_0^{-1} in the first slot of row 0 (A_{0,-1} being 0).  The stepwise
-    schedule yields each chunk's _CHUNK states, the last fewer; the joined
-    one yields a window's states once all its chunks are joined, a whole
-    number of chunks but for the last stack.  A yielded stack is
-    overwritten when the generator resumes.
+    B_0^{-1} in the first slot of row 0 (A_{0,-1} being 0).  The joined
+    schedule yields all n + 1 states once every chunk is joined, in one
+    stack.  The stepwise schedule yields each chunk's _CHUNK states, the
+    last fewer, and a stack it yields is overwritten when it resumes.
     """
     p = j.p
     zs = np.asarray(zs, dtype=complex).reshape(-1)
@@ -338,7 +335,6 @@ def _state_chunks(j: BlockJacobiMatrix, zs, second, n: int):
     eye = np.tile(np.eye(p, dtype=complex), len(zs))
     x0 = np.where(is_e, 0.0, eye)
     c = _CHUNK
-    k0 = 0
     at = zs != zs[:1]                           # blocks at a second point
     pts = np.concatenate([zs[:1], zs[at][:1]])
     if not zs.size or (zs[at] != pts[-1]).any():
@@ -352,6 +348,7 @@ def _state_chunks(j: BlockJacobiMatrix, zs, second, n: int):
         flat = h.reshape(2 * p * len(h), w)
         steps = [(flat[(2 * i - 1) * p:2 * (i + 1) * p], h[i + 1, 1],
                   h[i + 1, 0]) for i in range(1, len(h) - 1)]
+        k0 = 0
         while k0 <= n:
             m = min(c, n + 1 - k0)
             for row, (src, x, zx) in zip(plan[k0:], steps[:m]):
@@ -361,47 +358,39 @@ def _state_chunks(j: BlockJacobiMatrix, zs, second, n: int):
             h[:2] = h[m:m + 2]
             k0 += m
         return
-    chunks = -(-(n + 1) // c)
-    g = -(-chunks // -(-chunks // _WINDOW))
+    chunks = -(-n // c)
     q = pts.size
-    # folded rows per point, by window and step; zero past the pass
-    tr = np.zeros((-(-chunks // g) * g * c, q, p, 2 * p), dtype=complex)
+    # folded rows per point, by step and chunk; zero past the pass
+    tr = np.zeros((chunks * c, q, p, 2 * p), dtype=complex)
     rows = tr[:n]
     rows[..., :p] = plan[:, None, :, :p]
     rows[:1, ..., :p] = plan[:1, None, :, p:2 * p]
     rows[..., p:] = (pts[:, None, None] * plan[:, None, :, p:2 * p]
                      + plan[:, None, :, 2 * p:])
-    tr = tr.reshape(-1, g, c, q, p, 2 * p).swapaxes(1, 2)
+    tr = tr.reshape(chunks, c, q, p, 2 * p).swapaxes(0, 1)
     # t[b, r, i + 1] = T_i of chunk b at point r, p x 2p; step i reads
     # [T_{i-1}; T_i] and writes T_{i+1}
-    t = np.zeros((g, q, c + 2, p, 2 * p), dtype=complex)
+    t = np.zeros((chunks, q, c + 2, p, 2 * p), dtype=complex)
     t[:, :, 0, :, :p] = t[:, :, 1, :, p:] = np.eye(p)
-    tflat = t.reshape(g, q, (c + 2) * p, 2 * p)
-    tsteps = [(tflat[:, :, i * p:(i + 2) * p], t[:, :, i + 2])
-              for i in range(min(c, n))]
+    tflat = t.reshape(chunks, q, (c + 2) * p, 2 * p)
+    for i, trow in enumerate(tr[:n]):
+        np.matmul(trow, tflat[:, :, i * p:(i + 2) * p], out=t[:, :, i + 2])
     # ys[b c:b c + 2] is chunk b's entry pair; it writes the c states after
     # them
-    ys = np.empty((g * c + 2, p, w), dtype=complex)
+    ys = np.empty((chunks * c + 2, p, w), dtype=complex)
     ys[0] = np.where(is_e, eye, 0.0)
     ys[1] = x0
-    joins = [(t[b, :, 2:].reshape(q, c * p, 2 * p),
-              ys[b * c:b * c + 2].reshape(2 * p, w),
-              ys[b * c + 2:(b + 1) * c + 2].reshape(c * p, w))
-             for b in range(g)]
     if q == 2:
         other = np.empty((c * p, w), dtype=complex)
         at_col = np.repeat(at, p)
-    for trw in tr:
-        for trow, (tsrc, tout) in zip(trw[:n - k0], tsteps):
-            np.matmul(trow, tsrc, out=tout)
-        for tb, entry, out in joins[:(n - k0) // c + 1]:
-            np.matmul(tb[0], entry, out=out)
-            if q == 2:
-                np.matmul(tb[1], entry, out=other)
-                np.copyto(out, other, where=at_col)
-        yield ys[1:-1][:n + 1 - k0]
-        k0 += g * c
-        ys[:2] = ys[-2:]
+    for b, tb in enumerate(t[:, :, 2:].reshape(chunks, q, c * p, 2 * p)):
+        entry = ys[b * c:b * c + 2].reshape(2 * p, w)
+        out = ys[b * c + 2:(b + 1) * c + 2].reshape(c * p, w)
+        np.matmul(tb[0], entry, out=out)
+        if q == 2:
+            np.matmul(tb[1], entry, out=other)
+            np.copyto(out, other, where=at_col)
+    yield ys[1:n + 2]
 
 
 def first_kind_values(j: BlockJacobiMatrix, zs, n: int):

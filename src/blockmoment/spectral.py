@@ -137,11 +137,11 @@ def _kernel_history(j, z, n_max):
     """Partial sums K_0..K_m at a point, stopping early near overflow.
 
     The history ends at D_{n_max}, or at the first D_k with an entry past
-    OVERFLOW_GUARD or not finite.  The guard is checked once per _CHUNK
-    steps, on the largest entry of the chunk's stacked values, but the
-    engine joins a window of chunks before it hands any on, so at most one
-    window of joins is computed past the end.  Partial sums past the float
-    range raise NumericalFailureError.
+    OVERFLOW_GUARD or not finite.  The engine computes the whole one-point
+    pass before it hands on D_0; the guard, checked once per _CHUNK steps
+    on the largest entry of the chunk's stacked values, bounds only the
+    per-k copies taken from it, at most one chunk past the end.  Partial
+    sums past the float range raise NumericalFailureError.
     """
     stacks, chunk = [], []
     with np.errstate(over="ignore", invalid="ignore"):

@@ -441,11 +441,11 @@ def test_quartet_is_the_pass_that_carried_zero_as_a_second_point(p):
                 assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
-def test_a_series_stops_inside_a_window_or_on_its_last_chunk(ind, ind_cls):
-    # at n_max = 400 the states come in two windows of 13 chunks, k <= 207
-    # and 208 <= k <= 400; the stop rule still reads every chunk, so it
-    # stops where one solve per step and family stops, inside the first
-    # window, on its last chunk and inside the second
+def test_a_series_stops_on_any_chunk_of_a_whole_pass(ind, ind_cls):
+    # at n_max = 400 the engine hands on all 401 states at once; the stop
+    # rule still reads every chunk end in turn, so the series stops where
+    # one solve per step and family stops, at k = 127, 207 and 351, and
+    # the sums are those of the terms up to there
     z = 1.0 + 2.0j
     stops = []
     for tol in (1e-3, 10.0 ** -3.5, 1e-4):

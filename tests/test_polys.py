@@ -298,9 +298,8 @@ def engine_point_sets(rng):
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_engine_states_are_the_stepwise_recurrence(p):
     # one-chunk and chunked passes alike; a joined pass (one or two
-    # distinct points) yields a window's states at once, a whole number of
-    # _CHUNK states but for the last stack, a stepwise pass _CHUNK states
-    # per stack, the last one shorter
+    # distinct points) yields all n + 1 states in one stack, a stepwise
+    # pass _CHUNK states per stack, the last one shorter
     rng = np.random.default_rng(110 + p)
     for j in (ci_matrix(rng, p, 401, rule=False),
               random_regular_growing(p, 401, rng)):
@@ -312,7 +311,7 @@ def test_engine_states_are_the_stepwise_recurrence(p):
                 assert sum(sizes) == n + 1
                 assert {s.shape[1:] for s in stacks} == {(p, len(zs) * p)}
                 if len(set(zs)) in (1, 2):
-                    assert all(m % _CHUNK == 0 for m in sizes[:-1])
+                    assert sizes == [n + 1]
                 else:
                     assert sizes == [min(_CHUNK, n + 1 - k)
                                      for k in range(0, n + 1, _CHUNK)]

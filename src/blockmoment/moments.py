@@ -25,7 +25,7 @@ from . import matkernel as mk
 from .errors import IllConditionedError, InvalidInputError, OutOfRangeError
 from .jacobi import BlockJacobiMatrix, _require_count, block_stack, truncate
 from .measures import StepMeasure
-from .polys import _recurrence, _require_nonsingular
+from .polys import _finite, _recurrence, _require_nonsingular
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,6 +116,7 @@ def hankel_positive(s: MomentSequence) -> PositivityReport:
     return PositivityReport(False, n_max, lo, odd)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def moments_from_jacobi(j: BlockJacobiMatrix, n_max: int,
                         d0=None) -> MomentSequence:
     """Forward map: S_n = {lam^n I, I} for n = 0..n_max.
@@ -129,6 +130,7 @@ def moments_from_jacobi(j: BlockJacobiMatrix, n_max: int,
     as W_h^H W_{h+1}); the plan build refuses a non-regular prefix of
     those h + 1 blocks (InvalidInputError).  D_0 is ``d0``, the identity
     by default; a numerically singular one raises InvalidInputError.
+    Moments past the float range raise NumericalFailureError.
     """
     n_max = _require_count(n_max, "n_max")
     p = j.p
@@ -145,8 +147,8 @@ def moments_from_jacobi(j: BlockJacobiMatrix, n_max: int,
         dst[:i] += off[:i] @ src[1:]
     cols = w.reshape(n_max - h + 1, (h + 1) * p, p)
     n = np.arange(n_max + 1)
-    return MomentSequence(p, mk.hermitian_part(
-        np.conj(np.swapaxes(cols[n // 2], 1, 2)) @ cols[n - n // 2]))
+    return MomentSequence(p, _finite(mk.hermitian_part(
+        np.conj(np.swapaxes(cols[n // 2], 1, 2)) @ cols[n - n // 2])))
 
 
 def moments_oracle(j: BlockJacobiMatrix, n: int) -> np.ndarray:
@@ -226,9 +228,13 @@ def jacobi_from_moments(s: MomentSequence
     return BlockJacobiMatrix(p, tuple(diag), tuple(offdiag)), d0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def moments_of_measure(t: StepMeasure, n_max: int) -> MomentSequence:
-    """S_n = sum_j lam_j^n W_j for n = 0..n_max."""
+    """S_n = sum_j lam_j^n W_j for n = 0..n_max.
+
+    Moments past the float range raise NumericalFailureError.
+    """
     n_max = _require_count(n_max, "n_max")
     powers = t.nodes.astype(complex) ** np.arange(n_max + 1)[:, None]
-    return MomentSequence(t.p, mk.hermitian_part(
-        (powers[:, :, None, None] * t.weights).sum(axis=1)))
+    return MomentSequence(t.p, _finite(mk.hermitian_part(
+        (powers[:, :, None, None] * t.weights).sum(axis=1))))

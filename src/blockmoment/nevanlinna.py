@@ -25,10 +25,12 @@ truncated by a declared increment rule and the truncation state
 caller supplies V as a per-point sampler, holomorphy of the sampler is the
 caller's responsibility: it cannot be verified pointwise.
 
-The series run on the recurrence engine of :mod:`polys`, under its one
-stop rule, at every p: all points advance together as the columns of one
-state matrix, each chunk of terms is summed by one GEMM, and D_k(0),
-E_k(0) are read from the matrix's cache, not run as a second point.
+The series run on the recurrence engine of :mod:`polys` under its one
+stop rule: an engine pass hands on all its states as one stack, none
+stops early, and a series pairs two stacks, summing each chunk of terms
+by one GEMM.  The quartet and the extension bracket pair their pass with
+D_k(0), E_k(0) from the matrix's cache, the extremal transform its pass
+at conj z with a one-point pass at xi.
 """
 
 from dataclasses import dataclass
@@ -40,7 +42,7 @@ from .errors import (HalfPlaneError, InvalidInputError,
                      NumericalFailureError, OutOfRangeError, PoleError)
 from .jacobi import BlockJacobiMatrix
 from .polys import (MatrixPoly, OrthoBasis, _available_terms, _coefficients,
-                    _recurrence, _series, _zero_states)
+                    _recurrence, _series, _states, _zero_states)
 # classify is re-exported next to the entry points whose ``determinacy``
 # argument it computes
 from .spectral import (NODE_MERGE_FACTOR, DeterminacyClass,
@@ -126,9 +128,8 @@ def quartet(j: BlockJacobiMatrix, z: complex, n_max: int = SERIES_N_MAX,
     n_terms = _available_terms(j, n_max)
     _ensure_completely_indeterminate(j, determinacy)
     p = j.p
-    zb = z.conjugate()
-    t, n_used, tail, conv = _series(j, [zb, zb], [False, True],
-                                    _zero_states(j, n_terms), z, n_terms,
+    x = _states(j, [z.conjugate()] * 2, [False, True], n_terms)
+    t, n_used, tail, conv = _series(x, _zero_states(j, n_terms), z,
                                     series_tol)
     eye = np.eye(p, dtype=complex)
     # 0 - t, not -t, which would turn an exact 0.0 into -0.0
@@ -140,15 +141,6 @@ def quartet(j: BlockJacobiMatrix, z: complex, n_max: int = SERIES_N_MAX,
 # ---------------------------------------------------------------------------
 # solution transforms
 # ---------------------------------------------------------------------------
-
-def _pair_sums(j, z, xi, n_terms, series_tol):
-    """N(z, xi) = sum_{k>=1} E_k*(z) D_k(xi), Den = sum_{k>=0} D_k*(z) D_k(xi)."""
-    p = j.p
-    zb = z.conjugate()
-    t, _, _, converged = _series(j, [zb, zb, xi], [False, True, False], 2,
-                                 1.0, n_terms, series_tol)
-    return t[p:], t[:p], converged
-
 
 def transform_extremal(j: BlockJacobiMatrix, xi: float, z: complex,
                        n_max: int = SERIES_N_MAX,
@@ -162,9 +154,11 @@ def transform_extremal(j: BlockJacobiMatrix, xi: float, z: complex,
 
         m(z) = (xi - z)^{-1} [I + (z - xi) N(z)] [Den(z)]^{-1},
 
-    with N and Den the second-kind/first-kind series against D_k(xi); the
-    leading sign is fixed so that m is a genuine Stieltjes transform
-    (Herglotz in the lower half-plane, positive extremal mass).
+    with N(z) = sum_{k>=1} E_k*(z) D_k(xi) and Den(z) = sum_{k>=0}
+    D_k*(z) D_k(xi), one series pairing the D, E pass at conj z with the
+    D pass at xi; the leading sign is fixed so that m is a genuine
+    Stieltjes transform (Herglotz in the lower half-plane, positive
+    extremal mass).
     """
     z = mk._require_finite(complex(z), "z")
     xi = mk._require_finite(float(xi), "xi")
@@ -173,8 +167,10 @@ def transform_extremal(j: BlockJacobiMatrix, xi: float, z: complex,
             f"extremal transform is defined for Im z < 0, got z={z}")
     n_terms = _available_terms(j, n_max)
     _ensure_completely_indeterminate(j, determinacy)
-    num, den, _ = _pair_sums(j, z, xi, n_terms, series_tol)
-    p = num.shape[0]
+    p = j.p
+    t = _series(_states(j, [z.conjugate()] * 2, [False, True], n_terms),
+                _states(j, [xi], [False], n_terms), 1.0, series_tol)[0]
+    num, den = t[p:], t[:p]
     svals = np.linalg.svd(den, compute_uv=False)
     if svals[-1] <= 1e-14 * max(1.0, svals[0]):
         raise NumericalFailureError(
@@ -282,9 +278,8 @@ def extension_bracket(j: BlockJacobiMatrix, u, lams,
     lam = mk._require_finite(np.asarray(lams, dtype=float).reshape(-1), "lam")
     n_terms = _available_terms(j, n_max)
     weight = np.repeat(-lam, p)[:, None]
-    t, _, _, _ = _series(j, lam, np.zeros(lam.size, dtype=bool),
-                         _zero_states(j, n_terms), weight, n_terms,
-                         SERIES_TOL)
+    t = _series(_states(j, lam, np.zeros(lam.size, dtype=bool), n_terms),
+                _zero_states(j, n_terms), weight, SERIES_TOL)[0]
     g1 = t[:, :p].reshape(lam.size, p, p)
     eye = np.eye(p, dtype=complex)
     g2 = eye + t[:, p:].reshape(lam.size, p, p)

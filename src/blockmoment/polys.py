@@ -31,13 +31,14 @@ recurrence can be (Kogge & Stone, IEEE Trans. Computers 22, 1973): every
 chunk steps its transfer solutions from a unit entry pair, with z folded
 into the plan rows and all chunks of the pass in one batched matmul per
 step, and each chunk's states are then one GEMM per point with its entry
-pair, the seeds or the last two states before it; the pass's states are
-handed on together.  Every series, at every p, sums each chunk of terms
-by one GEMM over the chunk's stacked states, all chunks handed on together
-in one batched GEMM, and ``_series`` holds the one stop rule, read at
-every chunk end.  The states at 0, D_k(0) and E_k(0), which pair with
-those at the point in the quartet and the extension bracket, are built
-once per matrix and cached beside the plan (``_zero_states``).
+pair, the seeds or the last two states before it.  Either way a pass
+computes all its states, none stops early, and hands them on as one
+stack.  Every series, at every p, pairs two such stacks, sums each chunk
+of terms by one GEMM over the chunk's stacked states, all chunks in one
+batched GEMM, and ``_series`` holds the one stop rule, read at every chunk
+end.  The states at 0, D_k(0) and E_k(0), which pair with those at the
+point in the quartet and the extension bracket, are built once per matrix
+and cached beside the plan (``_zero_states``).
 Symbolically, the stepwise step runs on coefficients laid side by side.
 The pointwise engine has fixed seeds, those of normalized solutions: D_0 = I
 for the first kind and E_1 = B_0^{-1} for the second.
@@ -46,6 +47,7 @@ for the first kind and E_1 = B_0^{-1} for the second.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import matkernel as mk
 from .errors import (InvalidInputError, NumericalFailureError, OutOfRangeError)
@@ -223,11 +225,11 @@ def form(pp: MatrixPoly, qq: MatrixPoly, basis: OrthoBasis) -> np.ndarray:
 # the pointwise recurrence engine
 # ---------------------------------------------------------------------------
 
-# A pass computes its states in chunks of _CHUNK steps, and the series sum
-# a chunk's terms in one GEMM.  A pass at one or two distinct points steps
-# the transfer solutions of all its chunks together, joins each with its
-# entry pair and yields the whole pass at once; any other pass steps every
-# state and yields each chunk (see ``_state_chunks``).
+# A pass computes all its states, in chunks of _CHUNK steps, and hands them
+# on in one (n+1, p, W) stack; none stops early.  A series pairs two stacks
+# and sums a chunk's terms in one GEMM.  A pass at one or two distinct
+# points steps the transfer solutions of all its chunks together and joins
+# each with its entry pair; any other pass steps every state (``_states``).
 _CHUNK = 16
 
 
@@ -275,16 +277,18 @@ def _available_terms(j: BlockJacobiMatrix, n_max: int) -> int:
     return min(n_max, j.n_blocks - 1)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _coefficients(j: BlockJacobiMatrix, n: int, seed, second: bool):
     """Coefficients of X_0..X_n as an (n+1, n+1, p, p) array.
 
     Entry [k, i] multiplies lam^i in X_k.  The coefficient-layout twin of
-    the stepwise schedule of ``_state_chunks``: X_k holds its coefficients
+    the stepwise schedule of ``_states``: X_k holds its coefficients
     side by side as a (p, (n+1)p) matrix, "z X_k" is X_k shifted one block
     to the right, and each step is one GEMM with the same plan row.  The
     first kind starts from D_{-1} = 0 and D_0 = ``seed``; the second from
     E_0 = 0 with ``seed`` = D_0^{-H} in the z X_0 slot, so that
-    E_1 = B_0^{-1} D_0^{-H}.
+    E_1 = B_0^{-1} D_0^{-H}.  Coefficients past the float range raise
+    NumericalFailureError.
     """
     n = _require_count(n, "n")
     p = seed.shape[0]
@@ -298,16 +302,21 @@ def _coefficients(j: BlockJacobiMatrix, n: int, seed, second: bool):
     for k, row in enumerate(plan[:n]):
         np.matmul(row, flat[(2 * k + 1) * p:(2 * k + 4) * p], out=h[k + 2, 1])
         h[k + 2, 0, :, p:] = h[k + 2, 1, :, :-p]
-    return h[1:, 1].reshape(n + 1, p, n + 1, p).transpose(0, 2, 1, 3)
+    return _finite(h[1:, 1].reshape(n + 1, p, n + 1, p)
+                   .transpose(0, 2, 1, 3))
 
 
-def _state_chunks(j: BlockJacobiMatrix, zs, second, n: int):
-    """Yield stacks of X_k, k = 0..n, computed in chunks of _CHUNK steps.
+@np.errstate(over="ignore", invalid="ignore")
+def _states(j: BlockJacobiMatrix, zs, second, n: int) -> np.ndarray:
+    """X_k, k = 0..n, as one (n+1, p, W) array.
 
     X_k is a (p, W) matrix of p-wide column blocks, one per entry of
     ``zs``: D_k at that point, or E_k where ``second`` is set.  Both kinds
     share the recurrence and differ only in their fixed seeds: D_{-1} = 0
-    with D_0 = I, and E_0 = 0 with E_1 = B_0^{-1}.
+    with D_0 = I, and E_0 = 0 with E_1 = B_0^{-1}.  Every pass computes
+    all n + 1 states; none stops early.  States past the float range come
+    out inf or nan, without a warning, for the reader of the pass to
+    refuse.
 
     The number of distinct points in ``zs`` picks one of two schedules.
     At none or at three or more, every state is stepped in turn: the state
@@ -322,42 +331,32 @@ def _state_chunks(j: BlockJacobiMatrix, zs, second, n: int):
     are then X_{k+i} = T_i [X_{k-1}; X_k], one GEMM per point with its
     entry pair, the last two states before it.  The first chunk's entry
     pair is the seeds, [0; I] on D columns and [I; 0] on E columns, with
-    B_0^{-1} in the first slot of row 0 (A_{0,-1} being 0).  The joined
-    schedule yields all n + 1 states once every chunk is joined, in one
-    stack.  The stepwise schedule yields each chunk's _CHUNK states, the
-    last fewer, and a stack it yields is overwritten when it resumes.
+    B_0^{-1} in the first slot of row 0 (A_{0,-1} being 0).
     """
     p = j.p
     zs = np.asarray(zs, dtype=complex).reshape(-1)
     is_e = np.repeat(np.asarray(second, dtype=bool).reshape(-1), p)
     w = is_e.size
     plan = _recurrence(j, n)[0][:n]
-    eye = np.tile(np.eye(p, dtype=complex), len(zs))
+    eye = np.arange(w) % p == np.arange(p)[:, None]     # I in every block
     x0 = np.where(is_e, 0.0, eye)
-    c = _CHUNK
-    at = zs != zs[:1]                           # blocks at a second point
-    pts = np.concatenate([zs[:1], zs[at][:1]])
-    if not zs.size or (zs[at] != pts[-1]).any():
+    pts = np.array(list(dict.fromkeys(zs.tolist())), dtype=complex)
+    if len(pts) not in (1, 2):
         zrow = np.repeat(zs, p)
-        # h[i] = (z X, X) of state i - 1; a chunk starts from X_{k0-1},
-        # X_{k0}, and step i reads [X_{i-2}; z X_{i-1}; X_{i-1}] and writes
-        # state i
-        h = np.zeros((min(c, n + 1) + 2, 2, p, w), dtype=complex)
+        # h[i] = (z X, X) of state i - 1; step k reads srcs[k] =
+        # [X_{k-1}; z X_k; X_k], rows (2k + 1) p to (2k + 4) p of flat, and
+        # writes state k + 1
+        h = np.zeros((n + 2, 2, p, w), dtype=complex)
         h[1, 1] = x0
         h[1, 0] = np.where(is_e, eye, x0 * zrow)
-        flat = h.reshape(2 * p * len(h), w)
-        steps = [(flat[(2 * i - 1) * p:2 * (i + 1) * p], h[i + 1, 1],
-                  h[i + 1, 0]) for i in range(1, len(h) - 1)]
-        k0 = 0
-        while k0 <= n:
-            m = min(c, n + 1 - k0)
-            for row, (src, x, zx) in zip(plan[k0:], steps[:m]):
-                np.matmul(row, src, out=x)
-                np.multiply(x, zrow, out=zx)
-            yield h[1:m + 1, 1]
-            h[:2] = h[m:m + 2]
-            k0 += m
-        return
+        flat = h.reshape(2 * p * (n + 2), w)
+        srcs = as_strided(flat[p:], (n, 3 * p, w),
+                          (2 * p * flat.strides[0],) + flat.strides)
+        for row, src, x, zx in zip(plan, srcs, h[2:, 1], h[2:, 0]):
+            np.matmul(row, src, out=x)
+            np.multiply(x, zrow, out=zx)
+        return h[1:, 1]
+    c = _CHUNK
     chunks = -(-n // c)
     q = pts.size
     # folded rows per point, by step and chunk; zero past the pass
@@ -368,44 +367,47 @@ def _state_chunks(j: BlockJacobiMatrix, zs, second, n: int):
     rows[..., p:] = (pts[:, None, None] * plan[:, None, :, p:2 * p]
                      + plan[:, None, :, 2 * p:])
     tr = tr.reshape(chunks, c, q, p, 2 * p).swapaxes(0, 1)
-    # t[b, r, i + 1] = T_i of chunk b at point r, p x 2p; step i reads
-    # [T_{i-1}; T_i] and writes T_{i+1}
-    t = np.zeros((chunks, q, c + 2, p, 2 * p), dtype=complex)
-    t[:, :, 0, :, :p] = t[:, :, 1, :, p:] = np.eye(p)
-    tflat = t.reshape(chunks, q, (c + 2) * p, 2 * p)
+    # t[b, r, (i + 1) p:(i + 2) p] = T_i of chunk b at point r, p x 2p;
+    # step i reads [T_{i-1}; T_i] and writes T_{i+1}.  Rows are stored
+    # outermost, so what a step reads and what it writes are disjoint
+    # slabs, which spares the matmul a copy against overlap
+    t = np.zeros(((c + 2) * p, chunks, q, 2 * p), dtype=complex)
+    t[:2 * p] = np.eye(2 * p)[:, None, None]
+    t = t.transpose(1, 2, 0, 3)
     for i, trow in enumerate(tr[:n]):
-        np.matmul(trow, tflat[:, :, i * p:(i + 2) * p], out=t[:, :, i + 2])
-    # ys[b c:b c + 2] is chunk b's entry pair; it writes the c states after
-    # them
-    ys = np.empty((chunks * c + 2, p, w), dtype=complex)
-    ys[0] = np.where(is_e, eye, 0.0)
-    ys[1] = x0
+        np.matmul(trow, t[:, :, i * p:(i + 2) * p],
+                  out=t[:, :, (i + 2) * p:(i + 3) * p])
+    # states b c and b c + 1, rows b c p:(b c + 2) p of ys, are chunk b's
+    # entry pair; it writes the c states after them
+    ys = np.empty(((chunks * c + 2) * p, w), dtype=complex)
+    ys[:p] = np.where(is_e, eye, 0.0)
+    ys[p:2 * p] = x0
     if q == 2:
         other = np.empty((c * p, w), dtype=complex)
-        at_col = np.repeat(at, p)
-    for b, tb in enumerate(t[:, :, 2:].reshape(chunks, q, c * p, 2 * p)):
-        entry = ys[b * c:b * c + 2].reshape(2 * p, w)
-        out = ys[b * c + 2:(b + 1) * c + 2].reshape(c * p, w)
+        at_col = np.repeat(zs != pts[0], p)     # columns at the second point
+    for b, tb in enumerate(t[:, :, 2 * p:]):
+        entry = ys[b * c * p:(b * c + 2) * p]
+        out = ys[(b * c + 2) * p:((b + 1) * c + 2) * p]
         np.matmul(tb[0], entry, out=out)
         if q == 2:
             np.matmul(tb[1], entry, out=other)
             np.copyto(out, other, where=at_col)
-    yield ys[1:n + 2]
+    return ys.reshape(chunks * c + 2, p, w)[1:n + 2]
 
 
 def first_kind_values(j: BlockJacobiMatrix, zs, n: int):
     """Yield D_k(z) for k = 0..n, D_0 = I, batched over the points ``zs``.
 
     Pointwise form of the recurrence, read off the engine's states; yields
-    arrays of shape (B, p, p).  A non-regular matrix raises
-    InvalidInputError, as does an n that is not an integer >= 0.
+    arrays of shape (B, p, p), values past the float range as inf or nan.
+    A non-regular matrix raises InvalidInputError, as does an n that is
+    not an integer >= 0.
     """
     n = _require_count(n, "n")
     p = j.p
     z = np.asarray(zs, dtype=complex).reshape(-1)
-    for xs in _state_chunks(j, z, np.zeros(z.size, dtype=bool), n):
-        yield from xs.reshape(len(xs), p, z.size, p).transpose(0, 2, 1, 3)\
-            .copy()
+    xs = _states(j, z, np.zeros(z.size, dtype=bool), n)
+    yield from xs.reshape(n + 1, p, z.size, p).transpose(0, 2, 1, 3)
 
 
 def _zero_states(j: BlockJacobiMatrix, n: int) -> np.ndarray:
@@ -417,52 +419,42 @@ def _zero_states(j: BlockJacobiMatrix, n: int) -> np.ndarray:
     """
     at0 = j.memo.get("zero_states")
     if at0 is None or len(at0) <= n:
-        with np.errstate(over="ignore", invalid="ignore"):
-            at0 = _freeze(np.concatenate([s.copy() for s in _state_chunks(
-                j, [0.0, 0.0], [False, True], n)]))
+        at0 = _freeze(_states(j, [0.0, 0.0], [False, True], n))
         j.memo["zero_states"] = at0
     return at0[:n + 1]
 
 
-def _series(j, zs, second, right, weight, n_terms: int, series_tol: float):
-    """weight * sum_{k=0}^{n} L_k^H R_k over the shared recurrence.
+@np.errstate(over="ignore", invalid="ignore")
+def _series(left, right, weight, series_tol: float):
+    """weight * sum_{k=0}^{n} L_k^H R_k over two stacks of states.
 
-    L_k are the column blocks of X_k (see ``_state_chunks``) and R_k is
-    ``right[k]`` where ``right`` is a stack of states; where it is a count,
-    L_k are the first ``right`` column blocks and R_k the rest.  The terms
-    of each chunk of _CHUNK states are summed by one GEMM, X_L^H X_R over
-    its stacked states, all chunks of a yielded stack in one batched GEMM,
-    and ``weight``, the same for every k, broadcasts against those sums.
-    The stop rule: a chunk's increment is the largest entry of its
-    weighted sum over the number of its terms, and the series stops at the
-    end of a chunk when that chunk and the one before both have increments
-    below ``series_tol`` (a chunk's terms can cancel in its sum, so one
-    quiet chunk is no evidence).  Returns (sum, n_used, tail_norm,
-    converged), with n_used the last k summed and tail_norm the larger of
-    the last two increments; a sum past the float range raises
-    NumericalFailureError.
+    ``left`` and ``right`` are (n+1, p, W) stacks of the same length, each
+    one engine pass (see ``_states``) or a slice of one; L_k and R_k are
+    their states X_k.  The terms of each chunk of _CHUNK states are summed
+    by one GEMM, X_L^H X_R over its stacked states, all chunks in one
+    batched GEMM, and ``weight``, the same for every k, broadcasts against
+    those sums.  The stop rule: a chunk's increment is the largest entry
+    of its weighted sum over the number of its terms, and the series stops
+    at the end of a chunk when that chunk and the one before both have
+    increments below ``series_tol`` (a chunk's terms can cancel in its
+    sum, so one quiet chunk is no evidence).  The passes are whole before
+    the rule is read, so a stop saves only the sums past it.  Returns
+    (sum, n_used, tail_norm, converged), with n_used the last k summed and
+    tail_norm the larger of the last two increments; a sum past the float
+    range raises NumericalFailureError.
     """
-    total = 0.0
-    prev = inc = np.inf
-    k = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for xs in _state_chunks(j, zs, second, n_terms):
-            if isinstance(right, int):
-                xl, xr = np.split(xs, [right * j.p], axis=2)
-            else:
-                xl, xr = xs, right[k:k + len(xs)]
-            for a, b in zip(_chunked(xl), _chunked(xr)):
-                parts = weight * (np.conj(a).swapaxes(1, 2) @ b)
-                size = a.shape[1] // j.p
-                incs = np.abs(parts).max(axis=(1, 2), initial=0.0) / size
-                for part, chunk_inc in zip(parts, incs.tolist()):
-                    total = total + part
-                    k += size
-                    prev, inc = inc, chunk_inc
-                    if max(prev, inc) < series_tol:
-                        return _finite(total), k - 1, max(prev, inc), True
-    tail = inc if prev == np.inf else max(prev, inc)
-    return _finite(total), n_terms, tail, False
+    n1 = len(left)
+    parts = np.concatenate([weight * (a.swapaxes(1, 2) @ b) for a, b in
+                            zip(_chunked(np.conj(left)), _chunked(right))])
+    sizes = np.minimum(_CHUNK, n1 - _CHUNK * np.arange(len(parts)))
+    incs = np.abs(parts).max(axis=(1, 2), initial=0.0) / sizes
+    pairs = np.maximum(incs[1:], incs[:-1])     # a chunk and the one before
+    quiet = np.flatnonzero(pairs < series_tol)
+    m = int(quiet[0]) + 2 if quiet.size else len(parts)
+    # summed in order from 0.0, which leaves no -0.0
+    total = 0.0 + np.cumsum(parts[:m], axis=0)[-1]
+    tail = float(pairs[m - 2] if m > 1 else incs[0])
+    return _finite(total), min(m * _CHUNK, n1) - 1, tail, bool(quiet.size)
 
 
 def _chunked(xs):
@@ -477,8 +469,8 @@ def _chunked(xs):
     return groups
 
 
-def _finite(sums):
-    """The series sums, refused once they have overflowed."""
-    if not np.isfinite(sums).all():
-        raise NumericalFailureError("series terms overflowed the float range")
-    return sums
+def _finite(values):
+    """``values``, refused once they have overflowed."""
+    if not np.isfinite(values).all():
+        raise NumericalFailureError("values overflowed the float range")
+    return values

@@ -24,8 +24,8 @@ from .errors import (ClassificationUnavailableError, HalfPlaneError,
                      InvalidInputError, NumericalFailureError, RefusedError)
 from .jacobi import BlockJacobiMatrix, _require_count, truncate
 from .measures import StepMeasure, normalize
-from .polys import (_CHUNK, _available_terms, _finite, _series,
-                    _state_chunks, first_kind_values)
+from .polys import (_CHUNK, _available_terms, _finite, _series, _states,
+                    first_kind_values)
 
 KERNEL_N_MAX = 200
 GROWTH_FACTOR = 1.5
@@ -125,12 +125,11 @@ def kernel_partial(j: BlockJacobiMatrix, z: complex, n: int) -> np.ndarray:
 def _kernel_sum(j, z, n_max, series_tol):
     """K_n(z) summed until the shared series stop rule fires or n = n_max.
 
-    Both sides of each term are D_k(z); a ``series_tol`` of 0 never fires,
-    since increments are nonnegative.
+    Both sides of each term are D_k(z), one pass paired with itself; a
+    ``series_tol`` of 0 never fires, since increments are nonnegative.
     """
-    k, _, _, _ = _series(j, [z, z], [False, False], 1, 1.0, n_max,
-                         series_tol)
-    return mk.hermitian_part(k)
+    d = _states(j, [z], [False], n_max)
+    return mk.hermitian_part(_series(d, d, 1.0, series_tol)[0])
 
 
 def _kernel_history(j, z, n_max):
@@ -335,13 +334,11 @@ def _node_step(j: BlockJacobiMatrix, row, nodes, sizes, scale, rot=None):
     p = j.p
     n = row.shape[1] // p
     m = len(nodes)
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = np.concatenate([s.copy() for s in _state_chunks(
-            j, nodes, np.zeros(m, dtype=bool), n - 1)])
-        if not np.isfinite(np.vdot(x, x)):
-            raise NumericalFailureError(
-                "first-kind values at the nodes overflowed the float range")
+    x = _states(j, nodes, np.zeros(m, dtype=bool), n - 1)
     x = x.reshape(n, p, m, p).transpose(2, 0, 1, 3).reshape(m, n * p, p)
+    if not np.isfinite(np.vdot(x, x)):
+        raise NumericalFailureError(
+            "first-kind values at the nodes overflowed the float range")
     if rot is not None:
         x[:, -p:] = rot.conj().T @ x[:, -p:]
     resid = nodes[:, None, None] * x[:, -p:] - row @ x

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from blockmoment import BlockJacobiMatrix, ch_fixture, ds_fixture, ind_fixture
+from blockmoment.polys import _CHUNK
 
 
 @pytest.fixture
@@ -105,3 +106,20 @@ def rel_err(a, b):
     b = np.asarray(b)
     scale = max(1.0, float(np.abs(a).max()), float(np.abs(b).max()))
     return float(np.abs(a - b).max()) / scale
+
+
+def plain_chunk_sums(terms, series_tol):
+    """Sums over k of the matrices terms[k][i], under the stop rule read
+    off chunks of _CHUNK terms: a chunk's increment is its largest summed
+    entry over its length, and the sum stops at the end of the second of
+    two consecutive chunks with increments below tol."""
+    sums = [0 * t for t in terms[0]]
+    incs = [np.inf]
+    for c0 in range(0, len(terms), _CHUNK):
+        chunk = terms[c0:c0 + _CHUNK]
+        part = [sum(t[i] for t in chunk) for i in range(len(sums))]
+        sums = [s + q for s, q in zip(sums, part)]
+        incs.append(max(np.abs(q).max() for q in part) / len(chunk))
+        if max(incs[-2:]) < series_tol:
+            return sums, c0 + len(chunk) - 1, True
+    return sums, len(terms) - 1, False

@@ -181,6 +181,29 @@ def test_exit_2_when_a_series_overflows(argv, capsys):
     assert err.startswith("numerical failure:") and "Traceback" not in err
 
 
+OVERFLOW_MEASURE = {"p": 1, "nodes": [-1e200, 1e200],
+                    "weights": [[[[0.5, 0.0]]], [[[0.5, 0.0]]]]}
+OVERFLOW_JACOBI = {"p": 1, "n_blocks": 3, "diag": [[[[1e200, 0]]]] * 3,
+                   "offdiag": [[[[1, 0]]]] * 2}
+
+
+@pytest.mark.parametrize("command,flag,doc,n", [
+    ("moments", "--measure", OVERFLOW_MEASURE, "4"),
+    ("moments", "--jacobi", OVERFLOW_JACOBI, "4"),
+    ("gen-poly", "--jacobi", OVERFLOW_JACOBI, "2")])
+def test_exit_2_when_moments_or_coefficients_overflow(command, flag, doc, n,
+                                                      tmp_path, capsys):
+    # valid input whose moments or coefficients pass the float range; the
+    # non-finite values used to be refused as bad input after
+    # RuntimeWarnings, which are errors here
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_capture([command, flag, str(path), "--n", n],
+                                 capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("numerical failure:") and "overflow" in err
+
+
 def test_exit_2_when_a_kernel_overflows(tmp_path, capsys):
     # the overflowed kernel used to classify ind as determinate; warnings
     # are errors here

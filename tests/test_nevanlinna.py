@@ -21,11 +21,11 @@ from blockmoment import nevanlinna
 from blockmoment.errors import (HalfPlaneError, InvalidInputError,
                                 NumericalFailureError, PoleError,
                                 RefusedError)
-from blockmoment.polys import (_CHUNK, _series, _state_chunks, _zero_states,
+from blockmoment.polys import (_CHUNK, _series, _states, _zero_states,
                                first_kind_values)
 
-from conftest import (ci_matrix, random_regular_growing, random_unitary,
-                      rel_err)
+from conftest import (ci_matrix, plain_chunk_sums, random_regular_growing,
+                      random_unitary, rel_err)
 
 
 @pytest.fixture(scope="module")
@@ -115,8 +115,7 @@ def test_second_kind_recurrence(ch, ind, ds):
 def engine_values(j, zs, n):
     """D_k(zs) and E_k(zs), k = 0..n, from the series engine's states."""
     p = j.p
-    chunks = _state_chunks(j, np.repeat(zs, 2), [False, True] * len(zs), n)
-    xs = np.concatenate([c.copy() for c in chunks])
+    xs = _states(j, np.repeat(zs, 2), [False, True] * len(zs), n)
     blocks = xs.reshape(n + 1, p, 2 * len(zs), p).transpose(0, 2, 1, 3)
     return blocks[:, 0::2], blocks[:, 1::2]
 
@@ -260,23 +259,6 @@ def plain_values(j, w, n_terms):
     return families
 
 
-def plain_chunk_sums(terms, series_tol):
-    """Sums over k of the matrices terms[k][i], under the stop rule read
-    off chunks of _CHUNK terms: a chunk's increment is its largest summed
-    entry over its length, and the sum stops at the end of the second of
-    two consecutive chunks with increments below tol."""
-    sums = [0 * t for t in terms[0]]
-    incs = [np.inf]
-    for c0 in range(0, len(terms), _CHUNK):
-        chunk = terms[c0:c0 + _CHUNK]
-        part = [sum(t[i] for t in chunk) for i in range(len(sums))]
-        sums = [s + q for s, q in zip(sums, part)]
-        incs.append(max(np.abs(q).max() for q in part) / len(chunk))
-        if max(incs[-2:]) < series_tol:
-            return sums, c0 + len(chunk) - 1, True
-    return sums, len(terms) - 1, False
-
-
 def plain_quartet(j, z, n_terms, series_tol):
     """Quartet sums by one solve per step and per family, under the chunk
     stop rule."""
@@ -293,21 +275,22 @@ def plain_quartet(j, z, n_terms, series_tol):
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_pair_sums_match_plain_recurrence(p):
     # N and Den of the extremal transform against one solve per step:
-    # left states D_k, E_k at conj z, right states D_k(xi)
+    # the pass of D_k, E_k at conj z paired with the pass of D_k(xi)
     j = ci_matrix(np.random.default_rng(40 + p), p, 150, rule=False)
     z, xi = 0.7 - 1.3j, 0.4
     dz, ez = plain_values(j, np.conj(z), 149)
     dxi = plain_values(j, xi, 149)[0]
     terms = [[e.conj().T @ d, a.conj().T @ d]
              for a, e, d in zip(dz, ez, dxi)]
+    left = _states(j, [np.conj(z)] * 2, [False, True], 149)
+    right = _states(j, [xi], [False], 149)
     stops = set()
     for tol in (0.0, 1e-2, 1e-3):
         (num, den), n_used, converged = plain_chunk_sums(terms, tol)
-        got_num, got_den, got_conv = nevanlinna._pair_sums(j, z, xi, 149,
-                                                           tol)
-        assert got_conv == converged
-        assert rel_err(got_num, num) < 1e-12
-        assert rel_err(got_den, den) < 1e-12
+        t, got_n, _, got_conv = _series(left, right, 1.0, tol)
+        assert (got_n, got_conv) == (n_used, converged)
+        assert rel_err(t[p:], num) < 1e-12
+        assert rel_err(t[:p], den) < 1e-12
         stops.add(n_used)
     assert min(stops) < 149                     # an early stop is covered
 
@@ -430,9 +413,10 @@ def test_quartet_is_the_pass_that_carried_zero_as_a_second_point(p):
                 q = quartet(j, z, n_max=n_max, series_tol=tol,
                             determinacy=cls)
                 zb = np.conj(z)
-                t, n_used, tail, conv = _series(
-                    j, [zb, zb, 0.0, 0.0], [False, True, False, True], 2, z,
-                    n_max, tol)
+                x = _states(j, [zb, zb, 0.0, 0.0],
+                            [False, True, False, True], n_max)
+                t, n_used, tail, conv = _series(x[..., :2 * p],
+                                                x[..., 2 * p:], z, tol)
                 assert (q.n_used, q.converged) == (n_used, conv)
                 assert abs(q.tail_norm - tail) <= 1e-14 * tail
                 got = np.stack([q.f1, q.f2, q.g1, q.g2])
@@ -482,7 +466,7 @@ def test_series_kernel_and_quadrature_entry_points_take_no_d0():
     for fn in (generate_first_kind, moments_from_jacobi):
         assert "d0" in params(fn), fn.__name__
     # the engine runs on the fixed seeds D_0 = I and E_1 = B_0^{-1}
-    for fn in (_state_chunks, _series):
+    for fn in (_states, _series):
         assert "seeds" not in params(fn), fn.__name__
 
 

@@ -11,7 +11,7 @@ from blockmoment import (BlockJacobiMatrix, MatrixPoly, classify,
                          truncate)
 from blockmoment.errors import InvalidInputError, OutOfRangeError
 from blockmoment.moments import block_hankel
-from blockmoment.polys import _CHUNK, _state_chunks, first_kind_values
+from blockmoment.polys import _states, first_kind_values
 
 from conftest import (ci_matrix, random_hermitian, random_nonsingular,
                       random_regular, random_regular_growing, rel_err)
@@ -223,12 +223,6 @@ def test_first_kind_values_at_no_points(ch, ds):
         assert all(d.shape == (0, j.p, j.p) for d in got)
 
 
-def engine_states(j, zs, second, n):
-    """X_0..X_n of the pointwise engine as one (n+1, p, W) array."""
-    return np.concatenate([s.copy() for s in _state_chunks(j, zs, second,
-                                                           n)])
-
-
 def rel_per_step(got, want):
     """Largest entry error of each state over the state's largest entry."""
     scale = np.abs(want).max(axis=(1, 2))
@@ -248,9 +242,9 @@ def test_states_at_one_point_are_those_beside_a_second_point(p):
         for z in (1j, 2 + 1j, -3 + 2j, 0.7):
             for second in ([False], [True], [False, True]):
                 for n in (0, 1, 15, 16, 17, 200):
-                    got = engine_states(j, [z] * len(second), second, n)
-                    want = engine_states(j, [z] * len(second) + [5j],
-                                         second + [False], n)
+                    got = _states(j, [z] * len(second), second, n)
+                    want = _states(j, [z] * len(second) + [5j],
+                                   second + [False], n)
                     assert got.shape == (n + 1, p, len(second) * p)
                     assert rel_per_step(got, want[..., :got.shape[2]]).max() \
                         <= 1e-11
@@ -297,26 +291,19 @@ def engine_point_sets(rng):
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_engine_states_are_the_stepwise_recurrence(p):
-    # one-chunk and chunked passes alike; a joined pass (one or two
-    # distinct points) yields all n + 1 states in one stack, a stepwise
-    # pass _CHUNK states per stack, the last one shorter
+    # one-chunk and chunked passes alike; a pass at any number of points,
+    # joined (one or two distinct) or stepwise (none or three or more),
+    # is one (n+1, p, W) array
     rng = np.random.default_rng(110 + p)
     for j in (ci_matrix(rng, p, 401, rule=False),
               random_regular_growing(p, 401, rng)):
         for zs, second in engine_point_sets(rng):
             want = stepwise_states(j, zs, second, 400)
             for n in (0, 1, 15, 16, 17, 31, 32, 33, 200, 400):
-                stacks = [s.copy() for s in _state_chunks(j, zs, second, n)]
-                sizes = [len(s) for s in stacks]
-                assert sum(sizes) == n + 1
-                assert {s.shape[1:] for s in stacks} == {(p, len(zs) * p)}
-                if len(set(zs)) in (1, 2):
-                    assert sizes == [n + 1]
-                else:
-                    assert sizes == [min(_CHUNK, n + 1 - k)
-                                     for k in range(0, n + 1, _CHUNK)]
+                got = _states(j, zs, second, n)
+                assert isinstance(got, np.ndarray)
+                assert got.shape == (n + 1, p, len(zs) * p)
                 if len(zs):
-                    got = np.concatenate(stacks)
                     assert rel_per_step(got, want[:n + 1]).max() <= 1e-13
 
 
@@ -374,7 +361,7 @@ def test_states_at_one_point_are_as_accurate_as_beside_a_second_point():
                   ci_matrix(rng, p, 121, rule=False)):
             zs = (1j, -3 + 2j, 0.7)
             for z, want in zip(zs, mp_states(j, zs, 120)):
-                joined = engine_states(j, [z, z], [False, True], 120)
+                joined = _states(j, [z, z], [False, True], 120)
                 plain = stepwise_states(j, [z, z], [False, True], 120)
                 for i, got in enumerate((joined, plain)):
                     worst[i] = max(worst[i], *(

@@ -14,7 +14,8 @@ from blockmoment.errors import (ClassificationUnavailableError,
                                 RefusedError)
 from blockmoment.polys import _CHUNK, first_kind_values, generate_first_kind
 
-from conftest import (random_hermitian, random_nonsingular, random_regular,
+from conftest import (ci_matrix, plain_chunk_sums, random_hermitian,
+                      random_nonsingular, random_regular,
                       random_regular_growing, rel_err)
 
 
@@ -76,6 +77,61 @@ def test_estimate_H_ind_value_matches_series(ind):
     est = estimate_H(ind, 1j, n_max=400)
     k = kernel_partial(ind, 1j, 400)
     assert rel_err(est.h_matrix, np.linalg.inv(k)) < 1e-3
+
+
+def plain_kernel_terms(j, z, n):
+    """D_k(z)^H D_k(z), k = 0..n, by one solve per step,
+    B_k D_{k+1} = (z - A_kk) D_k - A_{k,k-1} D_{k-1}, from D_0 = I."""
+    p = j.p
+    jp = j.prefix(n + 1)
+    prev, cur = np.zeros((p, p), dtype=complex), np.eye(p, dtype=complex)
+    terms = [cur.conj().T @ cur]
+    for k in range(n):
+        rhs = z * cur - jp.diag[k] @ cur
+        if k:
+            rhs -= jp.offdiag[k - 1].conj().T @ prev
+        prev, cur = cur, np.linalg.solve(jp.offdiag[k], rhs)
+        terms.append(cur.conj().T @ cur)
+    return np.array(terms)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_kernel_partial_is_the_plain_sum(p):
+    # sums within one chunk, at and past chunk ends and over 25 chunks
+    rng = np.random.default_rng(150 + p)
+    for j in (ci_matrix(rng, p, 401, rule=False),
+              random_regular_growing(p, 401, rng)):
+        for z in (1j, -3 + 2j, 0.7):
+            want = np.cumsum(plain_kernel_terms(j, z, 400), axis=0)
+            for n in (15, 16, 17, 33, 400):
+                assert rel_err(kernel_partial(j, z, n), want[n]) < 1e-12
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_growth_diagnostic_is_the_plain_sum_under_the_stop_rule(p):
+    # each direction's kernel stops where one solve per step, summed under
+    # the chunk stop rule, stops, at GROWTH_SERIES_TOL as in the table and
+    # at looser tolerances, where a stop a chunk off would show; off-
+    # diagonal blocks growing like k^6 let the terms fall below 1e-12
+    # within 400
+    ci = ci_matrix(np.random.default_rng(160 + p), p, 401, rule=False)
+    j = BlockJacobiMatrix(p, ci.diag, ci.offdiag
+                          * (np.arange(400) + 1.0)[:, None, None] ** 4)
+    n_max, radii = spectral.GROWTH_N_MAX, (0.5, 2.0, 8.0)
+    stops = set()
+    for r, got in zip(radii, growth_diagnostic(j, radii)):
+        best = -np.inf
+        for d in spectral.DEFAULT_GROWTH_DIRECTIONS:
+            terms = [[t] for t in plain_kernel_terms(j, r * d, n_max)]
+            for tol in (1e-3, 1e-6, spectral.GROWTH_SERIES_TOL):
+                (k,), n_used, _ = plain_chunk_sums(terms, tol)
+                assert rel_err(spectral._kernel_sum(j, r * d, n_max, tol),
+                               k) < 1e-12
+                stops.add(n_used)
+            best = max(best, np.log(np.linalg.norm(k, 2)) / r)
+        assert got[0] == r
+        assert abs(got[1] - best) <= 1e-12 * max(1.0, abs(best))
+    assert min(stops) < n_max                   # an early stop is covered
 
 
 def per_step_history(j, z, n_max):

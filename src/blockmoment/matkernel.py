@@ -22,7 +22,10 @@ PSD_TOL = 1e-10
 
 def as_complex_matrix(a, p: int | None = None) -> np.ndarray:
     """Validate ``a`` as a finite square complex matrix and return it."""
-    m = np.asarray(a, dtype=complex)
+    try:
+        m = np.asarray(a, dtype=complex)
+    except (TypeError, ValueError):
+        raise InvalidInputError("matrix entries are not numbers") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise InvalidInputError(f"expected a square matrix, got shape {m.shape}")
     if p is not None and m.shape[0] != p:

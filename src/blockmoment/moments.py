@@ -151,16 +151,18 @@ def moments_from_jacobi(j: BlockJacobiMatrix, n_max: int,
         np.conj(np.swapaxes(cols[n // 2], 1, 2)) @ cols[n - n // 2])))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def moments_oracle(j: BlockJacobiMatrix, n: int) -> np.ndarray:
     """Independent moment route: (0,0) block of truncate(J, n//2 + 1) ** n.
 
     Exact for the infinite matrix because a closed length-n walk from
-    block 0 stays within the first n//2 + 1 blocks.
+    block 0 stays within the first n//2 + 1 blocks.  A moment past the
+    float range raises NumericalFailureError.
     """
     n = _require_count(n, "moment index n")
     t = truncate(j, n // 2 + 1)
     power = np.linalg.matrix_power(t, n)
-    return mk.hermitian_part(power[:j.p, :j.p])
+    return _finite(mk.hermitian_part(power[:j.p, :j.p]))
 
 
 def jacobi_from_moments(s: MomentSequence

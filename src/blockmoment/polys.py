@@ -26,22 +26,25 @@ once per build.  Pointwise, the states D_k, E_k of all points advance
 together as the columns of one (p, W) matrix.  The number of distinct
 points picks the schedule.  At none or three or more, every state is
 stepped in turn, one small GEMM and a column scaling by the points per
-step.  At one or two, the pass is solved in chunks of steps, as a linear
+step.  At one, the pass is solved in chunks of steps, as a linear
 recurrence can be (Kogge & Stone, IEEE Trans. Computers 22, 1973): every
 chunk steps its transfer solutions from a unit entry pair, with z folded
 into the plan rows and all chunks of the pass in one batched matmul per
-step, and each chunk's states are then one GEMM per point with its entry
-pair, the seeds or the last two states before it.  Either way a pass
-computes all its states, none stops early, and hands them on as one
-stack.  Every series, at every p, pairs two such stacks, sums each chunk
-of terms by one GEMM over the chunk's stacked states, all chunks in one
-batched GEMM, and ``_series`` holds the one stop rule, read at every chunk
-end.  The states at 0, D_k(0) and E_k(0), which pair with those at the
-point in the quartet and the extension bracket, are built once per matrix
-and cached beside the plan (``_zero_states``).
+step, and each chunk's states are then one GEMM with its entry pair, the
+seeds or the last two states before it.  At two, that one-point pass runs
+at each point on the point's own columns.  Either way a pass computes all
+its states, none stops early, and hands them on as one stack.  Every
+series, at every p, pairs two such stacks, sums each chunk of terms by one
+GEMM over the chunk's stacked states, all chunks in one batched GEMM, and
+``_series`` holds the one stop rule, read at every chunk end.  The states
+at 0, D_k(0) and E_k(0), which pair with those at the point in the
+quartet and the extension bracket, are built once per matrix and cached
+beside the plan (``_zero_states``).
 Symbolically, the stepwise step runs on coefficients laid side by side.
-The pointwise engine has fixed seeds, those of normalized solutions: D_0 = I
-for the first kind and E_1 = B_0^{-1} for the second.
+Every stepper starts from the same entry pair [X_{-1}; X_0]: [0; I] for
+the first kind, so D_0 = I, and [I; 0] for the second, which row 0 of the
+plan, holding B_0^{-1} where A_{0,-1} would be, takes to E_1 = B_0^{-1}.
+The symbolic polynomials scale these seeds by D_0 and D_0^{-H}.
 """
 
 from dataclasses import dataclass
@@ -227,9 +230,10 @@ def form(pp: MatrixPoly, qq: MatrixPoly, basis: OrthoBasis) -> np.ndarray:
 
 # A pass computes all its states, in chunks of _CHUNK steps, and hands them
 # on in one (n+1, p, W) stack; none stops early.  A series pairs two stacks
-# and sums a chunk's terms in one GEMM.  A pass at one or two distinct
-# points steps the transfer solutions of all its chunks together and joins
-# each with its entry pair; any other pass steps every state (``_states``).
+# and sums a chunk's terms in one GEMM.  A pass at one point steps the
+# transfer solutions of all its chunks together and joins each with its
+# entry pair, a pass at two points does so once per point, and any other
+# pass steps every state (``_states``).
 _CHUNK = 16
 
 
@@ -237,10 +241,10 @@ def _recurrence(j: BlockJacobiMatrix, n: int):
     """Step data of the first n recurrence steps, cached on ``j``.
 
     Returns (plan, diag, off).  Row k of the plan is
-    [-B_k^{-1} A_{k,k-1} | B_k^{-1} | -B_k^{-1} A_{k,k}] with B_k = A_{k,k+1}
-    and A_{0,-1} = 0, so that
-
-        X_{k+1} = row_k @ [X_{k-1}; z X_k; X_k].
+    [-B_k^{-1} A_{k,k-1} | B_k^{-1} | -B_k^{-1} A_{k,k}] with B_k = A_{k,k+1},
+    but row 0, having no A_{0,-1}, holds B_0^{-1} in its first slot, so
+    X_{k+1} = row_k @ [X_{k-1}; z X_k; X_k] takes the entry pair
+    [X_{-1}; X_0] = [0; I] to D_1 and [I; 0] to E_1 = B_0^{-1}.
 
     ``diag`` and ``off`` stack A_kk, k <= n, and A_{k,k+1}, k < n.  The
     longest data built so far is kept in ``j.memo`` and serves every
@@ -261,11 +265,9 @@ def _recurrence(j: BlockJacobiMatrix, n: int):
             f"{kind} (magnitude {mag:.3e})")
     diag, off = jp.diag, jp.offdiag
     b_inv = np.linalg.inv(off)
-    sub = np.zeros_like(off)
-    sub[1:] = np.conj(np.swapaxes(off[:-1], 1, 2))         # A_{k,k-1}
-    plan = _freeze(np.concatenate([-(b_inv @ sub), b_inv,
-                                   -(b_inv @ diag[:n])], axis=2))
-    rec = (plan, diag, off)
+    plan = np.concatenate([b_inv, b_inv, -(b_inv @ diag[:n])], axis=2)
+    plan[1:, :, :j.p] = -(b_inv[1:] @ np.conj(np.swapaxes(off[:-1], 1, 2)))
+    rec = (_freeze(plan), diag, off)
     j.memo["recurrence"] = rec
     return rec
 
@@ -285,8 +287,8 @@ def _coefficients(j: BlockJacobiMatrix, n: int, seed, second: bool):
     the stepwise schedule of ``_states``: X_k holds its coefficients
     side by side as a (p, (n+1)p) matrix, "z X_k" is X_k shifted one block
     to the right, and each step is one GEMM with the same plan row.  The
-    first kind starts from D_{-1} = 0 and D_0 = ``seed``; the second from
-    E_0 = 0 with ``seed`` = D_0^{-H} in the z X_0 slot, so that
+    entry pair [X_{-1}; X_0] is that of the engine times ``seed``:
+    [0; D_0] for the first kind, and [D_0^{-H}; 0] for the second, so that
     E_1 = B_0^{-1} D_0^{-H}.  Coefficients past the float range raise
     NumericalFailureError.
     """
@@ -296,7 +298,7 @@ def _coefficients(j: BlockJacobiMatrix, n: int, seed, second: bool):
     # h[i] = (z X, X) of state i - 1; step k reads [X, zX, X] of states
     # k - 1, k and writes state k + 1
     h = np.zeros((n + 2, 2, p, (n + 1) * p), dtype=complex)
-    h[1, 0 if second else 1, :, :p] = seed
+    h[0 if second else 1, 1, :, :p] = seed
     h[1, 0, :, p:] = h[1, 1, :, :-p]
     flat = h.reshape(2 * p * (n + 2), (n + 1) * p)
     for k, row in enumerate(plan[:n]):
@@ -312,43 +314,46 @@ def _states(j: BlockJacobiMatrix, zs, second, n: int) -> np.ndarray:
 
     X_k is a (p, W) matrix of p-wide column blocks, one per entry of
     ``zs``: D_k at that point, or E_k where ``second`` is set.  Both kinds
-    share the recurrence and differ only in their fixed seeds: D_{-1} = 0
-    with D_0 = I, and E_0 = 0 with E_1 = B_0^{-1}.  Every pass computes
-    all n + 1 states; none stops early.  States past the float range come
-    out inf or nan, without a warning, for the reader of the pass to
-    refuse.
+    share the recurrence and differ only in their entry pair
+    [X_{-1}; X_0]: [0; I] for D and [I; 0] for E, so that E_1 = B_0^{-1}
+    (see ``_recurrence``).  Every pass computes all n + 1 states; none
+    stops early.  States past the float range come out inf or nan,
+    without a warning, for the reader of the pass to refuse.
 
     The number of distinct points in ``zs`` picks one of two schedules.
     At none or at three or more, every state is stepped in turn: the state
     keeps z X_k beside X_k, and each step is one GEMM with the plan row
-    and a column scaling; E columns take their seed from the z X_0 slot,
-    which holds I, as the A_{0,-1} = 0 slot multiplies nothing at k = 0.
-    At one or two, in one loop of _CHUNK steps, every chunk of the pass
-    steps the transfer solutions T_i of each point from the unit entry pair
-    [X_{k-1}; X_k] = [I 0; 0 I], all chunks and points in one batched
-    matmul per step, with z folded into the rows once per call:
+    and a column scaling.  At one, in one loop of _CHUNK steps, every
+    chunk of the pass steps its transfer solutions T_i from the unit entry
+    pair [X_{k-1}; X_k] = [I 0; 0 I], all chunks in one batched matmul per
+    step, with z folded into the rows once per call:
     [-B_k^{-1} A_{k,k-1} | z B_k^{-1} - B_k^{-1} A_kk].  A chunk's states
-    are then X_{k+i} = T_i [X_{k-1}; X_k], one GEMM per point with its
-    entry pair, the last two states before it.  The first chunk's entry
-    pair is the seeds, [0; I] on D columns and [I; 0] on E columns, with
-    B_0^{-1} in the first slot of row 0 (A_{0,-1} being 0).
+    are then X_{k+i} = T_i [X_{k-1}; X_k], one GEMM with its entry pair,
+    the last two states before it.  At two, that joined pass runs once
+    per point, on the point's own columns.
     """
     p = j.p
     zs = np.asarray(zs, dtype=complex).reshape(-1)
-    is_e = np.repeat(np.asarray(second, dtype=bool).reshape(-1), p)
-    w = is_e.size
+    second = np.asarray(second, dtype=bool).reshape(-1)
+    pts = list(dict.fromkeys(zs.tolist()))
+    w = zs.size * p
+    if len(pts) == 2:
+        xs = np.empty((n + 1, p, w), dtype=complex)
+        for z in pts:
+            at = zs == z
+            xs[..., np.repeat(at, p)] = _states(j, zs[at], second[at], n)
+        return xs
     plan = _recurrence(j, n)[0][:n]
+    is_e = np.repeat(second, p)
     eye = np.arange(w) % p == np.arange(p)[:, None]     # I in every block
-    x0 = np.where(is_e, 0.0, eye)
-    pts = np.array(list(dict.fromkeys(zs.tolist())), dtype=complex)
-    if len(pts) not in (1, 2):
+    x_prev, x0 = np.where(is_e, eye, 0.0), np.where(is_e, 0.0, eye)
+    if len(pts) != 1:
         zrow = np.repeat(zs, p)
         # h[i] = (z X, X) of state i - 1; step k reads srcs[k] =
         # [X_{k-1}; z X_k; X_k], rows (2k + 1) p to (2k + 4) p of flat, and
         # writes state k + 1
         h = np.zeros((n + 2, 2, p, w), dtype=complex)
-        h[1, 1] = x0
-        h[1, 0] = np.where(is_e, eye, x0 * zrow)
+        h[0, 1], h[1, 1], h[1, 0] = x_prev, x0, x0 * zrow
         flat = h.reshape(2 * p * (n + 2), w)
         srcs = as_strided(flat[p:], (n, 3 * p, w),
                           (2 * p * flat.strides[0],) + flat.strides)
@@ -358,40 +363,28 @@ def _states(j: BlockJacobiMatrix, zs, second, n: int) -> np.ndarray:
         return h[1:, 1]
     c = _CHUNK
     chunks = -(-n // c)
-    q = pts.size
-    # folded rows per point, by step and chunk; zero past the pass
-    tr = np.zeros((chunks * c, q, p, 2 * p), dtype=complex)
-    rows = tr[:n]
-    rows[..., :p] = plan[:, None, :, :p]
-    rows[:1, ..., :p] = plan[:1, None, :, p:2 * p]
-    rows[..., p:] = (pts[:, None, None] * plan[:, None, :, p:2 * p]
-                     + plan[:, None, :, 2 * p:])
-    tr = tr.reshape(chunks, c, q, p, 2 * p).swapaxes(0, 1)
-    # t[b, r, (i + 1) p:(i + 2) p] = T_i of chunk b at point r, p x 2p;
-    # step i reads [T_{i-1}; T_i] and writes T_{i+1}.  Rows are stored
-    # outermost, so what a step reads and what it writes are disjoint
-    # slabs, which spares the matmul a copy against overlap
-    t = np.zeros(((c + 2) * p, chunks, q, 2 * p), dtype=complex)
-    t[:2 * p] = np.eye(2 * p)[:, None, None]
-    t = t.transpose(1, 2, 0, 3)
+    # folded rows by step and chunk; zero past the pass
+    tr = np.zeros((chunks * c, p, 2 * p), dtype=complex)
+    tr[:n, :, :p] = plan[..., :p]
+    tr[:n, :, p:] = pts[0] * plan[..., p:2 * p] + plan[..., 2 * p:]
+    tr = tr.reshape(chunks, c, p, 2 * p).swapaxes(0, 1)
+    # t[b, (i + 1) p:(i + 2) p] = T_i of chunk b, p x 2p; step i reads
+    # [T_{i-1}; T_i] and writes T_{i+1}.  Rows are stored outermost, so
+    # what a step reads and what it writes are disjoint slabs, which spares
+    # the matmul a copy against overlap
+    t = np.zeros(((c + 2) * p, chunks, 2 * p), dtype=complex)
+    t[:2 * p] = np.eye(2 * p)[:, None]
+    t = t.swapaxes(0, 1)
     for i, trow in enumerate(tr[:n]):
-        np.matmul(trow, t[:, :, i * p:(i + 2) * p],
-                  out=t[:, :, (i + 2) * p:(i + 3) * p])
-    # states b c and b c + 1, rows b c p:(b c + 2) p of ys, are chunk b's
+        np.matmul(trow, t[:, i * p:(i + 2) * p],
+                  out=t[:, (i + 2) * p:(i + 3) * p])
+    # states b c - 1 and b c, rows b c p:(b c + 2) p of ys, are chunk b's
     # entry pair; it writes the c states after them
     ys = np.empty(((chunks * c + 2) * p, w), dtype=complex)
-    ys[:p] = np.where(is_e, eye, 0.0)
-    ys[p:2 * p] = x0
-    if q == 2:
-        other = np.empty((c * p, w), dtype=complex)
-        at_col = np.repeat(zs != pts[0], p)     # columns at the second point
-    for b, tb in enumerate(t[:, :, 2 * p:]):
-        entry = ys[b * c * p:(b * c + 2) * p]
-        out = ys[(b * c + 2) * p:((b + 1) * c + 2) * p]
-        np.matmul(tb[0], entry, out=out)
-        if q == 2:
-            np.matmul(tb[1], entry, out=other)
-            np.copyto(out, other, where=at_col)
+    ys[:p], ys[p:2 * p] = x_prev, x0
+    for b, tb in enumerate(t[:, 2 * p:]):
+        np.matmul(tb, ys[b * c * p:(b * c + 2) * p],
+                  out=ys[(b * c + 2) * p:((b + 1) * c + 2) * p])
     return ys.reshape(chunks * c + 2, p, w)[1:n + 2]
 
 
@@ -400,12 +393,12 @@ def first_kind_values(j: BlockJacobiMatrix, zs, n: int):
 
     Pointwise form of the recurrence, read off the engine's states; yields
     arrays of shape (B, p, p), values past the float range as inf or nan.
-    A non-regular matrix raises InvalidInputError, as does an n that is
-    not an integer >= 0.
+    A non-regular matrix raises InvalidInputError, as do a point that is
+    not finite and an n that is not an integer >= 0.
     """
     n = _require_count(n, "n")
     p = j.p
-    z = np.asarray(zs, dtype=complex).reshape(-1)
+    z = mk._require_finite(np.asarray(zs, dtype=complex).reshape(-1), "z")
     xs = _states(j, z, np.zeros(z.size, dtype=bool), n)
     yield from xs.reshape(n + 1, p, z.size, p).transpose(0, 2, 1, 3)
 

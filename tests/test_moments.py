@@ -4,12 +4,12 @@ import pytest
 
 from blockmoment import (BlockJacobiMatrix, MatrixPoly, MomentSequence,
                          StepMeasure, form, generate_first_kind,
-                         hankel_positive, jacobi_from_moments,
+                         hankel_positive, ind_fixture, jacobi_from_moments,
                          moments_from_jacobi, moments_of_measure,
                          moments_oracle)
 from blockmoment import matkernel as mk
 from blockmoment.errors import (IllConditionedError, InvalidInputError,
-                                OutOfRangeError)
+                                NumericalFailureError, OutOfRangeError)
 from blockmoment.jacobi import truncate
 from blockmoment.moments import block_hankel
 
@@ -113,6 +113,12 @@ def test_oracle_out_of_range():
                                (np.array([[1.0]]),))
     with pytest.raises(OutOfRangeError):
         moments_oracle(finite, 5)
+
+
+def test_oracle_past_the_float_range_is_a_numerical_failure():
+    # |S_200| of ind is past 1e308; the dense power overflows on the way
+    with pytest.raises(NumericalFailureError, match="overflowed"):
+        moments_oracle(ind_fixture(40), 200)
 
 
 def test_odd_moment_reads_blocks_up_to_half_its_order(rng):

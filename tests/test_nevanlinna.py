@@ -1042,6 +1042,9 @@ def test_non_finite_points_are_refused_at_every_entry_point(ind, ind_cls):
                                         determinacy=ind_cls),
              lambda: jump_bound(ind, nan, 8),
              lambda: kernel_partial(ind, complex(inf, 1.0), 8),
+             lambda: list(first_kind_values(ind, [nan], 3)),
+             lambda: list(first_kind_values(ind, [1j, complex(1.0, nan)], 3)),
+             lambda: list(first_kind_values(ind, [nan, nan, inf], 3)),
              lambda: estimate_H(ind, complex(nan, 1.0)),
              lambda: deficiency_indices(
                  ind, sample_points=[complex(1.0, nan), 1j, 2j, 3j,
@@ -1054,6 +1057,14 @@ def test_non_finite_points_are_refused_at_every_entry_point(ind, ind_cls):
              lambda: stieltjes_transform(t, complex(nan, 1.0)))
     for call in calls:
         with pytest.raises(InvalidInputError, match="must be finite"):
+            call()
+
+
+def test_matrices_that_are_not_numbers_are_refused(ind, ind_cls):
+    for call in (lambda: transform_from_V(ind, 1j, "x", determinacy=ind_cls),
+                 lambda: extension_bracket(ind, "x", [0.0]),
+                 lambda: generate_first_kind(ind, 3, "x")):
+        with pytest.raises(InvalidInputError, match="not numbers"):
             call()
 
 

@@ -232,9 +232,9 @@ def rel_per_step(got, want):
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_states_at_one_point_are_those_beside_a_second_point(p):
-    # alone and beside 5i the pass runs on joined transfer solutions;
-    # beside 5i each point's states are joined by their own GEMM and the
-    # second point's columns copied in, which must leave the first's alone
+    # beside 5i the joined pass runs once per point on that point's own
+    # columns, so the first point's states are those of the pass at it
+    # alone, bit for bit
     rng = np.random.default_rng(70 + p)
     for j in (random_regular(p, 201, rng, scale=1.0),
               random_regular_growing(p, 201, rng),
@@ -246,8 +246,8 @@ def test_states_at_one_point_are_those_beside_a_second_point(p):
                     want = _states(j, [z] * len(second) + [5j],
                                    second + [False], n)
                     assert got.shape == (n + 1, p, len(second) * p)
-                    assert rel_per_step(got, want[..., :got.shape[2]]).max() \
-                        <= 1e-11
+                    assert np.array_equal(got, want[..., :got.shape[2]],
+                                          equal_nan=True)
 
 
 def stepwise_states(j, zs, second, n):

@@ -179,9 +179,8 @@ def _cmd_transform(ns):
         raise InvalidInputError(
             "provide exactly one of --xi / --v / --v-scalar")
     if ns.xi is not None:
-        value = nevanlinna.transform_extremal(j, float(ns.xi), z,
-                                              n_max=ns.n_max)
-        doc = {"mode": "extremal", "xi": float(ns.xi)}
+        value = nevanlinna.transform_extremal(j, ns.xi, z, n_max=ns.n_max)
+        doc = {"mode": "extremal", "xi": ns.xi}
     else:
         if ns.v is not None:
             v = _load_block(ns.v, j.p, "--v")

@@ -36,13 +36,21 @@ def as_complex_matrix(a, p: int | None = None) -> np.ndarray:
     return m
 
 
-def _require_finite(x, what: str):
-    """Return ``x``, a point or array of points, if all entries are finite."""
-    a = np.asarray(x)
+def _read_points(x, what: str, dtype=complex, one: bool = True):
+    """``x`` read by numpy as ``dtype``, one Python number if ``one``, else an
+    array; unreadable input, an array where one number belongs and a
+    non-finite entry raise InvalidInputError naming ``what``."""
+    try:
+        a = np.asarray(x, dtype=dtype)
+    except (TypeError, ValueError) as e:
+        raise InvalidInputError(f"{what} must be a number ({e})") from None
+    if one and a.ndim:
+        raise InvalidInputError(
+            f"{what} must be one number, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise InvalidInputError(
             f"{what} must be finite, got {a[~np.isfinite(a)].flat[0]}")
-    return x
+    return a.item() if one else a
 
 
 def hermitian_defects(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -36,9 +36,9 @@ class StepMeasure:
     weights: np.ndarray     # (m, p, p), complex, see jacobi.block_stack
 
     def __post_init__(self):
-        nodes = np.array(self.nodes, dtype=float)
+        nodes = mk._read_points(self.nodes, "nodes", float, one=False).copy()
         weights = block_stack(self.weights, self.p, "weights")
-        if nodes.ndim != 1 or not np.isfinite(nodes).all():
+        if nodes.ndim != 1:
             raise InvalidInputError("nodes must be a finite 1-d array, got "
                                     f"shape {nodes.shape}")
         if len(weights) != nodes.size:
@@ -83,13 +83,13 @@ def normalize(t: StepMeasure) -> StepMeasure:
 
 def cumulative(t: StepMeasure, lam: float) -> np.ndarray:
     """T(lam): sum of weights at nodes strictly below lam (left continuous)."""
-    mk._require_finite(lam, "lam")
+    lam = mk._read_points(lam, "lam", float)
     return t.weights[t.nodes < lam].sum(axis=0)
 
 
 def stieltjes_transform(t: StepMeasure, z: complex) -> np.ndarray:
     """m(z) = sum_j W_j / (lam_j - z); pole error within 1e-14 of a node."""
-    z = mk._require_finite(complex(z), "z")
+    z = mk._read_points(z, "z")
     d = t.nodes - z
     if t.n_nodes and np.abs(d).min() < 1e-14:
         j = int(np.abs(d).argmin())

@@ -124,7 +124,7 @@ def quartet(j: BlockJacobiMatrix, z: complex, n_max: int = SERIES_N_MAX,
     ``converged`` reports which.  Values are returned either way, with
     the larger of the last two increments in ``tail_norm``.
     """
-    z = mk._require_finite(complex(z), "z")
+    z = mk._read_points(z, "z")
     n_terms = _available_terms(j, n_max)
     _ensure_completely_indeterminate(j, determinacy)
     p = j.p
@@ -160,8 +160,8 @@ def transform_extremal(j: BlockJacobiMatrix, xi: float, z: complex,
     Stieltjes transform (Herglotz in the lower half-plane, positive
     extremal mass).
     """
-    z = mk._require_finite(complex(z), "z")
-    xi = mk._require_finite(float(xi), "xi")
+    z = mk._read_points(z, "z")
+    xi = mk._read_points(xi, "xi", float)
     if z.imag >= 0:
         raise HalfPlaneError(
             f"extremal transform is defined for Im z < 0, got z={z}")
@@ -186,7 +186,7 @@ def jump_bound(j: BlockJacobiMatrix, xi: float, n: int) -> np.ndarray:
     Decreasing in n.  K_n(xi) >= I > 0, so a singular kernel here is an
     internal invariant violation, not an input problem.
     """
-    xi = float(xi)
+    xi = mk._read_points(xi, "xi", float)
     k = kernel_partial(j, xi, n)
     w, v = np.linalg.eigh(k)
     if w[0] <= 0:
@@ -230,7 +230,7 @@ def transform_from_V(j: BlockJacobiMatrix, z: complex, v,
     family with the same unitary members, so interior members are best
     trusted at moderate distance from the axis.
     """
-    z = mk._require_finite(complex(z), "z")
+    z = mk._read_points(z, "z")
     if z.imag <= 0:
         raise HalfPlaneError(
             f"the V-parametrization is defined for Im z > 0, got z={z}")
@@ -275,7 +275,7 @@ def extension_bracket(j: BlockJacobiMatrix, u, lams,
     """
     p = j.p
     u = _require_unitary(u, p)
-    lam = mk._require_finite(np.asarray(lams, dtype=float).reshape(-1), "lam")
+    lam = mk._read_points(lams, "lam", float, one=False).reshape(-1)
     n_terms = _available_terms(j, n_max)
     weight = np.repeat(-lam, p)[:, None]
     t = _series(_states(j, lam, np.zeros(lam.size, dtype=bool), n_terms),
@@ -452,14 +452,11 @@ def extension_spectrum(j: BlockJacobiMatrix, u, interval, grid: int = DEFAULT_GR
     No eigensolver sees more than two blocks, and no matrix of the
     truncation's size is formed.  ``grid`` is not used.
     """
-    try:
-        ends = np.asarray(interval, dtype=float)
-    except (TypeError, ValueError):
-        ends = np.zeros(0)
+    ends = mk._read_points(interval, "interval end", float, one=False)
     if ends.shape != (2,):
         raise InvalidInputError(
             f"interval must be two numbers (a, b), got {interval!r}")
-    a, b = mk._require_finite(ends, "interval end").tolist()
+    a, b = ends.tolist()
     if not a < b:
         raise InvalidInputError(f"interval must satisfy a < b, got [{a}, {b}]")
     p = j.p
@@ -563,11 +560,11 @@ def stieltjes_invert(sampler, grid, eta: float) -> list:
     (density ``None``) instead of aborting the table; any other exception
     propagates.
     """
-    if not mk._require_finite(eta, "eta") > 0:
+    if not mk._read_points(eta, "eta", float) > 0:
         raise InvalidInputError("eta must be positive")
     rows = []
     for lam in grid:
-        lam = mk._require_finite(float(lam), "grid point")
+        lam = mk._read_points(lam, "grid point", float)
         try:
             m = mk.as_complex_matrix(sampler(lam + 1j * eta))
             dens = mk.hermitian_part((m - m.conj().T) / 2j) / np.pi

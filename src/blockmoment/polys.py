@@ -394,11 +394,11 @@ def first_kind_values(j: BlockJacobiMatrix, zs, n: int):
     Pointwise form of the recurrence, read off the engine's states; yields
     arrays of shape (B, p, p), values past the float range as inf or nan.
     A non-regular matrix raises InvalidInputError, as do a point that is
-    not finite and an n that is not an integer >= 0.
+    not a finite number and an n that is not an integer >= 0.
     """
     n = _require_count(n, "n")
     p = j.p
-    z = mk._require_finite(np.asarray(zs, dtype=complex).reshape(-1), "z")
+    z = mk._read_points(zs, "z", one=False).reshape(-1)
     xs = _states(j, z, np.zeros(z.size, dtype=bool), n)
     yield from xs.reshape(n + 1, p, z.size, p).transpose(0, 2, 1, 3)
 

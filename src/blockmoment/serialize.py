@@ -26,7 +26,7 @@ import json
 import numpy as np
 
 from .errors import InvalidInputError
-from .jacobi import BlockJacobiMatrix, block_stack
+from .jacobi import BlockJacobiMatrix, _require_count, block_stack
 from .measures import StepMeasure
 from .moments import MomentSequence
 from .polys import MatrixPoly
@@ -88,14 +88,6 @@ def _require_keys(doc, keys, what: str) -> None:
         raise InvalidInputError(f"{what} document is missing keys {missing}")
 
 
-def _read_count(doc, key: str, what: str) -> int:
-    n = doc[key]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise InvalidInputError(f"{what} document: {key} must be a positive "
-                                f"integer, got {n!r}")
-    return n
-
-
 def jacobi_to_doc(j: BlockJacobiMatrix) -> dict:
     return {
         "p": int(j.p),
@@ -107,8 +99,8 @@ def jacobi_to_doc(j: BlockJacobiMatrix) -> dict:
 
 def jacobi_from_doc(doc) -> BlockJacobiMatrix:
     _require_keys(doc, ("p", "n_blocks", "diag", "offdiag"), "jacobi")
-    p = _read_count(doc, "p", "jacobi")
-    n = _read_count(doc, "n_blocks", "jacobi")
+    p = _require_count(doc["p"], "jacobi document: p", 1)
+    n = _require_count(doc["n_blocks"], "jacobi document: n_blocks", 1)
     diag = blocks_from_doc(doc["diag"], p, "jacobi diag")
     offdiag = blocks_from_doc(doc["offdiag"], p, "jacobi offdiag")
     if len(diag) != n:
@@ -123,7 +115,7 @@ def poly_to_doc(poly: MatrixPoly) -> dict:
 
 def poly_from_doc(doc) -> MatrixPoly:
     _require_keys(doc, ("p", "coeffs"), "matrixpoly")
-    p = _read_count(doc, "p", "matrixpoly")
+    p = _require_count(doc["p"], "matrixpoly document: p", 1)
     return MatrixPoly(p, blocks_from_doc(doc["coeffs"], p,
                                          "matrixpoly coeffs"))
 
@@ -134,7 +126,7 @@ def moments_to_doc(s: MomentSequence) -> dict:
 
 def moments_from_doc(doc) -> MomentSequence:
     _require_keys(doc, ("p", "S"), "moments")
-    p = _read_count(doc, "p", "moments")
+    p = _require_count(doc["p"], "moments document: p", 1)
     return MomentSequence(p, blocks_from_doc(doc["S"], p, "moments S"))
 
 
@@ -146,6 +138,6 @@ def measure_to_doc(t: StepMeasure) -> dict:
 
 def measure_from_doc(doc) -> StepMeasure:
     _require_keys(doc, ("p", "nodes", "weights"), "measure")
-    p = _read_count(doc, "p", "measure")
+    p = _require_count(doc["p"], "measure document: p", 1)
     return StepMeasure(p, floats_from_doc(doc["nodes"], "measure nodes"),
                        blocks_from_doc(doc["weights"], p, "measure weights"))

@@ -118,7 +118,7 @@ def kernel_partial(j: BlockJacobiMatrix, z: complex, n: int) -> np.ndarray:
     Hermitian PSD and >= I (the k = 0 term, D_0 = I) in the Loewner order;
     real z is allowed (needed for jump bounds).
     """
-    mk._require_finite(z, "z")
+    z = mk._read_points(z, "z")
     return _kernel_sum(j, z, _require_count(n, "n"), 0.0)
 
 
@@ -144,7 +144,7 @@ def _kernel_history(j, z, n_max):
     """
     stacks, chunk = [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, dk in enumerate(first_kind_values(j, [complex(z)], n_max)):
+        for k, dk in enumerate(first_kind_values(j, [z], n_max)):
             chunk.append(dk)
             if len(chunk) < _CHUNK and k < n_max:
                 continue
@@ -178,7 +178,7 @@ def estimate_H(j: BlockJacobiMatrix, z: complex,
     the last k summed.  A final partial sum past the float range raises
     NumericalFailureError.
     """
-    z = mk._require_finite(complex(z), "z")
+    z = mk._read_points(z, "z")
     if z.imag == 0:
         raise HalfPlaneError("estimate_H needs Im z != 0")
     n_max = _require_count(n_max, "n_max", 4)
@@ -226,8 +226,8 @@ def deficiency_indices(j: BlockJacobiMatrix, n_max: int = KERNEL_N_MAX,
     an assumption.  Needs at least 3 points in each open half-plane.
     """
     points = tuple(DEFAULT_SAMPLE_POINTS if sample_points is None
-                   else (complex(z) for z in sample_points))
-    mk._require_finite(points, "sample point")
+                   else (mk._read_points(z, "sample point")
+                         for z in sample_points))
     upper = [z for z in points if z.imag > 0]
     lower = [z for z in points if z.imag < 0]
     if any(z.imag == 0 for z in points):
@@ -299,7 +299,7 @@ def growth_diagnostic(j: BlockJacobiMatrix, radii) -> list:
     _ensure_completely_indeterminate(j)
     table = []
     for r in radii:
-        r = mk._require_finite(float(r), "radius")
+        r = mk._read_points(r, "radius", float)
         if r <= 0:
             raise InvalidInputError("radii must be positive")
         best = -np.inf

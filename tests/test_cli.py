@@ -40,6 +40,15 @@ def test_golden_outputs(name, argv, capsys):
     assert json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n" == out
 
 
+def test_transform_v_file_is_the_v_scalar_golden(capsys):
+    # V = 0 read from a block document, not from --v-scalar 0,0
+    code, out, _ = run_capture(
+        ["transform", "--jacobi", "ind.json", "--z", "0,1", "--v",
+         "v_zero.json", "--json"], capsys)
+    assert code == 0
+    assert out == (GOLDEN / "transform-v.json").read_text()
+
+
 def test_goldens_hold_no_negative_zero():
     def numbers(node):
         if isinstance(node, dict):
@@ -103,7 +112,14 @@ def test_exit_1_on_validation_failures(capsys):
      "--interval=-inf,1"],
     ["spectrum", "--jacobi", "ind.json", "--u", "u_one.json",
      "--interval=-1,1", "--n-max", "-3"],
-    ["kernel", "--jacobi", "ch.json", "--z", "inf,1", "--n", "4"]])
+    ["kernel", "--jacobi", "ch.json", "--z", "inf,1", "--n", "4"],
+    ["gen-poly", "--jacobi", "ch.json", "--n", "-1"],
+    ["moments", "--jacobi", "ch.json", "--n", "-1"],
+    ["kernel", "--jacobi", "ch.json", "--z", "0,1", "--n", "-1"],
+    ["quad", "--jacobi", "ch.json", "--n", "0"],
+    ["moments", "--jacobi", "ch.json", "--measure", "measure_ch2.json",
+     "--n", "2"],
+    ["quartet", "--jacobi", "ind.json", "--z", "1"]])
 def test_exit_1_on_non_finite_points_and_negative_series_lengths(argv,
                                                                 capsys):
     code, out, err = run_capture(argv, capsys)
@@ -140,10 +156,11 @@ def _jacobi_doc(p, diag):
      {**_jacobi_doc(1, [[[[0, 0]]]] * 2), "n_blocks": 2.0}),
     (["quad", "--jacobi", "DOC", "--n", "1"],
      {**_jacobi_doc(1, [[[[0, 0]]]] * 2), "n_blocks": "2"}),
+    (["classify", "--jacobi", "ch.json", "--samples", "DOC"], [[1, 2, 3]]),
 ], ids=["non-numeric-block", "ragged-block", "number-for-blocks",
         "non-numeric-node", "non-numeric-sample", "bool-p",
         "negative-weight", "nested-nodes", "scalar-nodes", "bool-n-blocks",
-        "float-n-blocks", "string-n-blocks"])
+        "float-n-blocks", "string-n-blocks", "three-number-samples"])
 def test_exit_1_on_malformed_numbers_in_documents(argv, doc, tmp_path,
                                                   capsys):
     path = tmp_path / "doc.json"

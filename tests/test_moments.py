@@ -212,6 +212,8 @@ def test_block_hankel_equals_a_block_assembly(rng):
             want = np.block([[s.S[j + k] for k in range(n + 1)]
                              for j in range(n + 1)])
             assert np.array_equal(block_hankel(s, n), want)
+        with pytest.raises(OutOfRangeError):
+            block_hankel(s, s.order)
 
 
 def test_hankel_quadratic_form_identity(ch, rng):

@@ -148,6 +148,8 @@ def test_quartet_at_zero_exact(ind, ind_cls):
 def test_quartet_refused_for_determinate(ch):
     with pytest.raises(RefusedError):
         quartet(ch, 1j)
+    with pytest.raises(InvalidInputError, match="DeterminacyClass"):
+        quartet(ch, 1j, determinacy="x")
 
 
 def test_default_class_is_computed_once_per_matrix(monkeypatch):
@@ -1058,6 +1060,55 @@ def test_non_finite_points_are_refused_at_every_entry_point(ind, ind_cls):
     for call in calls:
         with pytest.raises(InvalidInputError, match="must be finite"):
             call()
+
+
+_EYE = np.eye(1)
+_T = StepMeasure(1, [0.0], [[[1.0]]])
+# reader -> (the name it refuses under, whether one number belongs there,
+# a call on (matrix, class, x) with x in place of one point)
+POINT_READERS = {
+    "quartet": ("z", True, lambda j, c, x: quartet(j, x, determinacy=c)),
+    "extremal-z": ("z", True, lambda j, c, x: transform_extremal(
+        j, 0.3, x, determinacy=c)),
+    "extremal-xi": ("xi", True, lambda j, c, x: transform_extremal(
+        j, x, -1j, determinacy=c)),
+    "jump_bound": ("xi", True, lambda j, c, x: jump_bound(j, x, 8)),
+    "from_V": ("z", True, lambda j, c, x: transform_from_V(
+        j, x, _EYE, determinacy=c)),
+    "bracket": ("lam", False, lambda j, c, x: extension_bracket(
+        j, _EYE, [0.5, x])),
+    "spectrum": ("interval end", False, lambda j, c, x: extension_spectrum(
+        j, _EYE, (x, 1.0), determinacy=c)),
+    "invert-eta": ("eta", True, lambda j, c, x: stieltjes_invert(
+        lambda z: _EYE, [0.0], x)),
+    "invert-grid": ("grid point", False, lambda j, c, x: stieltjes_invert(
+        lambda z: _EYE, [0.0, x], 0.1)),
+    "kernel_partial": ("z", True, lambda j, c, x: kernel_partial(j, x, 3)),
+    "estimate_H": ("z", True, lambda j, c, x: estimate_H(j, x)),
+    "deficiency": ("sample point", False, lambda j, c, x: deficiency_indices(
+        j, sample_points=[x, 1j, 2j, 3j, -1j, -2j, -3j])),
+    "growth": ("radius", False, lambda j, c, x: growth_diagnostic(
+        j, [1.0, x])),
+    "measure-nodes": ("nodes", False, lambda j, c, x: StepMeasure(
+        1, [0.0, x], np.ones((2, 1, 1)))),
+    "cumulative": ("lam", True, lambda j, c, x: cumulative(_T, x)),
+    "stieltjes": ("z", True, lambda j, c, x: stieltjes_transform(_T, x)),
+    "first_kind": ("z", False, lambda j, c, x: list(first_kind_values(
+        j, [1j, x], 3))),
+}
+BAD_POINTS = {"string": "x", "none": None, "nan": float("nan"),
+              "array": [1j, 2j]}
+
+
+@pytest.mark.parametrize("reader,bad", [
+    (r, b) for r, (_, one, _) in POINT_READERS.items() for b in BAD_POINTS
+    if one or b != "array"])
+def test_every_point_reader_refuses_what_is_not_a_finite_number(
+        reader, bad, ind, ind_cls):
+    # an array where one number belongs, too; the refusal names the argument
+    what, _, call = POINT_READERS[reader]
+    with pytest.raises(InvalidInputError, match=f"^{what} must be "):
+        call(ind, ind_cls, BAD_POINTS[bad])
 
 
 def test_matrices_that_are_not_numbers_are_refused(ind, ind_cls):

@@ -405,6 +405,8 @@ def test_expand_zero_and_too_long(ch):
     assert expand(MatrixPoly.zero(1), basis) == []
     with pytest.raises(OutOfRangeError):
         expand(MatrixPoly.monomial(5, np.eye(1)), basis)
+    with pytest.raises(OutOfRangeError):
+        second_kind(basis, basis.n + 1)
 
 
 def test_form_orthonormality(ch, ind, ds):
@@ -448,8 +450,13 @@ def test_form_shift_symmetry(rng, ds):
         assert np.abs(lhs - rhs).max() < 1e-10 * (1 + np.abs(lhs).max())
 
 
-def test_poly_validation():
+def test_poly_validation(ch):
     with pytest.raises(InvalidInputError):
         MatrixPoly(2, np.zeros((3, 2, 3)))
     with pytest.raises(InvalidInputError):
         MatrixPoly(1, np.array([[[np.nan]]]))
+    one, two = MatrixPoly.zero(1), MatrixPoly.zero(2)
+    for call in (lambda: one + two, lambda: one - two,
+                 lambda: expand(two, generate_first_kind(ch, 2))):
+        with pytest.raises(InvalidInputError, match="dimension mismatch"):
+            call()

@@ -289,6 +289,8 @@ def test_growth_diagnostic_refused_for_ch(ch):
 
 def test_growth_diagnostic_empty_radii(ind):
     assert growth_diagnostic(ind, []) == []
+    with pytest.raises(InvalidInputError, match="radii must be positive"):
+        growth_diagnostic(ind, [0.0])
 
 
 def test_growth_diagnostic_decreasing(ind):

@@ -20,14 +20,19 @@ from .moments import (hankel_positive, jacobi_from_moments,
 from .polys import generate_first_kind
 
 
-def _parse_pair(text: str, what: str) -> tuple[float, float]:
-    """Two comma-separated numbers "A,B"; a complex value is "RE,IM"."""
+def _pair(text: str) -> tuple[float, float]:
+    """Two comma-separated numbers "A,B"; argparse names the flag if not."""
     try:
         a, b = (float(part) for part in text.split(","))
     except ValueError:
-        raise InvalidInputError(
-            f"{what}: expected two numbers A,B, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected two numbers A,B, got {text!r}") from None
     return a, b
+
+
+def _complex(text: str) -> complex:
+    """A complex value written "RE,IM"."""
+    return complex(*_pair(text))
 
 
 def _load_json(path: str, what: str):
@@ -56,8 +61,6 @@ def _complex_pair(z: complex) -> list[float]:
 
 def _cmd_gen_poly(ns):
     j = _load_jacobi(ns.jacobi)
-    if ns.n < 0:
-        raise InvalidInputError("--n must be >= 0")
     d0 = _load_block(ns.d0, j.p, "--d0") if ns.d0 else None
     basis = generate_first_kind(j, ns.n, d0)
     if ns.second_kind:
@@ -75,11 +78,7 @@ def _cmd_gen_poly(ns):
 
 
 def _cmd_moments(ns):
-    if (ns.jacobi is None) == (ns.measure is None):
-        raise InvalidInputError("provide exactly one of --jacobi / --measure")
-    if ns.n < 0:
-        raise InvalidInputError("--n must be >= 0")
-    if ns.jacobi:
+    if ns.jacobi is not None:
         s = moments_from_jacobi(_load_jacobi(ns.jacobi), ns.n)
     else:
         t = serialize.measure_from_doc(_load_json(ns.measure, "--measure"))
@@ -143,20 +142,16 @@ def _cmd_classify(ns):
 
 def _cmd_kernel(ns):
     j = _load_jacobi(ns.jacobi)
-    z = complex(*_parse_pair(ns.z, "--z"))
-    if ns.n < 0:
-        raise InvalidInputError("--n must be >= 0")
-    k = spectral.kernel_partial(j, z, ns.n)
-    doc = {"z": _complex_pair(z), "n": int(ns.n),
+    k = spectral.kernel_partial(j, ns.z, ns.n)
+    doc = {"z": _complex_pair(ns.z), "n": int(ns.n),
            "kernel": serialize.block_to_doc(k)}
-    return doc, [f"K_{ns.n}({z}): {serialize.block_to_doc(k)}"]
+    return doc, [f"K_{ns.n}({ns.z}): {serialize.block_to_doc(k)}"]
 
 
 def _cmd_quartet(ns):
     j = _load_jacobi(ns.jacobi)
-    z = complex(*_parse_pair(ns.z, "--z"))
-    q = nevanlinna.quartet(j, z, n_max=ns.n_max)
-    doc = {"z": _complex_pair(z),
+    q = nevanlinna.quartet(j, ns.z, n_max=ns.n_max)
+    doc = {"z": _complex_pair(ns.z),
            "f1": serialize.block_to_doc(q.f1),
            "f2": serialize.block_to_doc(q.f2),
            "g1": serialize.block_to_doc(q.g1),
@@ -164,7 +159,7 @@ def _cmd_quartet(ns):
            "n_used": int(q.n_used),
            "tail_norm": float(q.tail_norm),
            "converged": bool(q.converged)}
-    lines = [f"quartet at z={z} (n_used={q.n_used}, "
+    lines = [f"quartet at z={ns.z} (n_used={q.n_used}, "
              f"tail_norm={q.tail_norm!r}, converged={q.converged})"]
     for name in ("f1", "f2", "g1", "g2"):
         lines.append(f"{name}: {doc[name]}")
@@ -173,44 +168,36 @@ def _cmd_quartet(ns):
 
 def _cmd_transform(ns):
     j = _load_jacobi(ns.jacobi)
-    z = complex(*_parse_pair(ns.z, "--z"))
-    modes = [m for m in (ns.xi, ns.v, ns.v_scalar) if m is not None]
-    if len(modes) != 1:
-        raise InvalidInputError(
-            "provide exactly one of --xi / --v / --v-scalar")
     if ns.xi is not None:
-        value = nevanlinna.transform_extremal(j, ns.xi, z, n_max=ns.n_max)
+        value = nevanlinna.transform_extremal(j, ns.xi, ns.z, n_max=ns.n_max)
         doc = {"mode": "extremal", "xi": ns.xi}
     else:
         if ns.v is not None:
             v = _load_block(ns.v, j.p, "--v")
         else:
-            v = np.eye(j.p, dtype=complex) * complex(
-                *_parse_pair(ns.v_scalar, "--v-scalar"))
-        value = nevanlinna.transform_from_V(j, z, v, n_max=ns.n_max)
+            v = np.eye(j.p, dtype=complex) * ns.v_scalar
+        value = nevanlinna.transform_from_V(j, ns.z, v, n_max=ns.n_max)
         doc = {"mode": "contraction"}
-    doc.update({"z": _complex_pair(z),
+    doc.update({"z": _complex_pair(ns.z),
                 "value": serialize.block_to_doc(value)})
-    return doc, [f"transform ({doc['mode']}) at z={z}: "
+    return doc, [f"transform ({doc['mode']}) at z={ns.z}: "
                  f"{serialize.block_to_doc(value)}"]
 
 
 def _cmd_spectrum(ns):
     j = _load_jacobi(ns.jacobi)
     u = _load_block(ns.u, j.p, "--u")
-    interval = _parse_pair(ns.interval, "--interval")
-    roots = nevanlinna.extension_spectrum(j, u, interval, grid=ns.grid,
+    a, b = ns.interval
+    roots = nevanlinna.extension_spectrum(j, u, ns.interval, grid=ns.grid,
                                           n_max=ns.n_max)
-    doc = {"interval": [interval[0], interval[1]], "grid": int(ns.grid),
+    doc = {"interval": [a, b], "grid": int(ns.grid),
            "roots": [float(r) for r in roots]}
-    return doc, [f"{len(roots)} roots in [{interval[0]}, {interval[1]}]:",
+    return doc, [f"{len(roots)} roots in [{a}, {b}]:",
                  " ".join(repr(r) for r in roots)]
 
 
 def _cmd_quad(ns):
     j = _load_jacobi(ns.jacobi)
-    if ns.n < 1:
-        raise InvalidInputError("--n must be >= 1")
     t = spectral.gauss_quadrature(j, ns.n)
     doc = serialize.measure_to_doc(t)
     lines = [f"{t.n_nodes}-node quadrature (p={t.p})",
@@ -248,8 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--second-kind", action="store_true")
 
     sp = add("moments", _cmd_moments, "moments of a jacobi matrix or measure")
-    sp.add_argument("--jacobi", default=None)
-    sp.add_argument("--measure", default=None)
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--jacobi")
+    source.add_argument("--measure")
     sp.add_argument("--n", type=int, required=True)
 
     sp = add("invert-moments", _cmd_invert_moments,
@@ -267,27 +255,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("kernel", _cmd_kernel, "kernel partial sum K_n(z)")
     sp.add_argument("--jacobi", required=True)
-    sp.add_argument("--z", required=True)
+    sp.add_argument("--z", type=_complex, required=True)
     sp.add_argument("--n", type=int, required=True)
 
     sp = add("quartet", _cmd_quartet, "entire quartet F1,F2,G1,G2")
     sp.add_argument("--jacobi", required=True)
-    sp.add_argument("--z", required=True)
+    sp.add_argument("--z", type=_complex, required=True)
     sp.add_argument("--n-max", type=int, default=nevanlinna.SERIES_N_MAX)
 
     sp = add("transform", _cmd_transform,
              "Stieltjes transform of a solution")
     sp.add_argument("--jacobi", required=True)
-    sp.add_argument("--z", required=True)
-    sp.add_argument("--xi", type=float, default=None)
-    sp.add_argument("--v", default=None)
-    sp.add_argument("--v-scalar", default=None)
+    sp.add_argument("--z", type=_complex, required=True)
+    mode = sp.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--xi", type=float)
+    mode.add_argument("--v")
+    mode.add_argument("--v-scalar", type=_complex)
     sp.add_argument("--n-max", type=int, default=nevanlinna.SERIES_N_MAX)
 
     sp = add("spectrum", _cmd_spectrum, "self-adjoint extension spectrum")
     sp.add_argument("--jacobi", required=True)
     sp.add_argument("--u", required=True)
-    sp.add_argument("--interval", required=True)
+    sp.add_argument("--interval", type=_pair, required=True)
     sp.add_argument("--grid", type=int, default=nevanlinna.DEFAULT_GRID)
     sp.add_argument("--n-max", type=int, default=nevanlinna.SERIES_N_MAX)
 
@@ -299,13 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except InvalidInputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    try:
+        ns = build_parser().parse_args(argv)
         doc, lines = ns.func(ns)
     except InvalidInputError as e:
         print(f"error: {e}", file=sys.stderr)

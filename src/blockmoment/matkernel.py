@@ -38,16 +38,21 @@ def as_complex_matrix(a, p: int | None = None) -> np.ndarray:
 
 def _read_points(x, what: str, dtype=complex, one: bool = True):
     """``x`` read by numpy as ``dtype``, one Python number if ``one``, else an
-    array; unreadable input, an array where one number belongs and a
-    non-finite entry raise InvalidInputError naming ``what``."""
+    array; unreadable input (None, or complex where ``dtype`` is float), an
+    array where one number belongs and a non-finite entry raise
+    InvalidInputError naming ``what``."""
     try:
+        if dtype is float and np.iscomplexobj(x):  # numpy would drop Im x
+            raise TypeError("a complex value where a real one belongs")
         a = np.asarray(x, dtype=dtype)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError) as e:  # a ragged list in either read
         raise InvalidInputError(f"{what} must be a number ({e})") from None
     if one and a.ndim:
         raise InvalidInputError(
             f"{what} must be one number, got shape {a.shape}")
     if not np.isfinite(a).all():
+        if np.asarray(x).dtype == object:  # None, which numpy read as NaN
+            raise InvalidInputError(f"{what} must be a number, got {x!r}")
         raise InvalidInputError(
             f"{what} must be finite, got {a[~np.isfinite(a)].flat[0]}")
     return a.item() if one else a
@@ -101,6 +106,7 @@ def min_eigenvalue(h) -> float:
 
 def loewner_leq(a, b, tol: float = 0.0) -> bool:
     """A <= B in the Loewner order: min eig of (B - A) >= -tol."""
+    tol = _read_points(tol, "tol", float)
     ma = require_hermitian(a, what="left operand")
     mb = require_hermitian(b, what="right operand")
     if ma.shape != mb.shape:
@@ -111,6 +117,7 @@ def loewner_leq(a, b, tol: float = 0.0) -> bool:
 
 def numerical_rank(h, rel_tol: float = 1e-8) -> int:
     """Count of eigenvalues with |lam| > rel_tol * max(1, |lam|_max)."""
+    rel_tol = _read_points(rel_tol, "rel_tol", float)
     m = require_hermitian(h)
     w = np.abs(np.linalg.eigvalsh(hermitian_part(m)))
     threshold = rel_tol * max(1.0, float(w.max()) if w.size else 0.0)

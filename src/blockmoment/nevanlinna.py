@@ -41,16 +41,15 @@ from . import matkernel as mk
 from .errors import (HalfPlaneError, InvalidInputError,
                      NumericalFailureError, OutOfRangeError, PoleError)
 from .jacobi import BlockJacobiMatrix
-from .polys import (MatrixPoly, OrthoBasis, _available_terms, _coefficients,
-                    _recurrence, _series, _states, _zero_states)
+from .polys import (SERIES_N_MAX, SERIES_TOL, MatrixPoly, OrthoBasis,
+                    _available_terms, _coefficients, _recurrence, _series,
+                    _states, _zero_states)
 # classify is re-exported next to the entry points whose ``determinacy``
 # argument it computes
 from .spectral import (NODE_MERGE_FACTOR, DeterminacyClass,
                        _ensure_completely_indeterminate, _merge, _node_step,
                        classify, kernel_partial)
 
-SERIES_TOL = 1e-12
-SERIES_N_MAX = 400
 DEFAULT_GRID = 2000
 _SWEEP_POINTS = 16      # edges counted on the interval before the search
 _RAYLEIGH_STEPS = 64    # cap on a node's Rayleigh steps and on the rounds
@@ -125,6 +124,7 @@ def quartet(j: BlockJacobiMatrix, z: complex, n_max: int = SERIES_N_MAX,
     the larger of the last two increments in ``tail_norm``.
     """
     z = mk._read_points(z, "z")
+    series_tol = mk._read_points(series_tol, "series_tol", float)
     n_terms = _available_terms(j, n_max)
     _ensure_completely_indeterminate(j, determinacy)
     p = j.p
@@ -162,6 +162,7 @@ def transform_extremal(j: BlockJacobiMatrix, xi: float, z: complex,
     """
     z = mk._read_points(z, "z")
     xi = mk._read_points(xi, "xi", float)
+    series_tol = mk._read_points(series_tol, "series_tol", float)
     if z.imag >= 0:
         raise HalfPlaneError(
             f"extremal transform is defined for Im z < 0, got z={z}")
@@ -234,10 +235,8 @@ def transform_from_V(j: BlockJacobiMatrix, z: complex, v,
     if z.imag <= 0:
         raise HalfPlaneError(
             f"the V-parametrization is defined for Im z > 0, got z={z}")
-    n_terms = _available_terms(j, n_max)
-    cls = _ensure_completely_indeterminate(j, determinacy)
+    q = quartet(j, z, n_max, series_tol, determinacy)
     vm = _contraction_value(v, j.p, z)
-    q = quartet(j, z, n_max=n_terms, series_tol=series_tol, determinacy=cls)
     eye = np.eye(j.p, dtype=complex)
     plus = eye + vm
     minus = eye - vm

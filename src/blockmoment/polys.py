@@ -417,6 +417,11 @@ def _zero_states(j: BlockJacobiMatrix, n: int) -> np.ndarray:
     return at0[:n + 1]
 
 
+# the default stop rule and length of every series summed by ``_series``
+SERIES_TOL = 1e-12
+SERIES_N_MAX = 400
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _series(left, right, weight, series_tol: float):
     """weight * sum_{k=0}^{n} L_k^H R_k over two stacks of states.

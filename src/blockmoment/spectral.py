@@ -24,16 +24,14 @@ from .errors import (ClassificationUnavailableError, HalfPlaneError,
                      InvalidInputError, NumericalFailureError, RefusedError)
 from .jacobi import BlockJacobiMatrix, _require_count, truncate
 from .measures import StepMeasure, normalize
-from .polys import (_CHUNK, _available_terms, _finite, _series, _states,
-                    first_kind_values)
+from .polys import (_CHUNK, SERIES_N_MAX, SERIES_TOL, _available_terms,
+                    _finite, _series, _states, first_kind_values)
 
 KERNEL_N_MAX = 200
 GROWTH_FACTOR = 1.5
 VALUE_CAP = 1e12
 NODE_MERGE_FACTOR = 1e-9
 OVERFLOW_GUARD = 1e120
-GROWTH_N_MAX = 400
-GROWTH_SERIES_TOL = 1e-12
 
 # spread across each open half-plane so rank constancy is exercised, not
 # assumed; 0 - 1j, not -1j, whose real part is -0.0
@@ -290,12 +288,12 @@ def growth_diagnostic(j: BlockJacobiMatrix, radii) -> list:
     """Table of (r, max over directions d of log |K(r d)| / r).
 
     The directions d are DEFAULT_GROWTH_DIRECTIONS; each kernel sum runs
-    to GROWTH_SERIES_TOL or GROWTH_N_MAX terms.  Only meaningful when
+    to SERIES_TOL or SERIES_N_MAX terms.  Only meaningful when
     the kernel series converges everywhere, i.e. in the completely
     indeterminate case; refused otherwise.  The ratio table is reported as
     a diagnostic; no limit is asserted.
     """
-    n_terms = _available_terms(j, GROWTH_N_MAX)
+    n_terms = _available_terms(j, SERIES_N_MAX)
     _ensure_completely_indeterminate(j)
     table = []
     for r in radii:
@@ -304,7 +302,7 @@ def growth_diagnostic(j: BlockJacobiMatrix, radii) -> list:
             raise InvalidInputError("radii must be positive")
         best = -np.inf
         for d in DEFAULT_GROWTH_DIRECTIONS:
-            k = _kernel_sum(j, r * d, n_terms, GROWTH_SERIES_TOL)
+            k = _kernel_sum(j, r * d, n_terms, SERIES_TOL)
             best = max(best, float(np.log(mk.spectral_norm(k))) / r)
         table.append((r, best))
     return table

@@ -127,6 +127,28 @@ def test_exit_1_on_non_finite_points_and_negative_series_lengths(argv,
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,says", [
+    (["quartet", "--jacobi", "ind.json", "--z", "1"], "argument --z"),
+    (["spectrum", "--jacobi", "ind.json", "--u", "u_one.json",
+      "--interval=a,1"], "argument --interval"),
+    (["transform", "--jacobi", "ind.json", "--z", "0,1", "--xi", "0",
+      "--v-scalar", "0,0"], "not allowed with argument"),
+    (["transform", "--jacobi", "ind.json", "--z", "0,1"],
+     "one of the arguments --xi --v --v-scalar is required"),
+    (["moments", "--n", "2"],
+     "one of the arguments --jacobi --measure is required"),
+    (["moments", "--jacobi", "ch.json", "--measure", "measure_ch2.json",
+      "--n", "2"], "not allowed with argument"),
+    (["moments", "--jacobi", "", "--n", "2"], "--jacobi: cannot read"),
+    (["gen-poly", "--jacobi", "ch.json", "--n", "-1"],
+     "n must be >= 0, got -1")])
+def test_each_refusal_names_what_it_refuses(argv, says, capsys):
+    # the parser names the flag, the library the series length
+    code, out, err = run_capture(argv, capsys)
+    assert code == 1 and out == ""
+    assert says in err
+
+
 def _jacobi_doc(p, diag):
     return {"p": p, "n_blocks": 2, "diag": diag,
             "offdiag": [[[[1.0, 0.0]]]]}

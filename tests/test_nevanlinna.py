@@ -1065,50 +1065,94 @@ def test_non_finite_points_are_refused_at_every_entry_point(ind, ind_cls):
 _EYE = np.eye(1)
 _T = StepMeasure(1, [0.0], [[[1.0]]])
 # reader -> (the name it refuses under, whether one number belongs there,
-# a call on (matrix, class, x) with x in place of one point)
+# whether a real number belongs there, a call on (matrix, class, x) with x
+# in place of one point)
 POINT_READERS = {
-    "quartet": ("z", True, lambda j, c, x: quartet(j, x, determinacy=c)),
-    "extremal-z": ("z", True, lambda j, c, x: transform_extremal(
+    "quartet": ("z", True, False, lambda j, c, x: quartet(
+        j, x, determinacy=c)),
+    "extremal-z": ("z", True, False, lambda j, c, x: transform_extremal(
         j, 0.3, x, determinacy=c)),
-    "extremal-xi": ("xi", True, lambda j, c, x: transform_extremal(
+    "extremal-xi": ("xi", True, True, lambda j, c, x: transform_extremal(
         j, x, -1j, determinacy=c)),
-    "jump_bound": ("xi", True, lambda j, c, x: jump_bound(j, x, 8)),
-    "from_V": ("z", True, lambda j, c, x: transform_from_V(
+    "jump_bound": ("xi", True, True, lambda j, c, x: jump_bound(j, x, 8)),
+    "from_V": ("z", True, False, lambda j, c, x: transform_from_V(
         j, x, _EYE, determinacy=c)),
-    "bracket": ("lam", False, lambda j, c, x: extension_bracket(
+    "bracket": ("lam", False, True, lambda j, c, x: extension_bracket(
         j, _EYE, [0.5, x])),
-    "spectrum": ("interval end", False, lambda j, c, x: extension_spectrum(
-        j, _EYE, (x, 1.0), determinacy=c)),
-    "invert-eta": ("eta", True, lambda j, c, x: stieltjes_invert(
+    "spectrum": ("interval end", False, True,
+                 lambda j, c, x: extension_spectrum(
+                     j, _EYE, (x, 1.0), determinacy=c)),
+    "invert-eta": ("eta", True, True, lambda j, c, x: stieltjes_invert(
         lambda z: _EYE, [0.0], x)),
-    "invert-grid": ("grid point", False, lambda j, c, x: stieltjes_invert(
-        lambda z: _EYE, [0.0, x], 0.1)),
-    "kernel_partial": ("z", True, lambda j, c, x: kernel_partial(j, x, 3)),
-    "estimate_H": ("z", True, lambda j, c, x: estimate_H(j, x)),
-    "deficiency": ("sample point", False, lambda j, c, x: deficiency_indices(
-        j, sample_points=[x, 1j, 2j, 3j, -1j, -2j, -3j])),
-    "growth": ("radius", False, lambda j, c, x: growth_diagnostic(
+    "invert-grid": ("grid point", False, True,
+                    lambda j, c, x: stieltjes_invert(
+                        lambda z: _EYE, [0.0, x], 0.1)),
+    "kernel_partial": ("z", True, False, lambda j, c, x: kernel_partial(
+        j, x, 3)),
+    "estimate_H": ("z", True, False, lambda j, c, x: estimate_H(j, x)),
+    "deficiency": ("sample point", False, False,
+                   lambda j, c, x: deficiency_indices(
+                       j, sample_points=[x, 1j, 2j, 3j, -1j, -2j, -3j])),
+    "growth": ("radius", False, True, lambda j, c, x: growth_diagnostic(
         j, [1.0, x])),
-    "measure-nodes": ("nodes", False, lambda j, c, x: StepMeasure(
+    "measure-nodes": ("nodes", False, True, lambda j, c, x: StepMeasure(
         1, [0.0, x], np.ones((2, 1, 1)))),
-    "cumulative": ("lam", True, lambda j, c, x: cumulative(_T, x)),
-    "stieltjes": ("z", True, lambda j, c, x: stieltjes_transform(_T, x)),
-    "first_kind": ("z", False, lambda j, c, x: list(first_kind_values(
-        j, [1j, x], 3))),
+    "cumulative": ("lam", True, True, lambda j, c, x: cumulative(_T, x)),
+    "stieltjes": ("z", True, False, lambda j, c, x: stieltjes_transform(
+        _T, x)),
+    "first_kind": ("z", False, False, lambda j, c, x: list(
+        first_kind_values(j, [1j, x], 3))),
 }
-BAD_POINTS = {"string": "x", "none": None, "nan": float("nan"),
-              "array": [1j, 2j]}
+# input -> (value, what the refusal says it must be); numpy reads None as
+# NaN and casts a numpy complex to its real part, neither of which the
+# caller passed
+BAD_POINTS = {"string": ("x", "a number"), "none": (None, "a number"),
+              "nan": (float("nan"), "finite"),
+              "array": ([0.5, 2.0], "one number"),
+              "complex": (np.complex128(0.3 + 1j), "a number"),
+              "ragged": ([0.5, [1.0]], "a number")}
+
+
+def _reads(one, real, bad):
+    """Whether a reader taking one number or several, real or complex,
+    is given the input ``bad``."""
+    return {"array": one, "complex": real, "ragged": not one}.get(bad, True)
 
 
 @pytest.mark.parametrize("reader,bad", [
-    (r, b) for r, (_, one, _) in POINT_READERS.items() for b in BAD_POINTS
-    if one or b != "array"])
+    (r, b) for r, (_, one, real, _) in POINT_READERS.items()
+    for b in BAD_POINTS if _reads(one, real, b)])
 def test_every_point_reader_refuses_what_is_not_a_finite_number(
         reader, bad, ind, ind_cls):
     # an array where one number belongs, too; the refusal names the argument
-    what, _, call = POINT_READERS[reader]
+    # (and a ComplexWarning fails the case: the suite's warnings are errors)
+    what, _, _, call = POINT_READERS[reader]
+    value, must = BAD_POINTS[bad]
+    with pytest.raises(InvalidInputError, match=f"^{what} must be {must}"):
+        call(ind, ind_cls, value)
+
+
+TOL_READERS = {
+    "quartet": ("series_tol", lambda j, c, t: quartet(
+        j, 1j, series_tol=t, determinacy=c)),
+    "extremal": ("series_tol", lambda j, c, t: transform_extremal(
+        j, 0.3, -1j, series_tol=t, determinacy=c)),
+    "from_V": ("series_tol", lambda j, c, t: transform_from_V(
+        j, 1j, _EYE, series_tol=t, determinacy=c)),
+    "loewner_leq": ("tol", lambda j, c, t: mk.loewner_leq(_EYE, _EYE, t)),
+    "numerical_rank": ("rel_tol", lambda j, c, t: mk.numerical_rank(_EYE, t)),
+}
+
+
+@pytest.mark.parametrize("reader", TOL_READERS)
+@pytest.mark.parametrize("bad", ["x", None, float("nan"), [1e-3, 1e-2], 1j],
+                         ids=["string", "none", "nan", "array", "complex"])
+def test_every_tolerance_is_read_through_the_point_door(reader, bad, ind,
+                                                        ind_cls):
+    # a NaN series_tol would run every series to n_max, unconverged
+    what, call = TOL_READERS[reader]
     with pytest.raises(InvalidInputError, match=f"^{what} must be "):
-        call(ind, ind_cls, BAD_POINTS[bad])
+        call(ind, ind_cls, bad)
 
 
 def test_matrices_that_are_not_numbers_are_refused(ind, ind_cls):

@@ -110,20 +110,20 @@ def test_kernel_partial_is_the_plain_sum(p):
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_growth_diagnostic_is_the_plain_sum_under_the_stop_rule(p):
     # each direction's kernel stops where one solve per step, summed under
-    # the chunk stop rule, stops, at GROWTH_SERIES_TOL as in the table and
+    # the chunk stop rule, stops, at SERIES_TOL as in the table and
     # at looser tolerances, where a stop a chunk off would show; off-
     # diagonal blocks growing like k^6 let the terms fall below 1e-12
     # within 400
     ci = ci_matrix(np.random.default_rng(160 + p), p, 401, rule=False)
     j = BlockJacobiMatrix(p, ci.diag, ci.offdiag
                           * (np.arange(400) + 1.0)[:, None, None] ** 4)
-    n_max, radii = spectral.GROWTH_N_MAX, (0.5, 2.0, 8.0)
+    n_max, radii = spectral.SERIES_N_MAX, (0.5, 2.0, 8.0)
     stops = set()
     for r, got in zip(radii, growth_diagnostic(j, radii)):
         best = -np.inf
         for d in spectral.DEFAULT_GROWTH_DIRECTIONS:
             terms = [[t] for t in plain_kernel_terms(j, r * d, n_max)]
-            for tol in (1e-3, 1e-6, spectral.GROWTH_SERIES_TOL):
+            for tol in (1e-3, 1e-6, spectral.SERIES_TOL):
                 (k,), n_used, _ = plain_chunk_sums(terms, tol)
                 assert rel_err(spectral._kernel_sum(j, r * d, n_max, tol),
                                k) < 1e-12

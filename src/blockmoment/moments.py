@@ -135,7 +135,7 @@ def moments_from_jacobi(j: BlockJacobiMatrix, n_max: int,
     n_max = _require_count(n_max, "n_max")
     p = j.p
     h = n_max // 2
-    _, diag, off = _recurrence(j, h)
+    diag, off = _recurrence(j, h)[1:3]
     # w[i, k] is block k of W_i, which vanishes for k > i
     w = np.zeros((n_max - h + 1, h + 1, p, p), dtype=complex)
     w[0, 0] = np.eye(p) if d0 is None else \

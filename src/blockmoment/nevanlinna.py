@@ -26,11 +26,9 @@ caller supplies V as a per-point sampler, holomorphy of the sampler is the
 caller's responsibility: it cannot be verified pointwise.
 
 The series run on the recurrence engine of :mod:`polys` under its one
-stop rule: an engine pass hands on all its states as one stack, none
-stops early, and a series pairs two stacks, summing each chunk of terms
-by one GEMM.  The quartet and the extension bracket pair their pass with
-D_k(0), E_k(0) from the matrix's cache, the extremal transform its pass
-at conj z with a one-point pass at xi.
+stop rule, as differences of block Christoffel-Darboux Wronskians W_k of
+the pairs of states at chunk ends: the quartet is W_{-1} - W_n, the
+extremal transform -W^E_n (W^D_n)^{-1}, the bracket W_n - W_{-1}.
 """
 
 from dataclasses import dataclass
@@ -42,8 +40,8 @@ from .errors import (HalfPlaneError, InvalidInputError,
                      NumericalFailureError, OutOfRangeError, PoleError)
 from .jacobi import BlockJacobiMatrix
 from .polys import (SERIES_N_MAX, SERIES_TOL, MatrixPoly, OrthoBasis,
-                    _available_terms, _coefficients, _recurrence, _series,
-                    _states, _zero_states)
+                    _available_terms, _b_side, _cd_series, _coefficients,
+                    _recurrence, _transfers, _zero_pairs, _zero_states)
 # classify is re-exported next to the entry points whose ``determinacy``
 # argument it computes
 from .spectral import (NODE_MERGE_FACTOR, DeterminacyClass,
@@ -128,13 +126,14 @@ def quartet(j: BlockJacobiMatrix, z: complex, n_max: int = SERIES_N_MAX,
     n_terms = _available_terms(j, n_max)
     _ensure_completely_indeterminate(j, determinacy)
     p = j.p
-    x = _states(j, [z.conjugate()] * 2, [False, True], n_terms)
-    t, n_used, tail, conv = _series(x, _zero_states(j, n_terms), z,
-                                    series_tol)
+    t, _, n_used, tail, conv = _cd_series(
+        n_terms, _transfers(j, [z.conjugate()], n_terms),
+        *_zero_pairs(j, n_terms), -float(z != 0), -z, series_tol)
+    t = t[0]                        # rows E then D, columns D then E
     eye = np.eye(p, dtype=complex)
     # 0 - t, not -t, which would turn an exact 0.0 into -0.0
-    return QuartetValue(z=z, f1=eye + t[p:, :p], f2=t[p:, p:],
-                        g1=0.0 - t[:p, :p], g2=eye - t[:p, p:],
+    return QuartetValue(z=z, f1=eye + t[:p, :p], f2=t[:p, p:],
+                        g1=0.0 - t[p:, :p], g2=eye - t[p:, p:],
                         n_used=n_used, tail_norm=tail, converged=conv)
 
 
@@ -150,15 +149,12 @@ def transform_extremal(j: BlockJacobiMatrix, xi: float, z: complex,
     """Stieltjes transform of the extremal solution T_xi, for Im z < 0.
 
     T_xi is the unique normalized solution attaining the maximal jump at
-    xi.  Computed as
-
-        m(z) = (xi - z)^{-1} [I + (z - xi) N(z)] [Den(z)]^{-1},
-
+    xi.  It is m(z) = (xi - z)^{-1} [I + (z - xi) N(z)] [Den(z)]^{-1},
     with N(z) = sum_{k>=1} E_k*(z) D_k(xi) and Den(z) = sum_{k>=0}
-    D_k*(z) D_k(xi), one series pairing the D, E pass at conj z with the
-    D pass at xi; the leading sign is fixed so that m is a genuine
+    D_k*(z) D_k(xi); the leading sign is fixed so that m is a genuine
     Stieltjes transform (Herglotz in the lower half-plane, positive
-    extremal mass).
+    extremal mass).  With the Wronskians of [D, E] at conj z and D at xi
+    it is m(z) = -W^E_n [W^D_n]^{-1}, no division by xi - z.
     """
     z = mk._read_points(z, "z")
     xi = mk._read_points(xi, "xi", float)
@@ -169,16 +165,19 @@ def transform_extremal(j: BlockJacobiMatrix, xi: float, z: complex,
     n_terms = _available_terms(j, n_max)
     _ensure_completely_indeterminate(j, determinacy)
     p = j.p
-    t = _series(_states(j, [z.conjugate()] * 2, [False, True], n_terms),
-                _states(j, [xi], [False], n_terms), 1.0, series_tol)[0]
-    num, den = t[p:], t[:p]
-    svals = np.linalg.svd(den, compute_uv=False)
+    m = _transfers(j, [z.conjugate(), xi], n_terms)
+    # no Y0 here: rounding that scales the D pass at xi leaves -W^E (W^D)^-1
+    # unchanged, and subtracting Y0's Wronskians would break that
+    t, w, *_ = _cd_series(n_terms, m[:, :1], None,
+                          _b_side(j, n_terms, m[:, 1:, :, p:]),
+                          1.0 / (xi - z), xi - z, series_tol)
+    svals = np.linalg.svd(t[0, p:], compute_uv=False)      # Den
     if svals[-1] <= 1e-14 * max(1.0, svals[0]):
         raise NumericalFailureError(
             f"kernel bracket at z={z} is numerically singular "
             f"(condition estimate {svals[0] / max(svals[-1], 1e-300):.3e})")
-    bracket = np.eye(p, dtype=complex) + (z - xi) * num
-    return (bracket @ np.linalg.inv(den)) / (xi - z)
+    # W^E_{-1} = -I, W^D_{-1} = 0
+    return (np.eye(p) - w[0, :p]) @ np.linalg.inv(w[0, p:])
 
 
 def jump_bound(j: BlockJacobiMatrix, xi: float, n: int) -> np.ndarray:
@@ -269,20 +268,18 @@ def extension_bracket(j: BlockJacobiMatrix, u, lams,
 
     Returns a (len(lams), p, p) stack for the nearest unitary to U;
     determinacy is not re-checked, so this is also the residual probe for
-    accepted roots.  The engine runs at the points only; D_k(0) and E_k(0)
-    are the matrix's cached states at 0.  The series stops at SERIES_TOL.
+    accepted roots.  The series stops at SERIES_TOL.
     """
     p = j.p
     u = _require_unitary(u, p)
     lam = mk._read_points(lams, "lam", float, one=False).reshape(-1)
     n_terms = _available_terms(j, n_max)
-    weight = np.repeat(-lam, p)[:, None]
-    t = _series(_states(j, lam, np.zeros(lam.size, dtype=bool), n_terms),
-                _zero_states(j, n_terms), weight, SERIES_TOL)[0]
-    g1 = t[:, :p].reshape(lam.size, p, p)
+    gap = -lam[:, None, None]
+    y0, side = _zero_pairs(j, n_terms)
+    t = _cd_series(n_terms, _transfers(j, lam, n_terms)[..., p:],
+                   y0[..., p:], side, (gap != 0) * 1.0, gap, SERIES_TOL)[0]
     eye = np.eye(p, dtype=complex)
-    g2 = eye + t[:, p:].reshape(lam.size, p, p)
-    return g1 @ (eye + u) + 1j * (g2 @ (eye - u))
+    return t[..., :p] @ (eye + u) + 1j * ((eye + t[..., p:]) @ (eye - u))
 
 
 def _counts_below(diag, off, xs) -> np.ndarray:
@@ -396,7 +393,7 @@ def _boundary_truncation(j, u, n_terms, a, b):
     states = _zero_states(j, n_terms)
     x = states[..., :p] @ (eye + u) + 1j * (states[..., p:] @ (eye - u))
     n = n_terms + 1
-    _, diag, off = _recurrence(j, n_terms)
+    diag, off = _recurrence(j, n_terms)[1:3]
     diag, off = diag[:n], off[:n - 1].copy()
     rows = np.abs(diag).sum(axis=2)
     rows[:-1] += np.abs(off).sum(axis=2)

@@ -33,13 +33,12 @@ into the plan rows and all chunks of the pass in one batched matmul per
 step, and each chunk's states are then one GEMM with its entry pair, the
 seeds or the last two states before it.  At two, that one-point pass runs
 at each point on the point's own columns.  Either way a pass computes all
-its states, none stops early, and hands them on as one stack.  Every
-series, at every p, pairs two such stacks, sums each chunk of terms by one
-GEMM over the chunk's stacked states, all chunks in one batched GEMM, and
-``_series`` holds the one stop rule, read at every chunk end.  The states
-at 0, D_k(0) and E_k(0), which pair with those at the point in the
-quartet and the extension bracket, are built once per matrix and cached
-beside the plan (``_zero_states``).
+its states, none stops early, and hands them on as one stack.  A kernel
+sum pairs two such stacks, one GEMM per chunk of terms (``_series``).  The
+quartet, transform and bracket sums are differences of Christoffel-Darboux
+Wronskians (``_cd_series``) of the pairs of states at chunk ends, formed
+by one tree product (``_transfers``).  Both read one stop rule (``_stop``).
+The states at 0 are built once per matrix and cached (``_zero_states``).
 Symbolically, the stepwise step runs on coefficients laid side by side.
 Every stepper starts from the same entry pair [X_{-1}; X_0]: [0; I] for
 the first kind, so D_0 = I, and [I; 0] for the second, which row 0 of the
@@ -229,22 +228,24 @@ def form(pp: MatrixPoly, qq: MatrixPoly, basis: OrthoBasis) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # A pass computes all its states, in chunks of _CHUNK steps, and hands them
-# on in one (n+1, p, W) stack; none stops early.  A series pairs two stacks
-# and sums a chunk's terms in one GEMM.  A pass at one point steps the
+# on in one (n+1, p, W) stack; none stops early.  A kernel sum pairs two
+# stacks and sums a chunk's terms in one GEMM.  A pass at one point steps the
 # transfer solutions of all its chunks together and joins each with its
 # entry pair, a pass at two points does so once per point, and any other
 # pass steps every state (``_states``).
 _CHUNK = 16
+_GROUP = 1 << 20    # entries a broadcast level of ``_transfers`` may hold
 
 
 def _recurrence(j: BlockJacobiMatrix, n: int):
     """Step data of the first n recurrence steps, cached on ``j``.
 
-    Returns (plan, diag, off).  Row k of the plan is
+    Returns (plan, diag, off, rows, b_inv).  Row k of the plan is
     [-B_k^{-1} A_{k,k-1} | B_k^{-1} | -B_k^{-1} A_{k,k}] with B_k = A_{k,k+1},
     but row 0, having no A_{0,-1}, holds B_0^{-1} in its first slot, so
     X_{k+1} = row_k @ [X_{k-1}; z X_k; X_k] takes the entry pair
-    [X_{-1}; X_0] = [0; I] to D_1 and [I; 0] to E_1 = B_0^{-1}.
+    [X_{-1}; X_0] = [0; I] to D_1 and [I; 0] to E_1 = B_0^{-1}.  ``rows``
+    and ``b_inv`` hold its outer and middle slots, for folding in z.
 
     ``diag`` and ``off`` stack A_kk, k <= n, and A_{k,k+1}, k < n.  The
     longest data built so far is kept in ``j.memo`` and serves every
@@ -267,7 +268,8 @@ def _recurrence(j: BlockJacobiMatrix, n: int):
     b_inv = np.linalg.inv(off)
     plan = np.concatenate([b_inv, b_inv, -(b_inv @ diag[:n])], axis=2)
     plan[1:, :, :j.p] = -(b_inv[1:] @ np.conj(np.swapaxes(off[:-1], 1, 2)))
-    rec = (_freeze(plan), diag, off)
+    rows = np.concatenate([plan[..., :j.p], plan[..., 2 * j.p:]], axis=2)
+    rec = (_freeze(plan), diag, off, _freeze(rows), _freeze(b_inv))
     j.memo["recurrence"] = rec
     return rec
 
@@ -343,7 +345,8 @@ def _states(j: BlockJacobiMatrix, zs, second, n: int) -> np.ndarray:
             at = zs == z
             xs[..., np.repeat(at, p)] = _states(j, zs[at], second[at], n)
         return xs
-    plan = _recurrence(j, n)[0][:n]
+    plan, _, _, rows, b_inv = _recurrence(j, n)
+    plan = plan[:n]
     is_e = np.repeat(second, p)
     eye = np.arange(w) % p == np.arange(p)[:, None]     # I in every block
     x_prev, x0 = np.where(is_e, eye, 0.0), np.where(is_e, 0.0, eye)
@@ -365,8 +368,8 @@ def _states(j: BlockJacobiMatrix, zs, second, n: int) -> np.ndarray:
     chunks = -(-n // c)
     # folded rows by step and chunk; zero past the pass
     tr = np.zeros((chunks * c, p, 2 * p), dtype=complex)
-    tr[:n, :, :p] = plan[..., :p]
-    tr[:n, :, p:] = pts[0] * plan[..., p:2 * p] + plan[..., 2 * p:]
+    tr[:n] = rows[:n]
+    tr[:n, :, p:] += pts[0] * b_inv[:n]
     tr = tr.reshape(chunks, c, p, 2 * p).swapaxes(0, 1)
     # t[b, (i + 1) p:(i + 2) p] = T_i of chunk b, p x 2p; step i reads
     # [T_{i-1}; T_i] and writes T_{i+1}.  Rows are stored outermost, so
@@ -417,9 +420,102 @@ def _zero_states(j: BlockJacobiMatrix, n: int) -> np.ndarray:
     return at0[:n + 1]
 
 
-# the default stop rule and length of every series summed by ``_series``
+def _b_side(j: BlockJacobiMatrix, n: int, x):
+    """(v, X_n) of pairs x = [X_{q-1}; X_q] at the chunk starts q below n
+    and at n: v = [B_{q-1} X_q; -B_{q-1}^H X_{q-1}], B_{-1} = -I."""
+    p = j.p
+    q = np.minimum(np.arange(_CHUNK, n + _CHUNK, _CHUNK), n)
+    b = np.concatenate([-np.eye(p)[None], _recurrence(j, n)[2][q - 1]])[:, None]
+    return (np.concatenate([b @ x[:, :, p:],
+                            -(np.conj(np.swapaxes(b, 2, 3)) @ x[:, :, :p])],
+                           axis=2), x[-1, :, p:])
+
+
+def _zero_pairs(j: BlockJacobiMatrix, n: int):
+    """Pairs of E | D at 0, as ``_transfers`` orders them, and ``_b_side``
+    of those of D | E, read off ``_zero_states``, cached per n."""
+    pairs = j.memo.get(("zero_pairs", n))
+    if pairs is None:
+        p = j.p
+        at0 = _zero_states(j, n)
+        q = np.append(np.arange(0, n, _CHUNK), n)
+        x = np.concatenate([at0[q - 1], at0[q]], axis=1)[:, None]
+        x[0, 0, :p] = np.eye(p, 2 * p, p)          # X_{-1} = [0 | I]
+        pairs = j.memo[("zero_pairs", n)] = (np.roll(x, p, axis=3),
+                                             _b_side(j, n, x))
+    return pairs
+
+
+def _product(a, b):
+    """a @ b for stacks of matrices held in the first two axes."""
+    return (a[:, :, None] * b[None]).sum(axis=1)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _transfers(j: BlockJacobiMatrix, zs, n: int) -> np.ndarray:
+    """M_q = S_{q-1} ... S_0 at q = 0, 16, ... below n and at n, per point.
+
+    S_k = [0, I; -B_k^{-1} A_{k,k-1}, z B_k^{-1} - B_k^{-1} A_kk], so M_q
+    holds the pairs [X_{q-1}; X_q] of E, then D (see ``_states``), as a
+    (positions, points, 2p, 2p) array, overflow as inf or nan.  A pairwise
+    tree in each chunk (its first level in the lower rows only), then a
+    doubling scan over chunks; points and steps are the last axes, so a
+    level is one broadcast multiply and sum, over groups of points that
+    bound its size.  Swap steps [0, I; I, 0] pad the last chunk.
+    """
+    p = j.p
+    z = np.asarray(zs, dtype=complex).reshape(-1)
+    c = -(-n // _CHUNK)
+    rows, b_inv = _recurrence(j, n)[3:]
+    rows, b_inv = rows[:n].transpose(1, 2, 0), b_inv[:n].transpose(1, 2, 0)
+    out = np.empty((2 * p, 2 * p, z.size, c + 1), dtype=complex)
+    out[..., 0] = np.eye(2 * p)[..., None]
+    group = max(1, _GROUP // (32 * p ** 3 * max(c, 1)))
+    for g in range(0, z.size, group):
+        zg = z[g:g + group, None]
+        pq = np.zeros((p, 2 * p, zg.size, c * _CHUNK), dtype=complex)
+        pq[..., :n] = rows[:, :, None]
+        pq[:, p:, :, :n] += b_inv[:, :, None] * zg
+        pq[:, :p, :, n:] = np.eye(p)[..., None, None]
+        even, odd = pq[..., 0::2], pq[..., 1::2]
+        s = np.empty((2 * p,) + even.shape[1:], dtype=complex)
+        s[:p] = even
+        s[p:] = _product(odd[:, p:], even)
+        s[p:, p:] += odd[:, :p]
+        while s.shape[3] > c:
+            s = _product(s[..., 1::2], s[..., 0::2])
+        d = 1
+        while d < c:
+            s[..., d:] = _product(s[..., d:], s[..., :-d])
+            d *= 2
+        out[:, :, g:g + group, 1:] = s
+    if (c * _CHUNK - n) % 2:
+        out[..., -1] = np.roll(out[..., -1], p, axis=0)
+    return out.transpose(3, 2, 0, 1)
+
+
+# the default stop rule and length of every series
 SERIES_TOL = 1e-12
 SERIES_N_MAX = 400
+
+
+def _stop(parts, n1: int, series_tol: float):
+    """The one series stop rule, on the sums of the chunks of n1 terms.
+
+    A chunk's increment is the largest entry of its sum over its number
+    of terms; the series stops after a chunk when it and the one before
+    both have increments below ``series_tol`` (one quiet chunk may be
+    cancellation).  Returns (chunks summed, n_used, tail_norm, converged),
+    tail_norm the larger of the last two increments.
+    """
+    sizes = np.minimum(_CHUNK, n1 - _CHUNK * np.arange(len(parts)))
+    incs = np.abs(parts).reshape(len(parts), -1).max(axis=1,
+                                                     initial=0.0) / sizes
+    pairs = np.maximum(incs[1:], incs[:-1])     # a chunk and the one before
+    quiet = np.flatnonzero(pairs < series_tol)
+    m = int(quiet[0]) + 2 if quiet.size else len(parts)
+    tail = float(pairs[m - 2] if m > 1 else incs[0])
+    return m, min(m * _CHUNK, n1) - 1, tail, bool(quiet.size)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -428,31 +524,44 @@ def _series(left, right, weight, series_tol: float):
 
     ``left`` and ``right`` are (n+1, p, W) stacks of the same length, each
     one engine pass (see ``_states``) or a slice of one; L_k and R_k are
-    their states X_k.  The terms of each chunk of _CHUNK states are summed
-    by one GEMM, X_L^H X_R over its stacked states, all chunks in one
-    batched GEMM, and ``weight``, the same for every k, broadcasts against
-    those sums.  The stop rule: a chunk's increment is the largest entry
-    of its weighted sum over the number of its terms, and the series stops
-    at the end of a chunk when that chunk and the one before both have
-    increments below ``series_tol`` (a chunk's terms can cancel in its
-    sum, so one quiet chunk is no evidence).  The passes are whole before
-    the rule is read, so a stop saves only the sums past it.  Returns
-    (sum, n_used, tail_norm, converged), with n_used the last k summed and
-    tail_norm the larger of the last two increments; a sum past the float
-    range raises NumericalFailureError.
+    their states X_k.  Each chunk of _CHUNK terms is one GEMM over its
+    stacked states, all chunks in one batched GEMM, times ``weight``, the
+    same for every k; ``_stop`` reads those sums.  Returns (sum, n_used,
+    tail_norm, converged); overflow raises NumericalFailureError.
     """
     n1 = len(left)
     parts = np.concatenate([weight * (a.swapaxes(1, 2) @ b) for a, b in
                             zip(_chunked(np.conj(left)), _chunked(right))])
-    sizes = np.minimum(_CHUNK, n1 - _CHUNK * np.arange(len(parts)))
-    incs = np.abs(parts).max(axis=(1, 2), initial=0.0) / sizes
-    pairs = np.maximum(incs[1:], incs[:-1])     # a chunk and the one before
-    quiet = np.flatnonzero(pairs < series_tol)
-    m = int(quiet[0]) + 2 if quiet.size else len(parts)
+    m, n_used, tail, conv = _stop(parts, n1, series_tol)
     # summed in order from 0.0, which leaves no -0.0
     total = 0.0 + np.cumsum(parts[:m], axis=0)[-1]
-    tail = float(pairs[m - 2] if m > 1 else incs[0])
-    return _finite(total), min(m * _CHUNK, n1) - 1, tail, bool(quiet.size)
+    return _finite(total), n_used, tail, conv
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _cd_series(n: int, y, y0, side, factor, gap, series_tol: float):
+    """factor * gap * sum_{k=0}^{n} Y_k^H X_k by Christoffel-Darboux.
+
+    Y solves the recurrence at mu, X at a real lam, gap = lam - conj(mu);
+    ``y`` holds Y's pairs as ``_transfers`` does, ``side`` is ``_b_side`` of
+    X's.  W_k = Y_k^H B_k X_{k+1} - Y_{k+1}^H B_k^H X_k has W_k - W_{k-1} =
+    gap Y_k^H X_k, so a partial sum is factor (W_k - W_{-1}), 0 where
+    factor is.  Given ``y0``, the pairs at lam with Y's entry pair, whose
+    Wronskian is W_{-1} at every k, W_k - W_{-1} is that of Y - Y0: the
+    drift the rounded step data give both cancels near lam.  W_n = W_{n-1}
+    + gap Y_n^H X_n reads no A_{n,n+1}.  Returns (sum, W_n - W_{-1},
+    n_used, tail_norm, converged); overflow raises NumericalFailureError.
+    """
+    v, xn = side
+    p = xn.shape[1]
+    w = np.conj(np.swapaxes(y if y0 is None else y - y0, 2, 3)) @ v
+    w -= w[0]                                      # W_{q-1} - W_{-1}
+    last = w[-1] + gap * (np.conj(np.swapaxes(y[-1, :, p:], 1, 2)) @ xn)
+    w = np.concatenate([w[:-1] if n % _CHUNK else w, last[None]])
+    m, n_used, tail, conv = _stop(factor * (w[1:] - w[:-1]), n + 1,
+                                  series_tol)
+    # + 0.0 leaves no -0.0
+    return _finite(factor * w[m] + 0.0), w[m], n_used, tail, conv
 
 
 def _chunked(xs):

@@ -11,7 +11,7 @@ from blockmoment import (BlockJacobiMatrix, MatrixPoly, classify,
                          truncate)
 from blockmoment.errors import InvalidInputError, OutOfRangeError
 from blockmoment.moments import block_hankel
-from blockmoment.polys import _states, first_kind_values
+from blockmoment.polys import _CHUNK, _states, _transfers, first_kind_values
 
 from conftest import (ci_matrix, random_hermitian, random_nonsingular,
                       random_regular, random_regular_growing, rel_err)
@@ -305,6 +305,28 @@ def test_engine_states_are_the_stepwise_recurrence(p):
                 assert got.shape == (n + 1, p, len(zs) * p)
                 if len(zs):
                     assert rel_per_step(got, want[:n + 1]).max() <= 1e-13
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_transfers_hold_the_pairs_of_states_at_chunk_starts_and_the_end(p):
+    # M_q maps the entry pair to [X_{q-1}; X_q], E columns then D, at
+    # q = 0, 16, ... below n and at n, whatever the padding of the last
+    # chunk, for one point or several
+    rng = np.random.default_rng(160 + p)
+    j = ci_matrix(rng, p, 401, rule=False)
+    zs = [1j, -2.0 + 0.5j, 0.7]
+    for n in (0, 1, 2, 15, 16, 17, 31, 32, 33, 200, 400):
+        want = stepwise_states(j, np.repeat(zs, 2), [True, False] * 3, n)
+        prev = np.concatenate([np.tile(np.eye(p, 2 * p), 3)[None],
+                               want[:-1]])     # X_{-1} = [I | 0] per point
+        m = _transfers(j, zs, n)
+        q = np.append(np.arange(0, n, _CHUNK), n)
+        assert m.shape == (len(q), 3, 2 * p, 2 * p)
+        for i in range(3):
+            cols = slice(2 * p * i, 2 * p * (i + 1))
+            for top, states in ((slice(None, p), prev), (slice(p, None), want)):
+                assert rel_per_step(m[:, i, top], states[q][..., cols]).max() \
+                    <= 1e-13
 
 
 def test_a_point_past_the_float_range_leaves_the_other_point_alone(ind):
